@@ -243,31 +243,31 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
 
 
 def _find_cycle(gate_map, sources):
-    color = {}
-    stack = []
-
-    def visit(n):
-        color[n] = 1
-        stack.append(n)
-        for op in gate_map[n].operands:
-            if op in sources:
-                continue
-            c = color.get(op)
-            if c == 1:
-                return stack[stack.index(op):] + [op]
-            if c is None:
-                found = visit(op)
-                if found:
-                    return found
-        stack.pop()
-        color[n] = 2
-        return None
-
-    for g in gate_map:
-        if g not in color:
-            found = visit(g)
-            if found:
-                return found
+    """Depth-first search over operand edges; returns the first cycle found
+    as a gate path that starts and ends on the same gate.  The stack is
+    explicit, so loops of any length are found without recursion."""
+    color = {}  # gate -> 1 while on the path, 2 when finished
+    for root in gate_map:
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(gate_map[root].operands)]
+        while pending:
+            for op in pending[-1]:
+                if op in sources:
+                    continue
+                c = color.get(op)
+                if c == 1:
+                    return path[path.index(op):] + [op]
+                if c is None:
+                    color[op] = 1
+                    path.append(op)
+                    pending.append(iter(gate_map[op].operands))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     return []
 
 

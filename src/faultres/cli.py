@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 the circuit is resistant, 1 it is not (a counterexample was
-found and replay-confirmed), 2 usage or processing error.
+found and replay-confirmed), 2 usage or processing error, including a
+solver that decides neither way.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from .reductions import plan_reductions
 from .sat_encoding import InternalEncodingError, encode_problem, verify
 from .formula import emit_dimacs
 from .simulator import run_trace
+from .solvers import SolverError
 
 SOLVER_ENV = "FAULTRES_SOLVER"
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 EXIT_RESISTANT = 0
 EXIT_NOT_RESISTANT = 1
@@ -98,6 +100,13 @@ def _report(circuit_name, k, verdict):
             "divergence_cycle": c.divergence_cycle,
             "differing_output": c.differing_output,
         }
+    report_stats = {"vars": stats.num_vars, "clauses": stats.num_clauses,
+                    "locations": stats.locations,
+                    "encode_time_s": round(stats.encode_time, 6),
+                    "solve_time_s": round(stats.solve_time, 6)}
+    if stats.conflicts is not None:  # the built-in solver ran
+        report_stats.update(decisions=stats.decisions, conflicts=stats.conflicts,
+                            restarts=stats.restarts, learnt=stats.learnt)
     return {
         "format_version": REPORT_FORMAT_VERSION,
         "tool_version": __version__,
@@ -114,10 +123,7 @@ def _report(circuit_name, k, verdict):
                         for r in stats.reductions_skipped],
         },
         "counterexample": cx,
-        "stats": {"vars": stats.num_vars, "clauses": stats.num_clauses,
-                  "locations": stats.locations,
-                  "encode_time_s": round(stats.encode_time, 6),
-                  "solve_time_s": round(stats.solve_time, 6)},
+        "stats": report_stats,
     }
 
 
@@ -136,8 +142,10 @@ def _print_verdict(verdict, out=None):
               file=out)
     s = verdict.stats
     if s.num_vars:
+        search = ("" if s.conflicts is None
+                  else f"; {s.conflicts} conflicts, {s.decisions} decisions")
         print(f"  cnf: {s.num_vars} vars, {s.num_clauses} clauses; "
-              f"encode {s.encode_time:.3f}s, solve {s.solve_time:.3f}s", file=out)
+              f"encode {s.encode_time:.3f}s, solve {s.solve_time:.3f}s{search}", file=out)
 
 
 def _verdict_exit(verdict):
@@ -366,7 +374,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (CliError, NetlistError, ConfigError, BudgetExceeded, TooManyVars,
-            InternalEncodingError) as e:
+            InternalEncodingError, SolverError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as e:  # pragma: no cover - last-resort diagnostics

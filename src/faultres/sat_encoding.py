@@ -42,7 +42,7 @@ from .formula import (
 from .netlist_io import VerificationConfig
 from .reductions import ReductionPlan, plan_reductions
 from .simulator import FaultVector, ShapeMismatch, check_effectiveness
-from .solvers import SatResult, solve_cnf
+from .solvers import SatResult, SolverUndecided, solve_cnf
 
 
 class InternalEncodingError(Exception):
@@ -70,6 +70,11 @@ class VerifyStats:
     blacklist_effective: int = 0
     model_used: Optional[FaultResistanceModel] = None
     locations: int = 0
+    # Search counters of the built-in solver; None for an external one.
+    decisions: Optional[int] = None
+    conflicts: Optional[int] = None
+    restarts: Optional[int] = None
+    learnt: Optional[int] = None
 
 
 @dataclass
@@ -205,7 +210,8 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
            solver=None) -> Verdict:
     """Decide fault-resistance of ``circuit`` under ``config``.  Unsat means
     resistant; a model is decoded and replay-confirmed on the simulator before
-    being reported (a failed replay raises InternalEncodingError)."""
+    being reported (a failed replay raises InternalEncodingError).  A solver
+    that decides neither way raises SolverUndecided."""
 
     problem = encode_problem(circuit, config, golden)
     backend = solver if solver is not None else config.solver
@@ -225,12 +231,16 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
         blacklist_effective=len(problem.plan.effective_blacklist),
         model_used=problem.plan.effective_model,
         locations=len(problem.locations),
+        decisions=result.decisions,
+        conflicts=result.conflicts,
+        restarts=result.restarts,
+        learnt=result.learnt,
     )
 
     if result.status == "unsat":
         return Verdict("resistant", stats=stats)
     if result.status != "sat":
-        raise EncodingError(f"solver could not decide: {result.reason}")
+        raise SolverUndecided(result.reason)
 
     named = {name: result.model.get(idx, False)
              for name, idx in problem.cnf.var_index.items()}

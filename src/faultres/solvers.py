@@ -3,6 +3,7 @@ speaking the DIMACS exit-code convention (10 = SAT, 20 = UNSAT)."""
 
 from __future__ import annotations
 
+import heapq
 import os
 import subprocess
 import tempfile
@@ -24,11 +25,24 @@ class ModelParseError(SolverError):
     pass
 
 
+class SolverUndecided(SolverError):
+    """The solver answered neither SAT nor UNSAT."""
+
+    def __init__(self, reason):
+        super().__init__(f"solver could not decide: {reason}")
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class SatResult:
     status: str  # "sat" | "unsat" | "unknown"
     model: Optional[dict] = None  # var index -> bool, total over 1..num_vars
     reason: str = ""
+    # Search counters; set by the built-in solver only.
+    decisions: Optional[int] = None
+    conflicts: Optional[int] = None
+    restarts: Optional[int] = None
+    learnt: Optional[int] = None
 
     @property
     def is_sat(self):
@@ -41,188 +55,236 @@ class SatResult:
 
 class CdclSolver:
     """Conflict-driven clause learning with two watched literals, first-UIP
-    learning, activity-based decisions and geometric restarts.  Deterministic:
-    ties break on variable index, decisions assume False first."""
+    learning, activity-based decisions and geometric restarts.
+
+    Deterministic: each decision takes the unassigned variable of highest
+    activity, the lowest index on ties, and assumes it False, exactly the
+    choice of a full scan over the variables.  The scan is replaced by a lazy
+    heap of ``(-activity, var)`` entries.  An entry goes stale once its
+    variable is assigned or its activity grows, and is dropped when popped;
+    every unassigned variable holds one current entry, pushed when the
+    variable is unassigned.  The heap is rebuilt from the unassigned
+    variables after an activity rescale and whenever it grows past
+    ``2 * num_vars`` entries.
+
+    Literal values sit in one list indexed by literal (``-v`` indexes from
+    the end): True, False, or None while unassigned.  Watch lists are
+    indexed the same way.  ``decisions``, ``conflicts`` (the final one at
+    level 0 included), ``restarts`` and ``learnt`` (learnt clauses of two or
+    more literals, the ones stored) count search events."""
 
     def __init__(self, num_vars, clauses):
+        """``clauses`` is a list of literal sequences over variables
+        1..num_vars; a literal outside that range is not detected."""
         self.num_vars = num_vars
-        self.assign = {}        # var -> bool
-        self.level = {}         # var -> decision level
-        self.reason = {}        # var -> clause (list of lits) or None
-        self.trail = []
-        self.trail_lim = []
-        self.watches = {}       # literal -> list of clauses watching it
+        self.decisions = self.conflicts = self.restarts = self.learnt = 0
+        # An empty clause settles the answer before any per-variable state.
+        self.unsat = not all(clauses)
+        if self.unsat:
+            return
+        size = 2 * num_vars + 1
+        self.val = [None] * size                   # literal -> True / False / None
+        self.watches = [[] for _ in range(size)]   # literal -> clauses watching it
+        self.level = [0] * (num_vars + 1)          # var -> decision level
+        self.reason = [None] * (num_vars + 1)      # var -> implying clause or None
         self.activity = [0.0] * (num_vars + 1)
         self.act_inc = 1.0
-        self.clauses = []
+        self.trail = []
+        self.trail_lim = []
+        self.qhead = 0
+        self._rebuild_heap()
         self.units = []
-        self.unsat = False
         for c in clauses:
-            self._add(list(dict.fromkeys(c)))
+            lits = list(c)
+            if len(set(map(abs, lits))) < len(lits):
+                # A repeated variable: drop repeated literals, then tautologies.
+                lits = list(dict.fromkeys(lits))
+                if len(set(map(abs, lits))) < len(lits):
+                    continue
+            if len(lits) == 1:
+                self.units.append(lits[0])
+            else:
+                self.watches[lits[0]].append(lits)
+                self.watches[lits[1]].append(lits)
 
-    def _add(self, lits):
-        if not lits:
-            self.unsat = True
-            return
-        if any(-l in lits for l in lits):
-            return  # tautology
-        if len(lits) == 1:
-            self.units.append(lits[0])
-            return
-        self.clauses.append(lits)
-        self.watches.setdefault(lits[0], []).append(lits)
-        self.watches.setdefault(lits[1], []).append(lits)
-
-    def _value(self, lit):
-        v = self.assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+    def _rebuild_heap(self):
+        activity, val = self.activity, self.val
+        self.heap = [(-activity[v], v) for v in range(1, self.num_vars + 1) if val[v] is None]
+        heapq.heapify(self.heap)
 
     def _enqueue(self, lit, reason):
-        self.assign[abs(lit)] = lit > 0
-        self.level[abs(lit)] = len(self.trail_lim)
-        self.reason[abs(lit)] = reason
+        self.val[lit] = True
+        self.val[-lit] = False
+        v = abs(lit)
+        self.level[v] = len(self.trail_lim)
+        self.reason[v] = reason
         self.trail.append(lit)
 
     def _propagate(self):
-        i = getattr(self, "_qhead", 0)
-        while i < len(self.trail):
-            lit = self.trail[i]
+        val, watches, trail = self.val, self.watches, self.trail
+        level, reason = self.level, self.reason
+        cur_level = len(self.trail_lim)
+        i = self.qhead
+        while i < len(trail):
+            falsified = -trail[i]
             i += 1
-            falsified = -lit
-            watchlist = self.watches.get(falsified, [])
+            watchlist = watches[falsified]
+            # Clauses keep their watch-list order, which decides the order of
+            # implications and which conflict is found first.
             keep = []
-            j = 0
-            while j < len(watchlist):
-                clause = watchlist[j]
-                j += 1
+            for j, clause in enumerate(watchlist):
                 # Make sure the falsified literal sits at position 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) is True:
+                if first == falsified:
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
+                if val[first] is True:
                     keep.append(clause)
                     continue
-                moved = False
                 for idx in range(2, len(clause)):
-                    if self._value(clause[idx]) is not False:
-                        clause[1], clause[idx] = clause[idx], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
-                        moved = True
+                    lit = clause[idx]
+                    if val[lit] is not False:
+                        clause[1] = lit
+                        clause[idx] = falsified
+                        watches[lit].append(clause)
                         break
-                if moved:
-                    continue
-                keep.append(clause)
-                if self._value(first) is False:
-                    keep.extend(watchlist[j:])
-                    self.watches[falsified] = keep
-                    self._qhead = len(self.trail)
-                    return clause
-                self._enqueue(first, clause)
-            self.watches[falsified] = keep
-        self._qhead = i
+                else:
+                    keep.append(clause)
+                    if val[first] is False:
+                        keep.extend(watchlist[j + 1:])
+                        watches[falsified] = keep
+                        self.qhead = len(trail)
+                        return clause
+                    val[first] = True
+                    val[-first] = False
+                    v = first if first > 0 else -first
+                    level[v] = cur_level
+                    reason[v] = clause
+                    trail.append(first)
+            watches[falsified] = keep
+        self.qhead = i
         return None
 
     def _analyze(self, conflict):
         """First-UIP conflict analysis.  Reason clauses keep their implied
-        literal at position 0, so expansion skips it when resolving."""
+        literal at position 0, so expansion skips it when resolving.  ``seen``
+        holds the true literals on the trail whose negations were resolved."""
+        level, reason, trail, activity = self.level, self.reason, self.trail, self.activity
         cur_level = len(self.trail_lim)
+        inc = self.act_inc
         learnt = []
         seen = set()
         path = 0
         p = None
-        reason = conflict
-        idx = len(self.trail) - 1
+        clause = conflict
+        idx = len(trail) - 1
         while True:
-            for q in (reason if p is None else reason[1:]):
-                v = abs(q)
-                if v not in seen and self.level[v] > 0:
-                    seen.add(v)
-                    self.activity[v] += self.act_inc
-                    if self.level[v] >= cur_level:
+            for q in (clause if p is None else clause[1:]):
+                if -q in seen:
+                    continue
+                v = q if q > 0 else -q
+                lv = level[v]
+                if lv > 0:
+                    seen.add(-q)
+                    activity[v] += inc
+                    if lv >= cur_level:
                         path += 1
                     else:
                         learnt.append(q)
-            while abs(self.trail[idx]) not in seen:
+            while trail[idx] not in seen:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
-            seen.discard(abs(p))
+            seen.discard(p)
             path -= 1
             if path == 0:
                 break
-            reason = self.reason[abs(p)]
+            clause = reason[abs(p)]
         learnt = [-p] + learnt
         if len(learnt) == 1:
             return learnt, 0
-        back = max(self.level[abs(q)] for q in learnt[1:])
+        back = max(level[abs(q)] for q in learnt[1:])
         # Watch the asserting literal and one literal from the backjump level.
         for i in range(1, len(learnt)):
-            if self.level[abs(learnt[i])] == back:
+            if level[abs(learnt[i])] == back:
                 learnt[1], learnt[i] = learnt[i], learnt[1]
                 break
         return learnt, back
 
-    def _backjump(self, level):
-        while len(self.trail_lim) > level:
-            lim = self.trail_lim.pop()
-            while len(self.trail) > lim:
-                lit = self.trail.pop()
-                v = abs(lit)
-                del self.assign[v]
-                del self.level[v]
-                self.reason.pop(v, None)
-        self._qhead = len(self.trail)
+    def _backjump(self, to_level):
+        trail, trail_lim = self.trail, self.trail_lim
+        if len(trail_lim) > to_level:
+            val, activity, heap = self.val, self.activity, self.heap
+            lim = trail_lim[to_level]
+            for lit in trail[lim:]:
+                val[lit] = val[-lit] = None
+                v = lit if lit > 0 else -lit
+                heapq.heappush(heap, (-activity[v], v))
+            del trail[lim:]
+            del trail_lim[to_level:]
+            if len(heap) > 2 * self.num_vars:
+                self._rebuild_heap()
+        self.qhead = len(trail)
 
     def _decide(self):
-        best, best_act = 0, -1.0
-        for v in range(1, self.num_vars + 1):
-            if v not in self.assign and self.activity[v] > best_act:
-                best, best_act = v, self.activity[v]
-        return best
+        heap, activity, val = self.heap, self.activity, self.val
+        while heap:
+            key, v = heapq.heappop(heap)
+            if val[v] is None and key == -activity[v]:
+                return v
+        return 0
+
+    def _result(self, status, model=None):
+        return SatResult(status, model=model, decisions=self.decisions,
+                         conflicts=self.conflicts, restarts=self.restarts,
+                         learnt=self.learnt)
 
     def solve(self) -> SatResult:
         if self.unsat:
-            return SatResult("unsat")
-        self._qhead = 0
+            return self._result("unsat")
+        val = self.val
         for u in self.units:
-            val = self._value(u)
-            if val is False:
-                return SatResult("unsat")
-            if val is None:
+            if val[u] is False:
+                return self._result("unsat")
+            if val[u] is None:
                 self._enqueue(u, None)
-        conflicts = 0
+        since_restart = 0
         restart_at = 100
         while True:
             conflict = self._propagate()
             if conflict is not None:
+                self.conflicts += 1
                 if not self.trail_lim:
-                    return SatResult("unsat")
-                conflicts += 1
+                    return self._result("unsat")
+                since_restart += 1
                 self.act_inc *= 1.05
                 if self.act_inc > 1e100:
-                    self.activity = [a / 1e100 for a in self.activity]
+                    self.activity[:] = [a / 1e100 for a in self.activity]
                     self.act_inc /= 1e100
+                    self._rebuild_heap()
                 learnt, back = self._analyze(conflict)
                 self._backjump(back)
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], None)
                 else:
-                    self.clauses.append(learnt)
-                    self.watches.setdefault(learnt[0], []).append(learnt)
-                    self.watches.setdefault(learnt[1], []).append(learnt)
+                    self.learnt += 1
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
-                if conflicts >= restart_at:
+                if since_restart >= restart_at:
                     restart_at = int(restart_at * 1.5) + 1
-                    conflicts = 0
+                    since_restart = 0
+                    self.restarts += 1
+                    # This also moves the propagation head past a unit just
+                    # learnt at level 0, which then is never propagated.
+                    # Fixing that changes the search the pinned tests record.
                     self._backjump(0)
             else:
                 var = self._decide()
                 if var == 0:
-                    model = {v: self.assign.get(v, False)
-                             for v in range(1, self.num_vars + 1)}
-                    return SatResult("sat", model=model)
+                    return self._result(
+                        "sat", {v: val[v] is True for v in range(1, self.num_vars + 1)})
+                self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(-var, None)
 
@@ -233,7 +295,8 @@ def solve_builtin(cnf: CNF) -> SatResult:
 
 def solve_external(cnf: CNF, argv) -> SatResult:
     """Run `argv... <dimacs-path>`; exit 10 means SAT (model on `v` lines),
-    20 means UNSAT, anything else is reported as unknown."""
+    20 means UNSAT, anything else is reported as unknown.  A SAT model that
+    falsifies a clause raises ModelParseError."""
 
     text, _ = emit_dimacs(cnf)
     path = None
@@ -265,6 +328,10 @@ def solve_external(cnf: CNF, argv) -> SatResult:
                 if abs(lit) > cnf.num_vars:
                     raise ModelParseError(f"model literal {lit} out of range")
                 model[abs(lit)] = lit > 0
+            for i, clause in enumerate(cnf.clauses):
+                if not any(model[abs(lit)] == (lit > 0) for lit in clause):
+                    raise ModelParseError(
+                        f"model falsifies clause {i}: {' '.join(map(str, clause))} 0")
             return SatResult("sat", model=model)
         return SatResult("unknown",
                          reason=f"solver exited with {proc.returncode}: {proc.stderr.strip()[:200]}")

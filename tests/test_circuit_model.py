@@ -32,6 +32,16 @@ def test_combinational_cycle():
     assert set(exc.value.path) >= {"a", "b"}
 
 
+def test_combinational_cycle_deep():
+    # A 3000-gate loop g0 <- g1 <- ... <- g2999 <- g0; no recursion limit applies.
+    n = 3000
+    gates = "".join(f"gate g{i} = not(g{(i + 1) % n})\n" for i in range(n))
+    text = ".inputs i\n.outputs g0\n" + gates
+    with pytest.raises(CombinationalCycle) as exc:
+        build_and_validate(parse_netlist(text))
+    assert exc.value.path == [f"g{i}" for i in range(n)] + ["g0"]
+
+
 def test_build_arity_mismatch():
     # Construct the doc directly; the parser would reject this earlier.
     doc = NetlistDoc("t", ["a", "b"], ["g"], None, [],

@@ -178,6 +178,26 @@ def test_env_var_solver(workdir, monkeypatch, tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_undecided_solver_clean_error(workdir, tmp_path, capsys):
+    script = tmp_path / "giveup.py"
+    script.write_text("import sys; print('gave up', file=sys.stderr); sys.exit(1)\n")
+    code = run_cli("verify", workdir / "rect_parity.nl",
+                   "--config", workdir / "zeta_1_1_all_c.json",
+                   "--solver", f"{sys.executable} {script}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: solver could not decide: solver exited with 1: gave up\n"
+
+
+def test_verify_reports_solver_counters(workdir, capsys):
+    report_path = workdir / "report.json"
+    run_cli("verify", workdir / "rect_revised.nl",
+            "--config", workdir / "zeta_1_1_all_c.json", "--json", report_path)
+    stats = json.loads(report_path.read_text())["stats"]
+    assert (stats["conflicts"], stats["decisions"]) == (75, 79)
+    assert "75 conflicts, 79 decisions" in capsys.readouterr().out
+
+
 def test_json_reports_validate_on_all_fixtures(workdir, tmp_path):
     schema = load_schema()
     cases = [

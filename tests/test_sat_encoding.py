@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -22,11 +23,17 @@ from faultres.formula import (
     emit_dimacs,
     tseitin_cnf,
 )
-from faultres.netlist_io import ReductionFlags, VerificationConfig, parse_netlist
+from faultres.fixtures import fixture_text
+from faultres.netlist_io import (
+    ReductionFlags,
+    VerificationConfig,
+    parse_config,
+    parse_netlist,
+)
 from faultres.oracle import enumerate_fault_vectors, random_netlist
-from faultres.sat_encoding import build_fr_formula, verify
+from faultres.sat_encoding import build_fr_formula, encode_problem, verify
 from faultres.simulator import FaultType, check_effectiveness
-from faultres.solvers import CdclSolver, solve_cnf
+from faultres.solvers import CdclSolver, SolverUndecided, solve_cnf
 
 ALL = (FaultType.SET, FaultType.RESET, FaultType.BITFLIP)
 
@@ -223,6 +230,82 @@ def test_builtin_solver_basics():
     assert solve_cnf(_cnf(0, [[]])).is_unsat
 
 
+def _model_digest(model):
+    """First 12 hex digits of the SHA-256 of the true variables, ascending
+    and space-separated."""
+    text = " ".join(str(v) for v in sorted(model) if model[v])
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _search(num_vars, clauses):
+    res = CdclSolver(num_vars, clauses).solve()
+    digest = _model_digest(res.model) if res.is_sat else None
+    return (res.status, res.conflicts, res.decisions, digest)
+
+
+# The built-in solver's search, pinned as (status, conflicts, decisions, model
+# digest).  Any change to its decisions, learning or restarts moves these
+# numbers; such a change must update them on purpose.
+PINNED_FIXTURE_SEARCH = {
+    ("rect_parity.nl", "zeta_1_1_all_c.json"): ("sat", 3, 11, "d45c0eb02e4a"),
+    ("rect_parity.nl", "zeta_1_1_all_c_parity.json"): ("sat", 3, 11, "2865d784e829"),
+    ("rect_revised.nl", "zeta_1_1_all_c.json"): ("unsat", 75, 79, None),
+    ("rect_revised.nl", "zeta_1_1_all_c_parity.json"): ("unsat", 89, 102, None),
+}
+
+# Random 3-SAT at clause ratio 4.26 from random.Random(2023): 30 instances
+# with 10-60 variables, then 6 with 90-120 variables, which restart.
+PINNED_RANDOM_SEARCH = [
+    ("unsat", 32, 40, None), ("unsat", 50, 60, None),
+    ("sat", 4, 12, "896968c459b2"), ("sat", 5, 23, "f53f5d96e203"),
+    ("sat", 2, 6, "b041478b5560"), ("sat", 6, 20, "83c8dceb995a"),
+    ("sat", 0, 2, "facf3465e32d"), ("unsat", 18, 18, None),
+    ("sat", 26, 39, "db3b3f9bca85"), ("sat", 1, 7, "8d12a21b50b1"),
+    ("unsat", 11, 11, None), ("unsat", 29, 33, None),
+    ("sat", 2, 10, "e61ca762274a"), ("sat", 4, 10, "832d7bd0f5ed"),
+    ("sat", 16, 29, "bcb444057876"), ("sat", 0, 9, "553616462f96"),
+    ("unsat", 3, 3, None), ("sat", 5, 20, "870c1509e818"),
+    ("sat", 2, 19, "07ea48833b4d"), ("sat", 4, 7, "9cbba4836077"),
+    ("sat", 10, 22, "83339defdb52"), ("sat", 5, 13, "3efa6832907c"),
+    ("sat", 4, 9, "5892ed0823b8"), ("sat", 10, 14, "bab2bc4352a1"),
+    ("sat", 5, 11, "329a3c3c17bd"), ("unsat", 63, 73, None),
+    ("sat", 10, 12, "a20bd0f7fa74"), ("sat", 1, 8, "0f6477c4397a"),
+    ("unsat", 11, 13, None), ("sat", 8, 15, "c9708d1ab155"),
+    ("sat", 140, 182, "3bfca00c7d40"), ("unsat", 456, 544, None),
+    ("unsat", 960, 1125, None), ("unsat", 374, 454, None),
+    ("unsat", 141, 169, None), ("unsat", 366, 434, None),
+]
+
+
+@pytest.mark.parametrize("netlist,config", sorted(PINNED_FIXTURE_SEARCH))
+def test_builtin_solver_search_pinned_on_fixtures(netlist, config):
+    doc = parse_netlist(fixture_text(netlist))
+    cnf = encode_problem(build_and_validate(doc),
+                         parse_config(fixture_text(config), doc)).cnf
+    assert _search(cnf.num_vars, cnf.clauses) == PINNED_FIXTURE_SEARCH[(netlist, config)]
+
+
+def test_builtin_solver_search_pinned_on_random_3sat():
+    rng = random.Random(2023)
+    got = []
+    for i in range(len(PINNED_RANDOM_SEARCH)):
+        n = rng.randint(10, 60) if i < 30 else rng.randint(90, 120)
+        clauses = [[rng.choice([1, -1]) * rng.randint(1, n) for _ in range(3)]
+                   for _ in range(round(4.26 * n))]
+        got.append(_search(n, clauses))
+    assert got == PINNED_RANDOM_SEARCH
+
+
+def test_builtin_solver_counters():
+    res = CdclSolver(3, [[1, 2], [1, -2], [-1, 3], [-1, -3]]).solve()
+    assert res.is_unsat
+    assert (res.decisions, res.conflicts, res.restarts, res.learnt) == (1, 2, 0, 0)
+    # An empty clause decides the answer before any search.
+    res = CdclSolver(4, [[1, 2], [], [3]]).solve()
+    assert res.is_unsat
+    assert (res.decisions, res.conflicts, res.restarts, res.learnt) == (0, 0, 0, 0)
+
+
 def _cnf(num_vars, clauses):
     from faultres.formula import CNF
 
@@ -325,6 +408,23 @@ def test_external_solver_bad_exit(tmp_path):
     assert res.status == "unknown"
 
 
+def test_external_solver_wrong_model(tmp_path):
+    from faultres.solvers import ModelParseError
+
+    script = tmp_path / "liar.py"
+    script.write_text("import sys; print('v -1 -2 0'); sys.exit(10)\n")
+    with pytest.raises(ModelParseError, match="clause 0: 1 2 0"):
+        solve_cnf(_cnf(2, [[1, 2], [-1]]), (sys.executable, str(script)))
+
+
+def test_verify_undecided_solver(rect_parity, zeta_1_1_all_c, tmp_path):
+    script = tmp_path / "giveup.py"
+    script.write_text("import sys; print('out of memory', file=sys.stderr); sys.exit(1)\n")
+    with pytest.raises(SolverUndecided, match="out of memory") as exc:
+        verify(rect_parity, zeta_1_1_all_c, solver=(sys.executable, str(script)))
+    assert "exited with 1" in exc.value.reason
+
+
 def test_external_solver_spawn_failure():
     from faultres.solvers import BackendSpawnFailure
 
@@ -335,6 +435,7 @@ def test_external_solver_spawn_failure():
 def test_external_solver_on_fixture(rect_parity, zeta_1_1_all_c, stub_solver):
     verdict = verify(rect_parity, zeta_1_1_all_c, solver=stub_solver)
     assert verdict.status == "not_resistant"
+    assert verdict.stats.conflicts is None  # counters come from the built-in solver only
 
 
 def _fr_parts(circuit, blacklist, model, types=ALL):
