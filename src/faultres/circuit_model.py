@@ -12,12 +12,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
+from .errors import FaultresError
+
 if TYPE_CHECKING:
     from .netlist_io import NetlistDoc
     from .simulator import FaultType
 
 
-class CircuitError(Exception):
+class CircuitError(FaultresError):
     pass
 
 
@@ -28,9 +30,16 @@ class CombinationalCycle(CircuitError):
 
 
 class ArityMismatch(CircuitError):
-    def __init__(self, gate, kind, got):
-        super().__init__(f"gate {gate}: {kind} takes {KIND_ARITY[kind]} operands, got {got}")
+    """A gate with the wrong operand count; ``line``/``col`` locate it in the
+    netlist text when the parser finds it (0 when unknown)."""
+
+    def __init__(self, gate, kind, got, line=0, col=0):
+        loc = f"{line}:{col}: " if line else ""
+        super().__init__(f"{loc}gate {gate!r}: {kind.value} takes {KIND_ARITY[kind]} "
+                         f"operands, got {got}")
         self.gate = gate
+        self.line = line
+        self.col = col
 
 
 class InvalidK(CircuitError):
@@ -100,10 +109,6 @@ KIND_EVAL = {
 
 LOCATION_CLASSES = ("c", "r", "cr")
 
-# Canonical fault-type order (set < reset < bit-flip), used everywhere a
-# deterministic ordering of types is needed.
-FAULT_TYPE_ORDER = ("s", "r", "bf")
-
 
 @dataclass(frozen=True, order=True)
 class GateInstance:
@@ -171,19 +176,6 @@ class SequentialCircuit:
     @property
     def init_bits(self):
         return {r: b for r, b in self.registers}
-
-    def net_names(self):
-        return set(self.inputs) | set(self.register_names) | set(self.gate_map)
-
-    def drives_output(self, net) -> bool:
-        return net in self.outputs
-
-    def drives_register(self, net) -> bool:
-        return net in self._register_drivers
-
-    @property
-    def _register_drivers(self):
-        return set(self.next_state.values())
 
 
 def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
@@ -290,10 +282,6 @@ class UnrolledCircuit:
             for r in self.circuit.register_names:
                 out.append(GateInstance(cycle, r, is_register=True))
         return tuple(out)
-
-    @property
-    def logic_instance_count(self):
-        return self.k * len(self.circuit.gates)
 
     def instance_exists(self, inst: GateInstance) -> bool:
         if not 1 <= inst.cycle <= self.k:

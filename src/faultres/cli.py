@@ -15,27 +15,23 @@ import sys
 
 from . import __version__
 from .circuit_model import build_and_validate, unroll
+from .errors import FaultresError
 from .netlist_io import (
-    ConfigError,
-    NetlistError,
     ReductionFlags,
     parse_config,
     parse_netlist,
     write_netlist,
 )
 from .oracle import (
-    BudgetExceeded,
     OracleBudget,
-    TooManyVars,
     brute_force_verdict,
     np_hardness_instance,
     random_netlist,
 )
 from .reductions import plan_reductions
-from .sat_encoding import InternalEncodingError, encode_problem, verify
+from .sat_encoding import encode_problem, verify
 from .formula import emit_dimacs
 from .simulator import run_trace
-from .solvers import SolverError
 
 SOLVER_ENV = "FAULTRES_SOLVER"
 REPORT_FORMAT_VERSION = 2
@@ -45,7 +41,7 @@ EXIT_NOT_RESISTANT = 1
 EXIT_ERROR = 2
 
 
-class CliError(Exception):
+class CliError(FaultresError):
     pass
 
 
@@ -65,11 +61,11 @@ def _load_circuit(path):
 def _load_config(path, doc, args):
     config = parse_config(_read(path), doc)
     reductions = config.reductions
-    if getattr(args, "no_reduce_types", False):
+    if args.no_reduce_types:
         reductions = ReductionFlags(False, reductions.single_successor, reductions.single_exit)
-    if getattr(args, "no_reduce_gates", False):
+    if args.no_reduce_gates:
         reductions = ReductionFlags(reductions.fault_type, False, False)
-    if getattr(args, "aggressive", False):
+    if args.aggressive:
         reductions = ReductionFlags(reductions.fault_type, reductions.single_successor, True)
     solver = config.solver
     if getattr(args, "solver", None):
@@ -85,6 +81,14 @@ def _model_json(model):
         "nc": model.n_c,
         "types": list(model.type_tokens()),
         "location": model.location,
+    }
+
+
+def _reductions_json(applied, skipped):
+    return {
+        "applied": [{"name": r.name, "gates_removed": r.gates_removed,
+                     "detail": r.detail} for r in applied],
+        "skipped": [{"name": r.name, "reason": r.reason} for r in skipped],
     }
 
 
@@ -116,15 +120,24 @@ def _report(circuit_name, k, verdict):
         "model": _model_json(stats.model_used),
         "blacklist": {"original": stats.blacklist_original,
                       "effective": stats.blacklist_effective},
-        "reductions": {
-            "applied": [{"name": r.name, "gates_removed": r.gates_removed,
-                         "detail": r.detail} for r in stats.reductions_applied],
-            "skipped": [{"name": r.name, "reason": r.reason}
-                        for r in stats.reductions_skipped],
-        },
+        "reductions": _reductions_json(stats.reductions_applied, stats.reductions_skipped),
         "counterexample": cx,
         "stats": report_stats,
     }
+
+
+def _write_report(path, circuit_name, k, verdict):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(_report(circuit_name, k, verdict), f, indent=2)
+        f.write("\n")
+
+
+def _write_dimacs(cnf, path):
+    text, sidecar = emit_dimacs(cnf)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+    with open(path + ".map.json", "w", encoding="utf-8") as f:
+        json.dump(sidecar, f, indent=2, sort_keys=True)
 
 
 def _print_verdict(verdict, out=None):
@@ -158,19 +171,12 @@ def cmd_verify(args):
     golden = None
     if args.golden:
         _, golden = _load_circuit(args.golden)
-    if args.dimacs:
-        problem = encode_problem(circuit, config, golden)
-        text, sidecar = emit_dimacs(problem.cnf)
-        with open(args.dimacs, "w", encoding="utf-8") as f:
-            f.write(text)
-        with open(args.dimacs + ".map.json", "w", encoding="utf-8") as f:
-            json.dump(sidecar, f, indent=2, sort_keys=True)
     verdict = verify(circuit, config, golden=golden)
+    if args.dimacs:
+        _write_dimacs(verdict.cnf, args.dimacs)
     _print_verdict(verdict)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(_report(circuit.name, config.unroll_k, verdict), f, indent=2)
-            f.write("\n")
+        _write_report(args.json, circuit.name, config.unroll_k, verdict)
     return _verdict_exit(verdict)
 
 
@@ -183,9 +189,7 @@ def cmd_oracle(args):
     verdict = brute_force_verdict(unrolled, config.blacklist, config.model, budget)
     _print_verdict(verdict)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(_report(circuit.name, config.unroll_k, verdict), f, indent=2)
-            f.write("\n")
+        _write_report(args.json, circuit.name, config.unroll_k, verdict)
     return _verdict_exit(verdict)
 
 
@@ -219,9 +223,7 @@ def cmd_reduce(args):
         "blacklist": {"original": len(config.blacklist),
                       "effective": len(plan.effective_blacklist)},
         "removed_gates": removed,
-        "applied": [{"name": r.name, "gates_removed": r.gates_removed,
-                     "detail": r.detail} for r in plan.applied],
-        "skipped": [{"name": r.name, "reason": r.reason} for r in plan.skipped],
+        **_reductions_json(plan.applied, plan.skipped),
     }, indent=2))
     return EXIT_RESISTANT
 
@@ -234,11 +236,7 @@ def cmd_encode(args):
         _, golden = _load_circuit(args.golden)
     problem = encode_problem(circuit, config, golden)
     if args.dimacs:
-        text, sidecar = emit_dimacs(problem.cnf)
-        with open(args.dimacs, "w", encoding="utf-8") as f:
-            f.write(text)
-        with open(args.dimacs + ".map.json", "w", encoding="utf-8") as f:
-            json.dump(sidecar, f, indent=2, sort_keys=True)
+        _write_dimacs(problem.cnf, args.dimacs)
     if args.dump_controls:
         controls = {
             inst.label: {k: v for k, v in
@@ -277,17 +275,24 @@ def _parse_dimacs_file(path):
     clauses = []
     num_vars = 0
     current = []
-    for line in _read(path).splitlines():
+
+    def number(tok):
+        try:
+            return int(tok)
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: bad DIMACS token {tok!r}") from None
+
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) >= 3:
-                num_vars = int(parts[2])
+                num_vars = number(parts[2])
             continue
         for tok in line.split():
-            lit = int(tok)
+            lit = number(tok)
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -373,8 +378,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, NetlistError, ConfigError, BudgetExceeded, TooManyVars,
-            InternalEncodingError, SolverError) as e:
+    except FaultresError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as e:  # pragma: no cover - last-resort diagnostics

@@ -14,17 +14,17 @@ from typing import Optional
 
 from .circuit_model import (
     BITFLIP_COMPLEMENT,
-    KIND_ARITY,
     KIND_EVAL,
     GateInstance,
     GateKind,
     UnrolledCircuit,
 )
+from .errors import FaultresError
 from .formula import ROLE_CONTROL, ROLE_INPUT, ROLE_SELECTION, FormulaBuilder
 from .simulator import FaultEvent, FaultType, FaultVector
 
 
-class EncoderError(Exception):
+class EncoderError(FaultresError):
     pass
 
 
@@ -46,18 +46,8 @@ class Gadget:
     types: tuple  # canonical order: s < r < bf
 
     @property
-    def arity(self):
-        return KIND_ARITY[self.kind]
-
-    @property
     def selection_count(self):
-        return {1: 0, 2: 1, 3: 2}[len(self.types)]
-
-    @property
-    def node_budget(self):
-        """Tree size of the gadget formula (operator and constant nodes),
-        counted before any sharing; 3, 5 and 7 for 1, 2 and 3 types."""
-        return {1: 3, 2: 5, 3: 7}[len(self.types)]
+        return len(self.types) - 1
 
     def _faulty_build(self, b: FormulaBuilder, fault, ins):
         if fault is FaultType.SET:
@@ -162,8 +152,6 @@ class ControlledCircuit:
     flag_taps: dict        # cycle -> node (constant false when no flag)
     control_map: dict      # GateInstance -> ControlVars
     cycle_controls: dict   # cycle -> list of control var names
-    node_budget: int = 0   # gadget-tree node count of the instrumented circuit
-    base_gate_count: int = 0
 
     def control_var_names(self):
         out = []
@@ -210,7 +198,7 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
 
     control_map = {}
     cycle_controls = {}
-    sel_count = {1: 0, 2: 1, 3: 2}[len(types)]
+    sel_count = len(types) - 1
     for inst in loc_sorted:
         c_name = f"c[{inst.label}]"
         b1_name = f"b1[{inst.label}]" if sel_count >= 1 else None
@@ -231,7 +219,6 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
         b2 = b.var(cv.b2, ROLE_SELECTION) if cv.b2 else None
         return c, b1, b2
 
-    node_budget = 0
     taps = {}
     flag_taps = {}
     state = {r: b.const(init) for r, init in circuit.registers}
@@ -244,7 +231,6 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
                 gadget = build_gadget(GateKind.BUF, types)
                 c, b1, b2 = control_nodes(inst)
                 read = gadget.build(b, (read,), c, b1, b2)
-                node_budget += gadget.node_budget
             env[r] = read
         for name in circuit.topo_order:
             g = circuit.gate_map[name]
@@ -254,23 +240,17 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
                 gadget = build_gadget(g.kind, types)
                 c, b1, b2 = control_nodes(inst)
                 env[name] = gadget.build(b, ins, c, b1, b2)
-                node_budget += gadget.node_budget
             else:
                 env[name] = _kind_node(b, g.kind, ins)
-                node_budget += 1
         for o in circuit.outputs:
             taps[(cycle, o)] = env[o]
         flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
         state = {r: env[circuit.next_state[r]] for r in circuit.register_names}
 
-    base = unrolled.logic_instance_count + unrolled.k * len(circuit.registers)
-    base = max(base, 1)
-    assert node_budget <= 6 * len(types) * base
     return ControlledCircuit(
         builder=b, k=unrolled.k, outputs=circuit.outputs, flag=circuit.flag,
         types=types, input_vars=input_vars, taps=taps, flag_taps=flag_taps,
-        control_map=control_map, cycle_controls=cycle_controls,
-        node_budget=node_budget, base_gate_count=base)
+        control_map=control_map, cycle_controls=cycle_controls)
 
 
 def canonical_assignment(controlled: ControlledCircuit, vector: FaultVector) -> dict:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import FaultresError
+
 VAR, CONST, NOT, AND, OR, XOR, IFF, ITE = "var", "const", "not", "and", "or", "xor", "iff", "ite"
 
 # Variable roles, in the order they are numbered in the CNF.
@@ -17,11 +19,10 @@ ROLE_INPUT = "primary-input"
 ROLE_CONTROL = "control"
 ROLE_SELECTION = "selection"
 ROLE_AUX_D = "aux-d"
-ROLE_TSEITIN = "tseitin"
 ROLE_ORDER = (ROLE_INPUT, ROLE_CONTROL, ROLE_SELECTION, ROLE_AUX_D)
 
 
-class EncodingError(Exception):
+class EncodingError(FaultresError):
     pass
 
 
@@ -246,13 +247,6 @@ class CNF:
     clauses: list
     var_index: dict        # formula variable name -> CNF index
     roles: dict            # formula variable name -> role
-    aux_names: dict = field(default_factory=dict)  # CNF index -> generated name
-
-    def index_of(self, name):
-        return self.var_index[name]
-
-    def vars_with_role(self, role):
-        return [n for n in self.var_index if self.roles.get(n) == role]
 
 
 def at_most_k(literals, k, first_aux):
@@ -318,15 +312,7 @@ def tseitin_cnf(formula: BoolFormula) -> CNF:
             next_var += 1
 
     clauses = []
-    aux_names = {}
     lit_of = {}
-
-    def fresh(tag):
-        nonlocal next_var
-        v = next_var
-        next_var += 1
-        aux_names[v] = f"_{tag}{v}"
-        return v
 
     # Iterative postorder over the DAG reachable from the root.
     order = []
@@ -361,8 +347,8 @@ def tseitin_cnf(formula: BoolFormula) -> CNF:
         elif kind == NOT:
             lit_of[node] = -lit_of[args[0]]
         else:
-            g = fresh("t")
-            roles[f"_t{g}"] = ROLE_TSEITIN
+            g = next_var
+            next_var += 1
             lit_of[node] = g
             if kind == AND:
                 a, c = lit_of[args[0]], lit_of[args[1]]
@@ -391,14 +377,10 @@ def tseitin_cnf(formula: BoolFormula) -> CNF:
     for card in formula.cardinality:
         lits = [var_index[name] for name in card.var_names]
         extra, aux = at_most_k(lits, card.bound, next_var)
-        for v in aux:
-            aux_names[v] = f"_s{v}"
-            roles[f"_s{v}"] = ROLE_TSEITIN
         next_var += len(aux)
         clauses.extend(extra)
 
-    return CNF(num_vars=next_var - 1, clauses=clauses, var_index=var_index,
-               roles=roles, aux_names=aux_names)
+    return CNF(num_vars=next_var - 1, clauses=clauses, var_index=var_index, roles=roles)
 
 
 def emit_dimacs(cnf: CNF):
@@ -412,7 +394,7 @@ def emit_dimacs(cnf: CNF):
         "num_vars": cnf.num_vars,
         "num_clauses": len(cnf.clauses),
         "vars": {
-            name: {"index": idx, "role": cnf.roles.get(name, "tseitin")}
+            name: {"index": idx, "role": cnf.roles[name]}
             for name, idx in sorted(cnf.var_index.items(), key=lambda kv: kv[1])
         },
     }

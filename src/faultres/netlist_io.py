@@ -24,16 +24,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .circuit_model import (
-    FAULT_TYPE_ORDER,
+    ArityMismatch,
     GateKind,
     KIND_ARITY,
     FaultResistanceModel,
     LOCATION_CLASSES,
+    UnknownBlacklistGate,
 )
+from .errors import FaultresError
 from .simulator import FaultType
 
 
-class NetlistError(Exception):
+class NetlistError(FaultresError):
     """Base for netlist text errors; every instance carries a source location."""
 
     def __init__(self, msg, line=0, col=0):
@@ -59,12 +61,6 @@ class DuplicateName(NetlistError):
         self.name = name
 
 
-class ArityMismatch(NetlistError):
-    def __init__(self, gate, kind, want, got, line=0, col=0):
-        super().__init__(f"gate {gate!r}: {kind} takes {want} operands, got {got}", line, col)
-        self.gate = gate
-
-
 class MissingOutputDriver(NetlistError):
     def __init__(self, name, line=0, col=0):
         super().__init__(f"no gate, register or input drives {name!r}", line, col)
@@ -77,7 +73,7 @@ class UnknownGateKind(NetlistError):
         self.token = token
 
 
-class ConfigError(Exception):
+class ConfigError(FaultresError):
     pass
 
 
@@ -87,12 +83,6 @@ class SchemaError(ConfigError):
 
 class InvalidModel(ConfigError):
     pass
-
-
-class UnknownBlacklistGate(ConfigError):
-    def __init__(self, name):
-        super().__init__(f"blacklist gate {name!r} not in netlist")
-        self.name = name
 
 
 @dataclass(frozen=True)
@@ -253,9 +243,8 @@ def _validate_doc(doc: NetlistDoc, seen_stmt):
 
     for g in doc.gates:
         kind = GateKind(g.kind)
-        want = KIND_ARITY[kind]
-        if len(g.operands) != want:
-            raise ArityMismatch(g.name, g.kind, want, len(g.operands), g.line, g.col)
+        if len(g.operands) != KIND_ARITY[kind]:
+            raise ArityMismatch(g.name, kind, len(g.operands), g.line, g.col)
         for op in g.operands:
             if op not in declared:
                 raise UndefinedNet(op, g.line, g.col)
@@ -341,7 +330,8 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
         raise InvalidModel("types must be a non-empty list")
     for t in types:
         if t not in _TYPE_TOKENS:
-            raise InvalidModel(f"unknown fault type {t!r} (expected subset of {FAULT_TYPE_ORDER})")
+            raise InvalidModel(
+                f"unknown fault type {t!r} (expected subset of {tuple(_TYPE_TOKENS)})")
     if location not in LOCATION_CLASSES:
         raise InvalidModel(f"location must be one of {LOCATION_CLASSES}")
 

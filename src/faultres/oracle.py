@@ -17,10 +17,11 @@ from .circuit_model import (
 )
 from .netlist_io import GateStmt, NetlistDoc, parse_netlist, write_netlist
 from .sat_encoding import Counterexample, Verdict, VerifyStats
+from .errors import FaultresError
 from .simulator import FaultEvent, FaultVector, check_effectiveness, find_witness
 
 
-class OracleError(Exception):
+class OracleError(FaultresError):
     pass
 
 

@@ -79,11 +79,9 @@ def reduce_fault_types(model: FaultResistanceModel) -> FaultTypeReduction:
         model, note="bf not in the allowed types; reduction would not preserve counterexamples")
 
 
-def _successor_info(circuit: SequentialCircuit, net):
-    gate_succs = circuit.successors.get(net, ())
-    taps_output = circuit.drives_output(net)
-    feeds_register = circuit.drives_register(net)
-    return gate_succs, taps_output, feeds_register
+def _sink_nets(circuit: SequentialCircuit) -> set:
+    """Nets read outside the frame's gates: output ports and register writes."""
+    return set(circuit.outputs) | set(circuit.next_state.values())
 
 
 def single_successor_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> set:
@@ -100,17 +98,14 @@ def single_successor_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> s
 
     circuit = unrolled.circuit
     blacklist = check_blacklist(circuit, blacklist)
+    sinks = _sink_nets(circuit)
     extra = set()
-    for net in list(circuit.gate_map):
-        if net in blacklist:
+    for net in circuit.gate_map:
+        if net in blacklist or net in sinks:
             continue
-        succs, taps_output, feeds_register = _successor_info(circuit, net)
-        if taps_output or feeds_register or len(succs) != 1:
-            continue
-        succ = succs[0]
-        if succ in blacklist:
-            continue
-        extra.add(net)
+        succs = circuit.successors.get(net, ())
+        if len(succs) == 1 and succs[0] not in blacklist:
+            extra.add(net)
     return extra
 
 
@@ -123,6 +118,7 @@ def single_exit_map(unrolled: UnrolledCircuit, blacklist) -> ExitMap:
 
     circuit = unrolled.circuit
     blacklist = check_blacklist(circuit, blacklist)
+    sinks = _sink_nets(circuit)
     m1, m2 = {}, {}
 
     def own_exit(net):
@@ -130,8 +126,8 @@ def single_exit_map(unrolled: UnrolledCircuit, blacklist) -> ExitMap:
         m2.setdefault(net, set()).add(net)
 
     for net in reversed(circuit.topo_order):
-        succs, taps_output, feeds_register = _successor_info(circuit, net)
-        if taps_output or feeds_register or not succs:
+        succs = circuit.successors.get(net, ())
+        if net in sinks or not succs:
             own_exit(net)
             continue
         exits = {m1[s] for s in succs}

@@ -26,6 +26,7 @@ from .circuit_model import (
     fault_locations,
     unroll,
 )
+from .errors import FaultresError
 from .fault_encoder import ControlledCircuit, decode_fault_vector, instrument, make_input_vars
 from .formula import (
     ROLE_AUX_D,
@@ -45,7 +46,7 @@ from .simulator import FaultVector, ShapeMismatch, check_effectiveness
 from .solvers import SatResult, SolverUndecided, solve_cnf
 
 
-class InternalEncodingError(Exception):
+class InternalEncodingError(FaultresError):
     """A SAT model whose replay on the simulator does not confirm the
     counterexample; always a bug, never a verdict."""
 
@@ -82,6 +83,7 @@ class Verdict:
     status: str  # "resistant" | "not_resistant"
     counterexample: Optional[Counterexample] = None
     stats: VerifyStats = field(default_factory=VerifyStats)
+    cnf: Optional[CNF] = None  # the CNF the solver decided; None from the oracle
 
     @property
     def is_resistant(self):
@@ -160,12 +162,10 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
 
 @dataclass
 class EncodedProblem:
-    golden_unrolled: UnrolledCircuit
     protected_unrolled: UnrolledCircuit
     plan: ReductionPlan
     locations: set
     controlled: ControlledCircuit
-    formula: BoolFormula
     cnf: CNF
     encode_time: float
 
@@ -190,8 +190,7 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
     formula = build_fr_formula(golden_unrolled, controlled, plan.effective_model)
     cnf = tseitin_cnf(formula)
     encode_time = time.perf_counter() - start
-    return EncodedProblem(golden_unrolled, unrolled, plan, locations, controlled,
-                          formula, cnf, encode_time)
+    return EncodedProblem(unrolled, plan, locations, controlled, cnf, encode_time)
 
 
 def _decode_inputs(model_bits, cnf: CNF, circuit: SequentialCircuit, k: int):
@@ -238,7 +237,7 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
     )
 
     if result.status == "unsat":
-        return Verdict("resistant", stats=stats)
+        return Verdict("resistant", stats=stats, cnf=problem.cnf)
     if result.status != "sat":
         raise SolverUndecided(result.reason)
 
@@ -256,7 +255,7 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
         "not_resistant",
         counterexample=Counterexample(vector, inputs, replay.divergence_cycle,
                                       replay.differing_output),
-        stats=stats)
+        stats=stats, cnf=problem.cnf)
 
 
 __all__ = [

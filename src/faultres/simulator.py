@@ -20,9 +20,10 @@ from .circuit_model import (
     GateKind,
     UnrolledCircuit,
 )
+from .errors import FaultresError
 
 
-class SimulationError(Exception):
+class SimulationError(FaultresError):
     pass
 
 
@@ -141,9 +142,6 @@ class Trace:
     outputs: list  # per cycle, dict output name -> bit
     flags: list    # per cycle, flag bit (0 when no flag output declared)
     states: list   # per cycle, dict register -> stored bit after the cycle
-
-    def output_bits(self, cycle):
-        return tuple(self.outputs[cycle - 1].values())
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import FaultresError
 from .formula import CNF, emit_dimacs
 
 
-class SolverError(Exception):
+class SolverError(FaultresError):
     pass
 
 

@@ -68,16 +68,52 @@ def test_verify_bad_config(workdir, tmp_path, capsys):
     assert run_cli("verify", workdir / "rect_parity.nl", "--config", bad) == 2
 
 
-def test_verify_dimacs_dump(workdir):
+def test_verify_dimacs_dump(workdir, monkeypatch):
+    import faultres.cli
+    import faultres.sat_encoding
+
+    calls = []
+    for mod in (faultres.cli, faultres.sat_encoding):
+        def counted(*args, _encode=mod.encode_problem, **kwargs):
+            calls.append(1)
+            return _encode(*args, **kwargs)
+        monkeypatch.setattr(mod, "encode_problem", counted)
     out = workdir / "out.cnf"
     code = run_cli("verify", workdir / "rect_parity.nl",
                    "--config", workdir / "zeta_1_1_all_c.json",
                    "--dimacs", out)
     assert code == 1
+    assert len(calls) == 1  # the CNF written is the one verify solved
     text = out.read_text()
     assert text.startswith("p cnf ")
     sidecar = json.loads((workdir / "out.cnf.map.json").read_text())
     assert any(v["role"] == "control" for v in sidecar["vars"].values())
+
+    encoded = workdir / "enc.cnf"
+    assert run_cli("encode", workdir / "rect_parity.nl",
+                   "--config", workdir / "zeta_1_1_all_c.json",
+                   "--dimacs", encoded) == 0
+    assert out.read_bytes() == encoded.read_bytes()
+    assert ((workdir / "out.cnf.map.json").read_bytes()
+            == (workdir / "enc.cnf.map.json").read_bytes())
+
+
+def test_verify_combinational_loop_clean_error(workdir, capsys):
+    loop = workdir / "loop.nl"
+    loop.write_text(".inputs i\n.outputs a\ngate a = not(b)\ngate b = not(a)\n")
+    assert run_cli("verify", loop, "--config", workdir / "zeta_1_1_all_c.json") == 2
+    assert capsys.readouterr().err == "error: combinational cycle: a -> b -> a\n"
+
+
+def test_verify_golden_input_mismatch_clean_error(tmp_path, capsys):
+    (tmp_path / "prot.nl").write_text(".inputs a b\n.outputs o\ngate o = and(a, b)\n")
+    (tmp_path / "gold.nl").write_text(".inputs a c\n.outputs o\ngate o = and(a, c)\n")
+    (tmp_path / "cfg.json").write_text(
+        '{"k":1,"model":{"ne":1,"nc":1,"types":["bf"],"location":"c"}}')
+    code = run_cli("verify", tmp_path / "prot.nl", "--config", tmp_path / "cfg.json",
+                   "--golden", tmp_path / "gold.nl")
+    assert code == 2
+    assert capsys.readouterr().err == "error: golden circuit lacks input 'b'\n"
 
 
 def test_verify_flags_change_reductions(workdir, capsys):
@@ -166,6 +202,13 @@ def test_gen_np(tmp_path, capsys):
     doc = parse_netlist(out.read_text())
     assert doc.default_cycles == 3
     build_and_validate(doc)
+
+
+def test_gen_np_malformed_dimacs(tmp_path, capsys):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 1 1\n1 x 0\n")
+    assert run_cli("gen", "np", "--cnf", cnf) == 2
+    assert capsys.readouterr().err == f"error: {cnf}:2: bad DIMACS token 'x'\n"
 
 
 def test_env_var_solver(workdir, monkeypatch, tmp_path, capsys):

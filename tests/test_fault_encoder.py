@@ -128,7 +128,9 @@ def test_instrument_size_bound(rect_parity_unrolled):
     for types in TYPE_SETS:
         locations = fault_locations(rect_parity_unrolled, set(), "c")
         controlled = instrument(rect_parity_unrolled, locations, types)
-        assert controlled.node_budget <= 6 * len(types) * controlled.base_gate_count
+        # every node of the formula DAG, inputs and constants included
+        nodes = len(controlled.builder.kinds)
+        assert nodes <= 6 * len(types) * len(rect_parity_unrolled.instances)
 
 
 def test_decode_examples(rect_parity_unrolled):

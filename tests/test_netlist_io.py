@@ -61,8 +61,10 @@ def test_unknown_gate_kind():
 
 
 def test_parse_arity_mismatch():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch) as exc:
         parse_netlist(".inputs a b\n.outputs g\ngate g = not(a, b)\n")
+    assert (exc.value.line, exc.value.col) == (3, 1)
+    assert str(exc.value) == "3:1: gate 'g': not takes 1 operands, got 2"
 
 
 def test_syntax_error_has_location():
