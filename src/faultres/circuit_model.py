@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import FaultresError
 
@@ -110,12 +110,12 @@ KIND_EVAL = {
 LOCATION_CLASSES = ("c", "r", "cr")
 
 
-@dataclass(frozen=True, order=True)
-class GateInstance:
+class GateInstance(NamedTuple):
     """One gate of the unrolled circuit: gate ``name`` as seen in ``cycle``.
 
     For a register the instance denotes the value *consumed* during ``cycle``
-    (the init value when cycle == 1).
+    (the init value when cycle == 1).  A plain tuple, so hashing and
+    comparison are the native tuple operations.
     """
 
     cycle: int
@@ -141,10 +141,6 @@ class FaultResistanceModel:
     def type_tokens(self):
         return tuple(t.token for t in sorted(self.fault_types, key=lambda t: t.order))
 
-    def describe(self) -> str:
-        return (f"zeta(ne={self.n_e}, nc={self.n_c}, "
-                f"T={{{','.join(self.type_tokens())}}}, l={self.location})")
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -167,7 +163,6 @@ class SequentialCircuit:
     topo_order: tuple = ()
     gate_map: dict = field(default_factory=dict)
     successors: dict = field(default_factory=dict)  # net -> tuple of consumer gate names
-    default_cycles: Optional[int] = None
 
     @property
     def register_names(self):
@@ -230,7 +225,6 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
         topo_order=tuple(topo),
         gate_map=gate_map,
         successors=successors,
-        default_cycles=doc.default_cycles,
     )
 
 

@@ -14,7 +14,6 @@ from typing import Optional
 
 from .circuit_model import (
     BITFLIP_COMPLEMENT,
-    KIND_EVAL,
     GateInstance,
     GateKind,
     UnrolledCircuit,
@@ -35,74 +34,55 @@ class IncompleteAssignment(EncoderError):
 
 
 def _canonical_types(types):
-    return tuple(sorted(types, key=lambda t: t.order))
-
-
-@dataclass(frozen=True)
-class Gadget:
-    """Fault gadget for one gate kind and an allowed fault-type set."""
-
-    kind: GateKind
-    types: tuple  # canonical order: s < r < bf
-
-    @property
-    def selection_count(self):
-        return len(self.types) - 1
-
-    def _faulty_build(self, b: FormulaBuilder, fault, ins):
-        if fault is FaultType.SET:
-            return b.true
-        if fault is FaultType.RESET:
-            return b.false
-        return _kind_node(b, BITFLIP_COMPLEMENT[self.kind], ins)
-
-    def build(self, b: FormulaBuilder, ins, c, b1=None, b2=None):
-        """Formula node: c selects faulty behavior, b1/b2 select the type."""
-        orig = _kind_node(b, self.kind, ins)
-        if len(self.types) == 1:
-            faulty = self._faulty_build(b, self.types[0], ins)
-        elif len(self.types) == 2:
-            faulty = b.ite(b1,
-                           self._faulty_build(b, self.types[0], ins),
-                           self._faulty_build(b, self.types[1], ins))
-        else:
-            faulty = b.ite(b1,
-                           b.ite(b2,
-                                 self._faulty_build(b, FaultType.SET, ins),
-                                 self._faulty_build(b, FaultType.RESET, ins)),
-                           self._faulty_build(b, FaultType.BITFLIP, ins))
-        return b.ite(c, faulty, orig)
-
-    def evaluate(self, ins, c, b1=0, b2=0):
-        """Reference semantics on plain bits, for truth-table checks."""
-        a = ins[0] if ins else 0
-        bb = ins[1] if len(ins) > 1 else 0
-        if not c:
-            return KIND_EVAL[self.kind](a, bb, 1)
-        fault = self.decode_type(b1, b2)
-        if fault is FaultType.SET:
-            return 1
-        if fault is FaultType.RESET:
-            return 0
-        return KIND_EVAL[BITFLIP_COMPLEMENT[self.kind]](a, bb, 1)
-
-    def decode_type(self, b1, b2) -> FaultType:
-        if len(self.types) == 1:
-            return self.types[0]
-        if len(self.types) == 2:
-            return self.types[0] if b1 else self.types[1]
-        if b1 and b2:
-            return FaultType.SET
-        if b1:
-            return FaultType.RESET
-        return FaultType.BITFLIP
-
-
-def build_gadget(kind: GateKind, types) -> Gadget:
-    types = _canonical_types(types)
+    types = tuple(sorted(types, key=lambda t: t.order))
     if not types:
         raise EncoderError("fault-type set must be non-empty")
-    return Gadget(kind, types)
+    return types
+
+
+def faulted_kind(kind: GateKind, fault: FaultType) -> GateKind:
+    """The gate a fault turns ``kind`` into: set and reset are constants,
+    a bit-flip is the output-inverted kind."""
+    if fault is FaultType.SET:
+        return GateKind.CONST1
+    if fault is FaultType.RESET:
+        return GateKind.CONST0
+    return BITFLIP_COMPLEMENT[kind]
+
+
+def decode_type(types, bits) -> FaultType:
+    """The selection code: while more than one type is left, a 1 keeps all
+    but the last type and a 0 picks the last.  For {s, r, bf} the bits
+    b1 b2 = 11 / 10 / 0- select s / r / bf."""
+    for bit in bits[:len(types) - 1]:
+        if not bit:
+            return types[-1]
+        types = types[:-1]
+    return types[0]
+
+
+def selection_bits(types, fault: FaultType) -> tuple:
+    """Inverse of ``decode_type``: the bits that select ``fault``; the
+    selection inputs after them are don't-cares."""
+    i = types.index(fault)
+    return (True,) * (len(types) - 1 - i) + ((False,) if i else ())
+
+
+def gadget(b: FormulaBuilder, kind: GateKind, types, ins, c, sels):
+    """Formula node of a gate under fault control: c = 0 is the gate itself,
+    c = 1 the faulty gate whose type the selection inputs ``sels`` pick."""
+    orig = _kind_node(b, kind, ins)
+    return b.ite(c, _fault_tree(b, kind, types, ins, sels), orig)
+
+
+def _fault_tree(b, kind, types, ins, sels):
+    # Module-level on purpose: a nested closure that calls itself is a
+    # reference cycle, which keeps the builder alive until the cyclic
+    # collector runs.
+    if len(types) == 1:
+        return _kind_node(b, faulted_kind(kind, types[0]), ins)
+    rest = _fault_tree(b, kind, types[:-1], ins, sels[1:])
+    return b.ite(sels[0], rest, _kind_node(b, faulted_kind(kind, types[-1]), ins))
 
 
 def _kind_node(b: FormulaBuilder, kind: GateKind, ins):
@@ -133,8 +113,12 @@ class ControlVars:
     b1: Optional[str] = None
     b2: Optional[str] = None
 
+    @property
+    def selections(self):
+        return tuple(n for n in (self.b1, self.b2) if n is not None)
+
     def names(self):
-        return tuple(n for n in (self.c, self.b1, self.b2) if n is not None)
+        return (self.c,) + self.selections
 
 
 @dataclass
@@ -152,12 +136,6 @@ class ControlledCircuit:
     flag_taps: dict        # cycle -> node (constant false when no flag)
     control_map: dict      # GateInstance -> ControlVars
     cycle_controls: dict   # cycle -> list of control var names
-
-    def control_var_names(self):
-        out = []
-        for cycle in range(1, self.k + 1):
-            out.extend(self.cycle_controls.get(cycle, ()))
-        return out
 
 
 def make_input_vars(builder: FormulaBuilder, circuit, k) -> dict:
@@ -178,8 +156,6 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
     how the golden reference side gets built."""
 
     types = _canonical_types(types)
-    if not types:
-        raise EncoderError("fault-type set must be non-empty")
     b = builder if builder is not None else FormulaBuilder()
     circuit = unrolled.circuit
     if input_vars is None:
@@ -194,30 +170,26 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
     loc_sorted = sorted(locations,
                         key=lambda i: (i.cycle, i.is_register,
                                        reg_order[i.name] if i.is_register else order[i.name]))
-    loc_set = set(loc_sorted)
 
     control_map = {}
     cycle_controls = {}
-    sel_count = len(types) - 1
+    sel_names = ("b1", "b2")[:len(types) - 1]
     for inst in loc_sorted:
-        c_name = f"c[{inst.label}]"
-        b1_name = f"b1[{inst.label}]" if sel_count >= 1 else None
-        b2_name = f"b2[{inst.label}]" if sel_count >= 2 else None
-        b.var(c_name, ROLE_CONTROL)
-        control_map[inst] = ControlVars(c_name, b1_name, b2_name)
-        cycle_controls.setdefault(inst.cycle, []).append(c_name)
-    for inst in loc_sorted:
-        cv = control_map[inst]
-        for sel in (cv.b1, cv.b2):
-            if sel is not None:
-                b.var(sel, ROLE_SELECTION)
+        cv = ControlVars(f"c[{inst.label}]",
+                         *(f"{s}[{inst.label}]" for s in sel_names))
+        b.var(cv.c, ROLE_CONTROL)
+        control_map[inst] = cv
+        cycle_controls.setdefault(inst.cycle, []).append(cv.c)
+    for cv in control_map.values():
+        for sel in cv.selections:
+            b.var(sel, ROLE_SELECTION)
 
-    def control_nodes(inst):
-        cv = control_map[inst]
-        c = b.var(cv.c, ROLE_CONTROL)
-        b1 = b.var(cv.b1, ROLE_SELECTION) if cv.b1 else None
-        b2 = b.var(cv.b2, ROLE_SELECTION) if cv.b2 else None
-        return c, b1, b2
+    def lower(inst, kind, ins):
+        cv = control_map.get(inst)
+        if cv is None:
+            return _kind_node(b, kind, ins)
+        return gadget(b, kind, types, ins, b.var(cv.c, ROLE_CONTROL),
+                      [b.var(s, ROLE_SELECTION) for s in cv.selections])
 
     taps = {}
     flag_taps = {}
@@ -225,23 +197,11 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
     for cycle in range(1, unrolled.k + 1):
         env = {name: input_vars[(cycle, name)] for name in circuit.inputs}
         for r in circuit.register_names:
-            read = state[r]
-            inst = GateInstance(cycle, r, is_register=True)
-            if inst in loc_set:
-                gadget = build_gadget(GateKind.BUF, types)
-                c, b1, b2 = control_nodes(inst)
-                read = gadget.build(b, (read,), c, b1, b2)
-            env[r] = read
+            env[r] = lower(GateInstance(cycle, r, is_register=True), GateKind.BUF, (state[r],))
         for name in circuit.topo_order:
             g = circuit.gate_map[name]
-            ins = tuple(env[op] for op in g.operands)
-            inst = GateInstance(cycle, name)
-            if inst in loc_set:
-                gadget = build_gadget(g.kind, types)
-                c, b1, b2 = control_nodes(inst)
-                env[name] = gadget.build(b, ins, c, b1, b2)
-            else:
-                env[name] = _kind_node(b, g.kind, ins)
+            env[name] = lower(GateInstance(cycle, name), g.kind,
+                              tuple(env[op] for op in g.operands))
         for o in circuit.outputs:
             taps[(cycle, o)] = env[o]
         flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
@@ -257,29 +217,17 @@ def canonical_assignment(controlled: ControlledCircuit, vector: FaultVector) -> 
     """The control-input assignment compatible with a fault vector: c = 1 at
     its instances with selection bits per type, everything else 0."""
 
-    assignment = {}
-    for inst, cv in controlled.control_map.items():
-        for name in cv.names():
-            assignment[name] = False
+    assignment = {name: False for cv in controlled.control_map.values()
+                  for name in cv.names()}
     for event in vector:
         cv = controlled.control_map.get(event.instance)
         if cv is None:
             raise EncoderError(f"event at {event.instance.label} outside instrumented locations")
-        assignment[cv.c] = True
-        types = controlled.types
-        if len(types) == 2:
-            assignment[cv.b1] = event.fault_type is types[0]
-        elif len(types) == 3:
-            if event.fault_type is FaultType.SET:
-                assignment[cv.b1] = True
-                assignment[cv.b2] = True
-            elif event.fault_type is FaultType.RESET:
-                assignment[cv.b1] = True
-                assignment[cv.b2] = False
-            else:
-                assignment[cv.b1] = False
-        if event.fault_type not in types:
+        if event.fault_type not in controlled.types:
             raise EncoderError(f"fault type {event.fault_type.token} not encodable")
+        assignment[cv.c] = True
+        assignment.update(zip(cv.selections,
+                              selection_bits(controlled.types, event.fault_type)))
     return assignment
 
 
@@ -293,8 +241,6 @@ def decode_fault_vector(assignment, controlled: ControlledCircuit) -> FaultVecto
             raise IncompleteAssignment(cv.c)
         if not assignment[cv.c]:
             continue
-        gadget = build_gadget(GateKind.BUF, controlled.types)
-        b1 = bool(assignment.get(cv.b1, False)) if cv.b1 else False
-        b2 = bool(assignment.get(cv.b2, False)) if cv.b2 else False
-        events.append(FaultEvent(inst, gadget.decode_type(b1, b2)))
+        bits = [assignment.get(s, False) for s in cv.selections]
+        events.append(FaultEvent(inst, decode_type(controlled.types, bits)))
     return FaultVector(events)

@@ -229,7 +229,6 @@ class CardinalityConstraint:
 class BoolFormula:
     builder: FormulaBuilder
     root: int
-    taps: dict = field(default_factory=dict)
     cardinality: list = field(default_factory=list)
 
     def evaluate(self, assignment) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .circuit_model import (
@@ -43,7 +43,6 @@ class OracleBudget:
 class GeneratedInstance:
     doc: NetlistDoc
     expected: Optional[str] = None  # "resistant" | "not_resistant" | None
-    provenance: dict = field(default_factory=dict)
 
 
 def enumerate_fault_vectors(locations, model: FaultResistanceModel,
@@ -271,8 +270,6 @@ def np_hardness_instance(phi_clauses, num_vars: int, n_e: int) -> GeneratedInsta
     return GeneratedInstance(
         doc=doc,
         expected="not_resistant" if satisfiable else "resistant",
-        provenance={"kind": "np_sat", "num_vars": num_vars, "n_e": n_e,
-                    "clauses": [list(c) for c in phi_clauses]},
     )
 
 
@@ -345,11 +342,7 @@ def random_netlist(seed: int, max_gates: int = 12, max_regs: int = 2,
         next_state=next_state,
     )
     doc = parse_netlist(write_netlist(doc))
-    return GeneratedInstance(
-        doc=doc, expected=None,
-        provenance={"kind": "random", "seed": seed, "max_gates": max_gates,
-                    "max_regs": max_regs, "num_inputs": num_inputs,
-                    "with_flag": with_flag})
+    return GeneratedInstance(doc=doc)
 
 
 def _duplicate_cone(nb: _NetBuilder, root, sources):

@@ -42,13 +42,18 @@ from .formula import (
 )
 from .netlist_io import VerificationConfig
 from .reductions import ReductionPlan, plan_reductions
-from .simulator import FaultVector, ShapeMismatch, check_effectiveness
+from .simulator import FaultVector, ShapeMismatch, check_effectiveness, run_trace
 from .solvers import SatResult, SolverUndecided, solve_cnf
 
 
 class InternalEncodingError(FaultresError):
     """A SAT model whose replay on the simulator does not confirm the
     counterexample; always a bug, never a verdict."""
+
+
+class GoldenDisagrees(FaultresError):
+    """The ``--golden`` reference and the protected circuit compute different
+    outputs without any fault, so the miter is not a fault check."""
 
 
 @dataclass(frozen=True)
@@ -115,14 +120,6 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
     reference = instrument(golden, set(), controlled.types, builder=b,
                            input_vars=shared_inputs)
 
-    taps = {}
-    for (cycle, o), node in reference.taps.items():
-        taps[("golden", cycle, o)] = node
-    for (cycle, o), node in controlled.taps.items():
-        taps[("controlled", cycle, o)] = node
-    for cycle, node in controlled.flag_taps.items():
-        taps[("controlled-flag", cycle)] = node
-
     disjuncts = []
     flag_prefix = b.true
     for cycle in range(1, controlled.k + 1):
@@ -157,7 +154,7 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
             conjuncts = []
 
     root = b.and_many(conjuncts + [root])
-    return BoolFormula(builder=b, root=root, taps=taps, cardinality=cardinality)
+    return BoolFormula(builder=b, root=root, cardinality=cardinality)
 
 
 @dataclass
@@ -204,13 +201,31 @@ def _decode_inputs(model_bits, cnf: CNF, circuit: SequentialCircuit, k: int):
     return tuple(rows)
 
 
+def _check_golden_agrees(golden: UnrolledCircuit, protected: UnrolledCircuit, inputs):
+    """Raise GoldenDisagrees at the first cycle and output where the two
+    circuits differ without faults on ``inputs``."""
+    gold = run_trace(golden, inputs)
+    prot = run_trace(protected, inputs)
+    flag = protected.circuit.flag
+    for cycle, (g, p) in enumerate(zip(gold.outputs, prot.outputs), start=1):
+        for o in protected.circuit.outputs:
+            if o != flag and g[o] != p[o]:
+                shown = " ".join("".join(str(b) for b in row) for row in inputs)
+                raise GoldenDisagrees(
+                    f"golden circuit disagrees with the protected circuit without "
+                    f"faults: inputs {shown}, cycle {cycle}, output {o!r} is "
+                    f"{g[o]} in the golden circuit and {p[o]} in the protected one")
+
+
 def verify(circuit: SequentialCircuit, config: VerificationConfig,
            golden: Optional[SequentialCircuit] = None,
            solver=None) -> Verdict:
     """Decide fault-resistance of ``circuit`` under ``config``.  Unsat means
     resistant; a model is decoded and replay-confirmed on the simulator before
-    being reported (a failed replay raises InternalEncodingError).  A solver
-    that decides neither way raises SolverUndecided."""
+    being reported.  A failed replay raises GoldenDisagrees when ``golden``
+    and ``circuit`` differ without faults on the decoded inputs, and
+    InternalEncodingError otherwise.  A solver that decides neither way
+    raises SolverUndecided."""
 
     problem = encode_problem(circuit, config, golden)
     backend = solver if solver is not None else config.solver
@@ -245,10 +260,15 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
              for name, idx in problem.cnf.var_index.items()}
     vector = decode_fault_vector(named, problem.controlled)
     inputs = _decode_inputs(result.model, problem.cnf, circuit, config.unroll_k)
-    if len(vector) == 0:
-        raise InternalEncodingError("satisfying assignment decodes to an empty fault vector")
-    replay = check_effectiveness(problem.protected_unrolled, vector, inputs)
-    if not replay.effective:
+    replay = (check_effectiveness(problem.protected_unrolled, vector, inputs)
+              if len(vector) else None)
+    if replay is None or not replay.effective:
+        if golden is not None:
+            _check_golden_agrees(unroll(golden, config.unroll_k),
+                                 problem.protected_unrolled, inputs)
+        if replay is None:
+            raise InternalEncodingError(
+                "satisfying assignment decodes to an empty fault vector")
         raise InternalEncodingError(
             f"replay of decoded counterexample is not effective: {vector!r} on {inputs}")
     return Verdict(
@@ -260,7 +280,7 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
 
 __all__ = [
     "BoolFormula", "CardinalityConstraint", "CNF", "Counterexample",
-    "EncodedProblem", "EncodingError", "InternalEncodingError", "SatResult",
-    "Verdict", "VerifyStats", "at_most_k", "build_fr_formula", "emit_dimacs",
+    "EncodedProblem", "EncodingError", "GoldenDisagrees", "InternalEncodingError",
+    "SatResult", "Verdict", "VerifyStats", "at_most_k", "build_fr_formula", "emit_dimacs",
     "encode_problem", "solve_cnf", "tseitin_cnf", "verify",
 ]

@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .circuit_model import (
-    BITFLIP_COMPLEMENT,
-    KIND_EVAL,
-    GateInstance,
-    GateKind,
-    UnrolledCircuit,
-)
+from .circuit_model import KIND_EVAL, GateInstance, UnrolledCircuit
 from .errors import FaultresError
 
 
@@ -63,14 +57,6 @@ class FaultType(Enum):
     @property
     def order(self):
         return ("s", "r", "bf").index(self.value)
-
-
-def faulted_kind(kind: GateKind, fault: FaultType) -> GateKind:
-    if fault is FaultType.SET:
-        return GateKind.CONST1
-    if fault is FaultType.RESET:
-        return GateKind.CONST0
-    return BITFLIP_COMPLEMENT[kind]
 
 
 @dataclass(frozen=True)
@@ -141,7 +127,6 @@ class Trace:
     inputs: list   # per cycle, tuple of input bits
     outputs: list  # per cycle, dict output name -> bit
     flags: list    # per cycle, flag bit (0 when no flag output declared)
-    states: list   # per cycle, dict register -> stored bit after the cycle
 
 
 @dataclass(frozen=True)
@@ -167,6 +152,10 @@ def apply_fault_vector(unrolled: UnrolledCircuit, vector: FaultVector) -> Unroll
 
 
 def _apply_value_fault(value, fault, ones):
+    """The one fault semantics of the simulator, for gate outputs and register
+    reads alike: set and reset force the value, a bit-flip inverts it."""
+    if fault is None:
+        return value
     if fault is FaultType.SET:
         return ones
     if fault is FaultType.RESET:
@@ -185,25 +174,16 @@ def _run_masked(unrolled: UnrolledCircuit, input_values, ones):
     for cycle in range(1, unrolled.k + 1):
         env = dict(input_values[cycle - 1])
         for r in circuit.register_names:
-            v = state[r]
             f = faults.get(GateInstance(cycle, r, is_register=True))
-            env[r] = _apply_value_fault(v, f, ones) if f else v
+            env[r] = _apply_value_fault(state[r], f, ones)
         for name in circuit.topo_order:
             g = circuit.gate_map[name]
             a = env[g.operands[0]] if g.operands else 0
             b = env[g.operands[1]] if len(g.operands) > 1 else 0
             f = faults.get(GateInstance(cycle, name))
-            if f is FaultType.SET:
-                v = ones
-            elif f is FaultType.RESET:
-                v = 0
-            else:
-                v = KIND_EVAL[g.kind](a, b, ones)
-                if f is FaultType.BITFLIP:
-                    v ^= ones
-            env[name] = v
+            env[name] = _apply_value_fault(KIND_EVAL[g.kind](a, b, ones), f, ones)
         state = {r: env[circuit.next_state[r]] for r in circuit.register_names}
-        envs.append((env, state))
+        envs.append(env)
     return envs
 
 
@@ -224,12 +204,9 @@ def run_trace(unrolled: UnrolledCircuit, inputs) -> Trace:
     input_values = [dict(zip(circuit.inputs, vec)) for vec in inputs]
     envs = _run_masked(unrolled, input_values, ones=1)
 
-    outputs, flags, states = [], [], []
-    for env, state in envs:
-        outputs.append({o: env[o] for o in circuit.outputs})
-        flags.append(env[circuit.flag] if circuit.flag else 0)
-        states.append(dict(state))
-    return Trace(inputs=inputs, outputs=outputs, flags=flags, states=states)
+    outputs = [{o: env[o] for o in circuit.outputs} for env in envs]
+    flags = [env[circuit.flag] if circuit.flag else 0 for env in envs]
+    return Trace(inputs=inputs, outputs=outputs, flags=flags)
 
 
 def check_effectiveness(golden: UnrolledCircuit, vector: FaultVector,
@@ -302,8 +279,8 @@ def _effective_lanes(golden_envs, faulty_envs, circuit, k, ones):
     eff = 0
     flag_ok = ones
     for i in range(k):
-        genv, _ = golden_envs[i]
-        fenv, _ = faulty_envs[i]
+        genv = golden_envs[i]
+        fenv = faulty_envs[i]
         if flag is not None:
             flag_ok &= fenv[flag] ^ ones
         diff = 0

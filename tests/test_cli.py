@@ -116,6 +116,21 @@ def test_verify_golden_input_mismatch_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: golden circuit lacks input 'b'\n"
 
 
+def test_verify_golden_disagreeing_clean_error(workdir, capsys):
+    # A golden circuit with rect_parity's ports that differs from it without
+    # faults is a user error, not an internal encoding error.
+    gold = workdir / "gold.nl"
+    gold.write_text(".inputs a b c d\n.outputs w x y z\n"
+                    + "".join(f"gate {o} = and(a, b)\n" for o in "wxyz"))
+    code = run_cli("verify", workdir / "rect_parity.nl",
+                   "--config", workdir / "zeta_1_1_all_c.json", "--golden", gold)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: golden circuit disagrees with the protected circuit without "
+        "faults: inputs 0000, cycle 1, output 'x' is 0 in the golden circuit "
+        "and 1 in the protected one\n")
+
+
 def test_verify_flags_change_reductions(workdir, capsys):
     report = workdir / "r.json"
     run_cli("verify", workdir / "rect_parity.nl",

@@ -15,10 +15,13 @@ from faultres.circuit_model import (
 )
 from faultres.fault_encoder import (
     IncompleteAssignment,
-    build_gadget,
     canonical_assignment,
     decode_fault_vector,
+    decode_type,
+    faulted_kind,
+    gadget,
     instrument,
+    selection_bits,
 )
 from faultres.formula import FormulaBuilder, ROLE_INPUT
 from faultres.netlist_io import parse_netlist
@@ -56,48 +59,60 @@ def reference_gate(kind, fault, ins):
     return KIND_EVAL[BITFLIP_COMPLEMENT[kind]](a, b, 1)
 
 
+def eval_gadget(kind, types, data, c, b1=0, b2=0):
+    """Build the gadget over fresh variables and evaluate it on plain bits."""
+    fb = FormulaBuilder()
+    ins = [fb.var(f"in{i}", ROLE_INPUT) for i in range(len(data))]
+    sels = [fb.var(n, "selection") for n in ("b1", "b2")[:len(types) - 1]]
+    node = gadget(fb, kind, types, ins, fb.var("c", "control"), sels)
+    env = {f"in{i}": bool(bit) for i, bit in enumerate(data)}
+    env.update({"c": bool(c), "b1": bool(b1), "b2": bool(b2)})
+    return int(fb.evaluate(node, env))
+
+
 def test_gadget_truth_tables_exhaustive():
     # Every kind x type-set x control/selection setting must equal the original
     # gate (c=0) or the selected faulty gate (c=1), on all data inputs; checked
-    # both on the reference evaluator and on the built formula.
+    # both on the faulted kind's evaluator and on the built formula.
     for kind in GateKind:
         arity = KIND_ARITY[kind]
         for types in TYPE_SETS:
-            gadget = build_gadget(kind, types)
             for data in itertools.product((0, 1), repeat=arity):
+                a = data[0] if data else 0
+                b = data[1] if arity > 1 else 0
                 for c, b1, b2 in itertools.product((0, 1), repeat=3):
-                    fault = gadget.decode_type(b1, b2) if c else None
+                    fault = decode_type(types, (b1, b2)) if c else None
                     want = reference_gate(kind, fault, data)
-                    assert gadget.evaluate(data, c, b1, b2) == want
-
-                    fb = FormulaBuilder()
-                    ins = [fb.var(f"in{i}", ROLE_INPUT) for i in range(arity)]
-                    cv = fb.var("c", "control")
-                    b1v = fb.var("b1", "selection") if gadget.selection_count >= 1 else None
-                    b2v = fb.var("b2", "selection") if gadget.selection_count >= 2 else None
-                    node = gadget.build(fb, ins, cv, b1v, b2v)
-                    env = {f"in{i}": bool(bit) for i, bit in enumerate(data)}
-                    env.update({"c": bool(c), "b1": bool(b1), "b2": bool(b2)})
-                    assert fb.evaluate(node, env) == bool(want)
+                    if fault is not None:
+                        assert KIND_EVAL[faulted_kind(kind, fault)](a, b, 1) == want
+                    assert eval_gadget(kind, types, data, c, b1, b2) == want
 
 
 def test_gadget_examples():
-    g = build_gadget(GateKind.XOR, ALL)
-    assert g.evaluate((0, 1), c=1, b1=1, b2=1) == 1      # set branch
-    assert g.evaluate((0, 1), c=0) == 1                  # original xor
-    g = build_gadget(GateKind.NOT, (FaultType.BITFLIP,))
-    assert g.evaluate((1,), c=1) == 1                    # not flipped to buf
+    assert eval_gadget(GateKind.XOR, ALL, (0, 1), c=1, b1=1, b2=1) == 1  # set branch
+    assert eval_gadget(GateKind.XOR, ALL, (0, 1), c=0) == 1              # original xor
+    assert eval_gadget(GateKind.NOT, (FaultType.BITFLIP,), (1,), c=1) == 1  # not flipped to buf
+    assert faulted_kind(GateKind.AND, FaultType.SET) == GateKind.CONST1
+    assert faulted_kind(GateKind.AND, FaultType.RESET) == GateKind.CONST0
+    assert faulted_kind(GateKind.CONST0, FaultType.BITFLIP) == GateKind.CONST1
 
 
 def test_gadget_selection_decoding():
-    g = build_gadget(GateKind.AND, ALL)
-    assert g.decode_type(1, 1) is FaultType.SET
-    assert g.decode_type(1, 0) is FaultType.RESET
-    assert g.decode_type(0, 0) is FaultType.BITFLIP
-    assert g.decode_type(0, 1) is FaultType.BITFLIP  # b2 ignored when b1=0
-    g2 = build_gadget(GateKind.AND, (FaultType.SET, FaultType.BITFLIP))
-    assert g2.decode_type(1, 0) is FaultType.SET     # b=1 selects the smaller
-    assert g2.decode_type(0, 0) is FaultType.BITFLIP
+    assert decode_type(ALL, (1, 1)) is FaultType.SET
+    assert decode_type(ALL, (1, 0)) is FaultType.RESET
+    assert decode_type(ALL, (0, 0)) is FaultType.BITFLIP
+    assert decode_type(ALL, (0, 1)) is FaultType.BITFLIP  # b2 ignored when b1=0
+    two = (FaultType.SET, FaultType.BITFLIP)
+    assert decode_type(two, (1,)) is FaultType.SET     # b=1 selects the smaller
+    assert decode_type(two, (0,)) is FaultType.BITFLIP
+    # selection_bits is the inverse: its bits, padded with either value for
+    # the don't-cares, decode back to the type.
+    for types in TYPE_SETS:
+        for t in types:
+            bits = selection_bits(types, t)
+            assert len(bits) <= len(types) - 1
+            for pad in itertools.product((0, 1), repeat=len(types) - 1 - len(bits)):
+                assert decode_type(types, bits + pad) is t
 
 
 def test_instrument_rect_control_vars(rect_parity_unrolled):
@@ -105,7 +120,8 @@ def test_instrument_rect_control_vars(rect_parity_unrolled):
     locations = fault_locations(rect_parity_unrolled, blacklist, "c")
     controlled = instrument(rect_parity_unrolled, locations, ALL)
     assert len(controlled.control_map) == 12
-    controls = controlled.control_var_names()
+    controls = [c for cycle in sorted(controlled.cycle_controls)
+                for c in controlled.cycle_controls[cycle]]
     assert len(controls) == 12
     selections = [n for cv in controlled.control_map.values()
                   for n in (cv.b1, cv.b2) if n]
@@ -164,17 +180,17 @@ def test_decode_incomplete_assignment(rect_parity_unrolled):
 
 def test_roundtrip_vectors(rect_parity_unrolled):
     locations = fault_locations(rect_parity_unrolled, set(), "c")
-    model = FaultResistanceModel(2, 1, frozenset(ALL), "c")
-    controlled = instrument(rect_parity_unrolled, locations, ALL)
     rng = random.Random(3)
-    vectors = []
-    for _ in range(40):
-        insts = rng.sample(sorted(locations), rng.randint(1, 2))
-        vectors.append(FaultVector(
-            [FaultEvent(i, rng.choice(ALL)) for i in insts]))
-    for v in vectors:
-        assignment = canonical_assignment(controlled, v)
-        assert decode_fault_vector(assignment, controlled) == v
+    for types in TYPE_SETS:
+        controlled = instrument(rect_parity_unrolled, locations, types)
+        vectors = []
+        for _ in range(40):
+            insts = rng.sample(sorted(locations), rng.randint(1, 2))
+            vectors.append(FaultVector(
+                [FaultEvent(i, rng.choice(types)) for i in insts]))
+        for v in vectors:
+            assignment = canonical_assignment(controlled, v)
+            assert decode_fault_vector(assignment, controlled) == v
 
 
 def test_unrolled_formula_matches_sequential_run():
@@ -205,14 +221,14 @@ def test_instrumented_circuit_simulates_every_fault_vector():
     # For every admissible fault vector and every input sequence, the faulted
     # circuit and the instrumented circuit under the compatible control
     # assignment compute the same outputs.
-    for seed in (0, 4, 9):
+    for seed, types in itertools.product((0, 4, 9), TYPE_SETS):
         doc = random_netlist(seed, max_gates=6, max_regs=1, num_inputs=2).doc
         circuit = build_and_validate(doc)
         k = 2
         u = unroll(circuit, k)
         locations = fault_locations(u, set(), "cr")
-        model = FaultResistanceModel(1, 1, frozenset(ALL), "cr")
-        controlled = instrument(u, locations, ALL)
+        model = FaultResistanceModel(1, 1, frozenset(types), "cr")
+        controlled = instrument(u, locations, types)
         for vector in enumerate_fault_vectors(locations, model):
             assignment = canonical_assignment(controlled, vector)
             env_assignment = {n: bool(v) for n, v in assignment.items()}

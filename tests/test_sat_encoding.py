@@ -31,8 +31,14 @@ from faultres.netlist_io import (
     parse_netlist,
 )
 from faultres.oracle import enumerate_fault_vectors, random_netlist
-from faultres.sat_encoding import build_fr_formula, encode_problem, verify
-from faultres.simulator import FaultType, check_effectiveness
+from faultres.sat_encoding import (
+    GoldenDisagrees,
+    InternalEncodingError,
+    build_fr_formula,
+    encode_problem,
+    verify,
+)
+from faultres.simulator import FaultType, FaultVector, check_effectiveness
 from faultres.solvers import CdclSolver, SolverUndecided, solve_cnf
 
 ALL = (FaultType.SET, FaultType.RESET, FaultType.BITFLIP)
@@ -578,6 +584,34 @@ def test_verify_with_separate_golden(rect_parity, rect_revised, zeta_1_1_all_c_p
     assert verdict.status == "resistant"
 
 
+# rect_parity's data ports with every output and(a, b): it differs from the
+# S-box on input 0000 without any fault.
+DISAGREEING_GOLDEN = (".inputs a b c d\n.outputs w x y z\n"
+                      + "".join(f"gate {o} = and(a, b)\n" for o in "wxyz"))
+
+
+def test_verify_golden_disagreeing_without_faults(rect_parity, zeta_1_1_all_c):
+    golden = build_and_validate(parse_netlist(DISAGREEING_GOLDEN))
+    with pytest.raises(GoldenDisagrees) as info:
+        verify(rect_parity, zeta_1_1_all_c, golden=golden)
+    assert str(info.value) == (
+        "golden circuit disagrees with the protected circuit without faults: "
+        "inputs 0000, cycle 1, output 'x' is 0 in the golden circuit and 1 in "
+        "the protected one")
+
+
+def test_verify_empty_vector_with_agreeing_golden_is_internal(
+        rect_parity, zeta_1_1_all_c, monkeypatch):
+    # A golden circuit that agrees without faults leaves an empty decoded
+    # vector an encoder bug.
+    import faultres.sat_encoding
+
+    monkeypatch.setattr(faultres.sat_encoding, "decode_fault_vector",
+                        lambda assignment, controlled: FaultVector([]))
+    with pytest.raises(InternalEncodingError):
+        verify(rect_parity, zeta_1_1_all_c, golden=rect_parity)
+
+
 def test_verify_agrees_with_oracle_under_blacklists():
     # nonempty blacklists interact with both gate reductions; sweep them too
     from faultres.oracle import brute_force_verdict
@@ -615,3 +649,64 @@ def test_encoding_size_polynomial():
             problem = encode_problem(circuit, cfg)
             n = (len(circuit.gates) + len(circuit.registers)) * k
             assert len(problem.cnf.clauses) <= 40 * n + 4 * n * n
+
+
+# sha256 of emit_dimacs text plus the key-sorted JSON sidecar.  The values
+# pin the CNF numbering, which follows the formula builder's node creation
+# order: an encoder refactor that keeps the formula but reorders the nodes
+# changes these digests.
+PINNED_ENCODINGS = {
+    ("rect_parity.nl", ("s",)): "66b15aeea422abe04aac72908b160ba8ec69ab5b9a8784c9c974e4f73ef5c862",
+    ("rect_parity.nl", ("r",)): "f80361aeb78cc7d0f6b98cd7fd6f48335ad14eaa502e201321b63617d4da9865",
+    ("rect_parity.nl", ("bf",)): "3650a1827054fcaaef4c200511b858c1cce64c7f062b53599cabd61b85dc8613",
+    ("rect_parity.nl", ("s", "r")): "2e1085b0bda2e92a08e4a3a237601f9586efccf82757add71c425ef6ccf7dcee",
+    ("rect_parity.nl", ("s", "bf")): "f9f33b0bf9f2e4994cd64683a8be0fceb456dcc8983216176b9c00a1b795dc23",
+    ("rect_parity.nl", ("r", "bf")): "e98669b9b57927d0a6accf7c6a0a38436e31265fbde11ed766457e9acc807a3b",
+    ("rect_parity.nl", ("s", "r", "bf")): "12c222656ed3c79690991a5b0b9635517a751c50e033c5d241b3a4df26a9bf52",
+    ("rect_revised.nl", ("s",)): "4faebd8a82017d5ec69298e7e9904eeb6fd6db4582f4d5ea10ada95e6906ec7b",
+    ("rect_revised.nl", ("r",)): "a34b9e47982db4fe6624e37883a703d4471d2f9b4e7dcd572473c8e69a9a632f",
+    ("rect_revised.nl", ("bf",)): "87055152980a2f1729bad8dc29d519708c46efc26ac4f0b8bc69eb962e4d22bf",
+    ("rect_revised.nl", ("s", "r")): "f51d03d9407aac8e7ccf2214444a6d5de8910972b9c0b50ddf93c3e26fe0950d",
+    ("rect_revised.nl", ("s", "bf")): "6953ac9eec5b2a3c779ecfaad48bdfab3496d792eb4d442b83af6bfdc10469b6",
+    ("rect_revised.nl", ("r", "bf")): "891bb76e4d93ad8058c1807d9e2421308076c5500e4458e38c06fa6d1aebc9da",
+    ("rect_revised.nl", ("s", "r", "bf")): "6bacd6b8dd7c5118edf6a26e02e99d4e9d9db4151d14d38de850b9519e2e9091",
+    ("random_netlist(5)", ("s", "r", "bf")): "09cb16a0ad87f6da73ced15ffebfb0cf40ad05ea51377b220970de537668477d",
+}
+
+
+def _encoding_digest(circuit, config):
+    text, sidecar = emit_dimacs(encode_problem(circuit, config).cnf)
+    h = hashlib.sha256(text.encode())
+    h.update(json.dumps(sidecar, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_encoding_pinned():
+    # Both fixtures with their configs over every type set, the fault-type
+    # reduction off so each set reaches the gadgets; then a sequential random
+    # netlist (2 registers, k = 2, location cr) where both cardinality
+    # counters bind.
+    tokens = {t.token: t for t in ALL}
+    got = {}
+    no_type_reduction = ReductionFlags(fault_type=False)
+    for nl, cfg in (("rect_parity.nl", "zeta_1_1_all_c.json"),
+                    ("rect_revised.nl", "zeta_1_1_all_c_parity.json")):
+        doc = parse_netlist(fixture_text(nl))
+        base = parse_config(fixture_text(cfg), doc)
+        circuit = build_and_validate(doc)
+        for key in PINNED_ENCODINGS:
+            if key[0] != nl:
+                continue
+            model = FaultResistanceModel(base.model.n_e, base.model.n_c,
+                                         frozenset(tokens[t] for t in key[1]),
+                                         base.model.location)
+            config = VerificationConfig(base.unroll_k, model, base.blacklist,
+                                        no_type_reduction, ("builtin",))
+            got[key] = _encoding_digest(circuit, config)
+    doc = random_netlist(5, max_gates=10, max_regs=2, num_inputs=3).doc
+    assert len(doc.registers) == 2
+    config = VerificationConfig(2, FaultResistanceModel(2, 1, frozenset(ALL), "cr"),
+                                frozenset(), no_type_reduction, ("builtin",))
+    got[("random_netlist(5)", ("s", "r", "bf"))] = _encoding_digest(
+        build_and_validate(doc), config)
+    assert got == PINNED_ENCODINGS

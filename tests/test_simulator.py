@@ -18,7 +18,6 @@ from faultres.simulator import (
     UnknownInstance,
     apply_fault_vector,
     check_effectiveness,
-    faulted_kind,
     find_witness,
     run_trace,
 )
@@ -188,9 +187,6 @@ def test_fault_locality():
 def test_bitflip_kind_involution():
     for kind in GateKind:
         assert BITFLIP_COMPLEMENT[BITFLIP_COMPLEMENT[kind]] == kind
-    assert faulted_kind(GateKind.AND, FaultType.SET) == GateKind.CONST1
-    assert faulted_kind(GateKind.AND, FaultType.RESET) == GateKind.CONST0
-    assert faulted_kind(GateKind.CONST0, FaultType.BITFLIP) == GateKind.CONST1
 
 
 def test_register_fault_is_transient():
