@@ -14,7 +14,6 @@ from typing import Optional
 
 from .circuit_model import (
     BITFLIP_COMPLEMENT,
-    GateInstance,
     GateKind,
     UnrolledCircuit,
 )
@@ -136,6 +135,10 @@ class ControlledCircuit:
     flag_taps: dict        # cycle -> node (constant false when no flag)
     control_map: dict      # GateInstance -> ControlVars
     cycle_controls: dict   # cycle -> list of control var names
+    # (circuit, per cycle {net name: node}, per cycle the set of tainted
+    # nets): what golden_taps builds the miter's golden side from.  Kept only
+    # until then; build_fr_formula drops it.
+    lowering: Optional[tuple] = None
 
 
 def make_input_vars(builder: FormulaBuilder, circuit, k) -> dict:
@@ -152,8 +155,9 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
                builder: Optional[FormulaBuilder] = None,
                input_vars: Optional[dict] = None) -> ControlledCircuit:
     """Replace every instance in ``locations`` by its gadget.  With an empty
-    location set this is simply the circuit-to-formula lowering, which is also
-    how the golden reference side gets built."""
+    location set this is simply the circuit-to-formula lowering.  The result
+    keeps the per-cycle ``lowering`` from which ``golden_taps`` builds the
+    fault-free side of the miter without lowering the circuit again."""
 
     types = _canonical_types(types)
     b = builder if builder is not None else FormulaBuilder()
@@ -173,6 +177,7 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
 
     control_map = {}
     cycle_controls = {}
+    by_cycle = {}  # cycle -> net name -> ControlVars
     sel_names = ("b1", "b2")[:len(types) - 1]
     for inst in loc_sorted:
         cv = ControlVars(f"c[{inst.label}]",
@@ -180,37 +185,119 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
         b.var(cv.c, ROLE_CONTROL)
         control_map[inst] = cv
         cycle_controls.setdefault(inst.cycle, []).append(cv.c)
+        by_cycle.setdefault(inst.cycle, {})[inst.name] = cv
     for cv in control_map.values():
         for sel in cv.selections:
             b.var(sel, ROLE_SELECTION)
 
-    def lower(inst, kind, ins):
-        cv = control_map.get(inst)
-        if cv is None:
-            return _kind_node(b, kind, ins)
+    def faulty(cv, kind, ins):
         return gadget(b, kind, types, ins, b.var(cv.c, ROLE_CONTROL),
                       [b.var(s, ROLE_SELECTION) for s in cv.selections])
 
     taps = {}
     flag_taps = {}
+    nets, tainted = [], []
     state = {r: b.const(init) for r, init in circuit.registers}
+    hot_before = set()
     for cycle in range(1, unrolled.k + 1):
+        here = by_cycle.get(cycle, {})
         env = {name: input_vars[(cycle, name)] for name in circuit.inputs}
+        hot = set()
         for r in circuit.register_names:
-            env[r] = lower(GateInstance(cycle, r, is_register=True), GateKind.BUF, (state[r],))
+            cv = here.get(r)
+            if cv is not None:
+                env[r] = faulty(cv, GateKind.BUF, (state[r],))
+                hot.add(r)
+            else:
+                env[r] = state[r]
+                if circuit.next_state[r] in hot_before:
+                    hot.add(r)
         for name in circuit.topo_order:
             g = circuit.gate_map[name]
-            env[name] = lower(GateInstance(cycle, name), g.kind,
-                              tuple(env[op] for op in g.operands))
+            ins = tuple(env[op] for op in g.operands)
+            cv = here.get(name)
+            if cv is not None:
+                env[name] = faulty(cv, g.kind, ins)
+                hot.add(name)
+            else:
+                env[name] = _kind_node(b, g.kind, ins)
+                if not hot.isdisjoint(g.operands):
+                    hot.add(name)
         for o in circuit.outputs:
             taps[(cycle, o)] = env[o]
         flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
         state = {r: env[circuit.next_state[r]] for r in circuit.register_names}
+        nets.append(env)
+        tainted.append(hot)
+        hot_before = hot
 
     return ControlledCircuit(
         builder=b, k=unrolled.k, outputs=circuit.outputs, flag=circuit.flag,
         types=types, input_vars=input_vars, taps=taps, flag_taps=flag_taps,
-        control_map=control_map, cycle_controls=cycle_controls)
+        control_map=control_map, cycle_controls=cycle_controls,
+        lowering=(circuit, nets, tainted))
+
+
+def golden_taps(b: FormulaBuilder, lowering: tuple) -> dict:
+    """Fault-free taps of the data outputs, (cycle, name) -> node, built on
+    ``b`` from the ``lowering`` an ``instrument`` pass on ``b`` left.
+
+    A net is tainted when a fault can reach it: it is a fault location, a
+    gate with a tainted operand, or a register whose next-state net was
+    tainted in the cycle before.  An untainted net's instrumented node is the
+    plain lowering of the same operand nodes, so it is the fault-free node
+    too.  Only the tainted nets a data output reads are lowered again, in the
+    order a full fault-free lowering visits them (cycle-major, registers,
+    then topological order); for every net skipped, hash-consing would have
+    returned the instrumented node.  The taps are the nodes a full lowering
+    yields.  Their creation order, and with it the CNF numbering, differs
+    from a full lowering's only when a skipped cone (one only the flag reads)
+    equals a data cone in structure and comes first in topological order."""
+
+    circuit, nets, tainted = lowering
+    k = len(nets)
+    data = [o for o in circuit.outputs if o != circuit.flag]
+
+    # Walk back from the data outputs through tainted nets, last cycle first;
+    # a register leads to its next-state net in the cycle before.
+    need = [set() for _ in range(k)]
+    for c in reversed(range(k)):
+        hot, seen = tainted[c], need[c]
+        seen.update(o for o in data if o in hot)
+        stack = list(seen)
+        while stack:
+            net = stack.pop()
+            g = circuit.gate_map.get(net)
+            if g is not None:
+                for op in g.operands:
+                    if op in hot and op not in seen:
+                        seen.add(op)
+                        stack.append(op)
+            elif c and circuit.next_state[net] in tainted[c - 1]:
+                need[c - 1].add(circuit.next_state[net])
+
+    taps = {}
+    init = circuit.init_bits
+    before = {}
+    for c in range(k):
+        env, want, gold = nets[c], need[c], {}
+        if want:
+            for r in circuit.register_names:
+                if r in want:
+                    if c == 0:
+                        gold[r] = b.const(init[r])
+                    else:
+                        nxt = circuit.next_state[r]
+                        gold[r] = before[nxt] if nxt in before else nets[c - 1][nxt]
+            for name in circuit.topo_order:
+                if name in want:
+                    g = circuit.gate_map[name]
+                    gold[name] = _kind_node(b, g.kind, tuple(
+                        gold[op] if op in gold else env[op] for op in g.operands))
+        for o in data:
+            taps[(c + 1, o)] = gold[o] if o in gold else env[o]
+        before = gold
+    return taps
 
 
 def canonical_assignment(controlled: ControlledCircuit, vector: FaultVector) -> dict:

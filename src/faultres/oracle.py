@@ -346,18 +346,22 @@ def random_netlist(seed: int, max_gates: int = 12, max_regs: int = 2,
 
 
 def _duplicate_cone(nb: _NetBuilder, root, sources):
-    """Structural copy of a gate's input cone, sharing only primary sources."""
+    """Structural copy of a gate's input cone, sharing only primary sources.
+    Gates are emitted in depth-first postorder, operands left to right; the
+    stack is explicit, so cones of any depth are copied without recursion."""
     table = {g.name: g for g in nb.gates}
-    mapping = {}
-
-    def copy(net):
-        if net in sources:
-            return net
+    mapping = {net: net for net in sources}
+    stack = [root]
+    while stack:
+        net = stack[-1]
         if net in mapping:
-            return mapping[net]
-        g = table[net]
-        new = nb.emit(g.kind, *(copy(op) for op in g.operands))
-        mapping[net] = new
-        return new
-
-    return copy(root)
+            stack.pop()
+            continue
+        ops = table[net].operands
+        pending = [op for op in ops if op not in mapping]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        mapping[net] = nb.emit(table[net].kind, *(mapping[op] for op in ops))
+    return mapping[root]

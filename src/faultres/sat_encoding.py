@@ -27,7 +27,13 @@ from .circuit_model import (
     unroll,
 )
 from .errors import FaultresError
-from .fault_encoder import ControlledCircuit, decode_fault_vector, instrument, make_input_vars
+from .fault_encoder import (
+    ControlledCircuit,
+    decode_fault_vector,
+    golden_taps,
+    instrument,
+    make_input_vars,
+)
 from .formula import (
     ROLE_AUX_D,
     ROLE_CONTROL,
@@ -110,22 +116,29 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
     if set(gold_names) != set(ctrl_names):
         raise ShapeMismatch("golden and controlled circuits expose different outputs")
 
-    # Golden side, built over the same input variables.
-    shared_inputs = {key: node for key, node in controlled.input_vars.items()}
+    # Golden side, over the same input variables.  When it is the protected
+    # circuit itself, it reuses every instrumented node no fault can reach
+    # and lowers only the rest of the data outputs' cones; a separate golden
+    # circuit shares nothing and is lowered in full.
+    shared_inputs = controlled.input_vars
     for (cycle, name) in shared_inputs:
         if name not in golden.circuit.inputs:
             raise ShapeMismatch(f"golden circuit lacks input {name!r}")
     if set(golden.circuit.inputs) != {n for (_, n) in shared_inputs}:
         raise ShapeMismatch("golden and controlled circuits have different inputs")
-    reference = instrument(golden, set(), controlled.types, builder=b,
-                           input_vars=shared_inputs)
+    lowering, controlled.lowering = controlled.lowering, None
+    if lowering is not None and lowering[0] is golden.circuit:
+        reference = golden_taps(b, lowering)
+    else:
+        reference = instrument(golden, set(), controlled.types, builder=b,
+                               input_vars=shared_inputs).taps
 
     disjuncts = []
     flag_prefix = b.true
     for cycle in range(1, controlled.k + 1):
         flag_prefix = b.and_(flag_prefix, b.not_(controlled.flag_taps[cycle]))
         for o in ctrl_names:
-            differs = b.xor(reference.taps[(cycle, o)], controlled.taps[(cycle, o)])
+            differs = b.xor(reference[(cycle, o)], controlled.taps[(cycle, o)])
             disjuncts.append(b.and_(differs, flag_prefix))
     root = b.or_many(disjuncts)
 

@@ -98,6 +98,41 @@ def test_verify_dimacs_dump(workdir, monkeypatch):
             == (workdir / "enc.cnf.map.json").read_bytes())
 
 
+def test_encode_golden_same_netlist_is_byte_identical(workdir, monkeypatch):
+    # --golden with the protected netlist's own file takes the full fault-free
+    # lowering (a second instrument call); without it the golden side reuses
+    # the instrumented nodes.  Both give the same DIMACS and sidecar bytes.
+    import faultres.sat_encoding
+
+    from faultres.netlist_io import write_netlist
+    from faultres.oracle import random_netlist
+
+    calls = []
+
+    def counted(*args, _instrument=faultres.sat_encoding.instrument, **kwargs):
+        calls.append(1)
+        return _instrument(*args, **kwargs)
+
+    monkeypatch.setattr(faultres.sat_encoding, "instrument", counted)
+    doc = random_netlist(5, max_gates=10, max_regs=2, num_inputs=3).doc
+    assert doc.registers
+    (workdir / "rand.nl").write_text(write_netlist(doc))
+    (workdir / "rand.json").write_text(json.dumps(
+        {"k": 2, "model": {"ne": 2, "nc": 1, "types": ["s", "r", "bf"], "location": "cr"}}))
+    for nl, cfg in (("rect_parity.nl", "zeta_1_1_all_c.json"),
+                    ("rect_revised.nl", "zeta_1_1_all_c_parity.json"),
+                    ("rand.nl", "rand.json")):
+        args = ("encode", workdir / nl, "--config", workdir / cfg)
+        calls.clear()
+        assert run_cli(*args, "--dimacs", workdir / "plain.cnf") == 0
+        assert len(calls) == 1
+        assert run_cli(*args, "--golden", workdir / nl, "--dimacs", workdir / "gold.cnf") == 0
+        assert len(calls) == 3
+        assert (workdir / "plain.cnf").read_bytes() == (workdir / "gold.cnf").read_bytes(), nl
+        assert ((workdir / "plain.cnf.map.json").read_bytes()
+                == (workdir / "gold.cnf.map.json").read_bytes()), nl
+
+
 def test_verify_combinational_loop_clean_error(workdir, capsys):
     loop = workdir / "loop.nl"
     loop.write_text(".inputs i\n.outputs a\ngate a = not(b)\ngate b = not(a)\n")

@@ -20,11 +20,13 @@ from faultres.fault_encoder import (
     decode_type,
     faulted_kind,
     gadget,
+    golden_taps,
     instrument,
     selection_bits,
 )
 from faultres.formula import FormulaBuilder, ROLE_INPUT
-from faultres.netlist_io import parse_netlist
+from faultres.fixtures import fixture_text
+from faultres.netlist_io import parse_config, parse_netlist
 from faultres.oracle import enumerate_fault_vectors, random_netlist
 from faultres.circuit_model import FaultResistanceModel
 from faultres.simulator import (
@@ -247,3 +249,94 @@ def test_instrumented_circuit_simulates_every_fault_vector():
                             controlled.taps[(cycle, o)], env)
                         assert int(got) == trace.outputs[cycle - 1][o], (
                             seed, vector, rows, cycle, o)
+
+
+def _reused_and_full_taps(u, locations, types=ALL):
+    """The golden taps built from the instrumented lowering, and the taps of a
+    full fault-free lowering made afterwards on the same builder."""
+    controlled = instrument(u, locations, types)
+    reused = golden_taps(controlled.builder, controlled.lowering)
+    full = instrument(u, set(), types, builder=controlled.builder,
+                      input_vars=controlled.input_vars)
+    data = [o for o in u.circuit.outputs if o != u.circuit.flag]
+    assert sorted(reused) == sorted((c, o) for c in range(1, u.k + 1) for o in data)
+    return controlled, reused, full.taps
+
+
+# A flag-only copy of a data cone that comes first in topological order: the
+# golden side must skip the copy and still build the data cone's nodes.
+COPY_FIRST = (".inputs a b c\n.outputs p flg\n.flag flg\n"
+              "gate f1 = and(a, b)\ngate f2 = and(f1, c)\ngate flg = buf(f2)\n"
+              "gate q1 = or(a, c)\ngate q2 = or(q1, b)\n"
+              "gate g1 = and(a, b)\ngate g2 = and(g1, c)\ngate p = xor(g2, q2)\n")
+
+
+def test_golden_taps_are_the_fault_free_lowering():
+    # The reused golden side names exactly the nodes a full fault-free
+    # lowering on the same builder yields (hash-consing makes equal lowerings
+    # the same node ids), over both fixtures, seeded random netlists, every
+    # location class and k = 1..3.
+    cases = []
+    for nl, cfg in (("rect_parity.nl", "zeta_1_1_all_c.json"),
+                    ("rect_revised.nl", "zeta_1_1_all_c_parity.json")):
+        doc = parse_netlist(fixture_text(nl))
+        blacklist = parse_config(fixture_text(cfg), doc).blacklist
+        cases += [(build_and_validate(doc), blacklist), (build_and_validate(doc), set())]
+    for seed in range(10):
+        doc = random_netlist(seed, max_gates=10, max_regs=3, num_inputs=3,
+                             with_flag=seed % 3 != 0).doc
+        cases.append((build_and_validate(doc), set()))
+    cases.append((build_and_validate(parse_netlist(COPY_FIRST)), {"flg"}))
+    for (circuit, blacklist), loc, k in itertools.product(cases, ("c", "r", "cr"), (1, 2, 3)):
+        u = unroll(circuit, k)
+        _, reused, full = _reused_and_full_taps(u, fault_locations(u, blacklist, loc))
+        assert reused == {key: full[key] for key in reused}, (circuit.name, loc, k)
+
+
+def _dup_and_compare(doc):
+    """Netlist text of ``doc`` next to a copy of itself (gates and registers
+    prefixed ``b_``), each data output compared with its copy's and the
+    comparisons ORed into the flag; returns the text and the names of the
+    original gates, registers and comparator."""
+    nets = {r for r, _ in doc.registers} | {g.name for g in doc.gates}
+
+    def cp(net):
+        return "b_" + net if net in nets else net
+
+    lines = [".inputs " + " ".join(doc.inputs),
+             ".outputs " + " ".join(doc.outputs) + " flag", ".flag flag"]
+    for r, init in doc.registers:
+        lines += [f".reg {r} init={init}", f".reg b_{r} init={init}"]
+    for g in doc.gates:
+        lines.append(f"gate {g.name} = {g.kind}({', '.join(g.operands)})")
+        lines.append(f"gate b_{g.name} = {g.kind}({', '.join(cp(o) for o in g.operands)})")
+    checker = []
+    acc = None
+    for o in doc.outputs:
+        lines.append(f"gate k_{o} = xor({o}, b_{o})")
+        checker.append(f"k_{o}")
+        if acc is not None:
+            lines.append(f"gate t_{o} = or({acc}, k_{o})")
+            checker.append(f"t_{o}")
+        acc = checker[-1]
+    lines.append(f"gate flag = buf({acc})")
+    for r, _ in doc.registers:
+        lines += [f"next {r} = {doc.next_state[r]}", f"next b_{r} = {cp(doc.next_state[r])}"]
+    return "\n".join(lines) + "\n", nets | set(checker) | {"flag"}
+
+
+def test_golden_taps_of_duplicate_and_compare_add_no_node():
+    # With the original and the comparator blacklisted, no fault reaches a
+    # data output: the golden side is the instrumented one, node for node.
+    for seed in (1, 2, 5, 7):
+        doc = random_netlist(seed, max_gates=10, max_regs=2, num_inputs=3,
+                             with_flag=False).doc
+        text, blacklist = _dup_and_compare(doc)
+        u = unroll(build_and_validate(parse_netlist(text)), 3)
+        locations = fault_locations(u, blacklist, "cr")
+        assert locations
+        controlled = instrument(u, locations, ALL)
+        before = len(controlled.builder.kinds)
+        reused = golden_taps(controlled.builder, controlled.lowering)
+        assert len(controlled.builder.kinds) == before
+        assert reused == {key: controlled.taps[key] for key in reused}

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -13,6 +14,8 @@ from faultres.netlist_io import parse_netlist, write_netlist
 from faultres.oracle import (
     BudgetExceeded,
     OracleBudget,
+    _NetBuilder,
+    _duplicate_cone,
     TooManyVars,
     _truth_table_sat,
     brute_force_verdict,
@@ -203,3 +206,36 @@ def test_random_corpus_has_both_verdicts():
         verdict = brute_force_verdict(u, set(), model(types=ALL, loc="c"))
         seen.add(verdict.status)
     assert seen == {"resistant", "not_resistant"}
+
+
+def test_duplicate_cone_order():
+    # Depth-first postorder, operands left to right; shared gates copied once.
+    nb = _NetBuilder()
+    a1 = nb.emit("and", "i0", "i1")
+    a2 = nb.emit("or", "i1", "i0")
+    a3 = nb.emit("xor", a1, a2)
+    a4 = nb.emit("not", "i1")
+    a5 = nb.emit("and", a3, a4)
+    a6 = nb.emit("or", a5, a1)
+    assert _duplicate_cone(nb, a6, {"i0", "i1"}) == "n12"
+    assert [(g.name, g.kind, g.operands) for g in nb.gates[6:]] == [
+        ("n7", "and", ("i0", "i1")), ("n8", "or", ("i1", "i0")),
+        ("n9", "xor", ("n7", "n8")), ("n10", "not", ("i1",)),
+        ("n11", "and", ("n9", "n10")), ("n12", "or", ("n11", "n7"))]
+
+
+def test_duplicate_cone_deeper_than_recursion_limit():
+    depth = sys.getrecursionlimit() + 500
+    nb = _NetBuilder()
+    net = "i0"
+    for d in range(depth):
+        net = nb.emit("not", net) if d % 2 else nb.emit("and", net, "i1")
+    copy = _duplicate_cone(nb, net, {"i0", "i1"})
+    gates = {g.name: g for g in nb.gates}
+    assert len(gates) == 2 * depth
+    original = net
+    for _ in range(depth):
+        g, c = gates[original], gates[copy]
+        assert g.kind == c.kind and g.operands[1:] == c.operands[1:]
+        original, copy = g.operands[0], c.operands[0]
+    assert original == copy == "i0"

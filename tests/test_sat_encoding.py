@@ -467,6 +467,15 @@ def test_build_fr_formula_cardinality_shape(rect_parity):
     assert formula.cardinality == []
 
 
+def test_encoded_problem_holds_no_lowering(rect_parity, rect_revised, zeta_1_1_all_c_parity):
+    # The per-cycle node maps live only while the formula is built, on the
+    # reuse path and on the full-lowering path of a separate golden circuit.
+    problem = encode_problem(rect_revised, zeta_1_1_all_c_parity)
+    assert problem.controlled.lowering is None
+    problem = encode_problem(rect_revised, zeta_1_1_all_c_parity, golden=rect_parity)
+    assert problem.controlled.lowering is None
+
+
 def test_build_fr_formula_nc_part():
     text = ".inputs i\n.outputs o\n.reg r init=0\ngate o = xor(i, r)\nnext r = o\n"
     circuit = build_and_validate(parse_netlist(text))
