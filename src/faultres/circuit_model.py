@@ -266,17 +266,6 @@ class UnrolledCircuit:
     k: int
     faults: dict = field(default_factory=dict, hash=False)
 
-    @property
-    def instances(self):
-        """All gate instances, logic then registers, cycle-major."""
-        out = []
-        for cycle in range(1, self.k + 1):
-            for g in self.circuit.gates:
-                out.append(GateInstance(cycle, g.name))
-            for r in self.circuit.register_names:
-                out.append(GateInstance(cycle, r, is_register=True))
-        return tuple(out)
-
     def instance_exists(self, inst: GateInstance) -> bool:
         if not 1 <= inst.cycle <= self.k:
             return False

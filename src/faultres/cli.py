@@ -63,10 +63,10 @@ def _load_config(path, doc, args):
     reductions = config.reductions
     if args.no_reduce_types:
         reductions = ReductionFlags(False, reductions.single_successor, reductions.single_exit)
-    if args.no_reduce_gates:
-        reductions = ReductionFlags(reductions.fault_type, False, False)
     if args.aggressive:
         reductions = ReductionFlags(reductions.fault_type, reductions.single_successor, True)
+    if args.no_reduce_gates:  # overrides --aggressive
+        reductions = ReductionFlags(reductions.fault_type, False, False)
     solver = config.solver
     if getattr(args, "solver", None):
         solver = tuple(args.solver.split())

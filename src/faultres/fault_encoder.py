@@ -26,12 +26,6 @@ class EncoderError(FaultresError):
     pass
 
 
-class IncompleteAssignment(EncoderError):
-    def __init__(self, name):
-        super().__init__(f"assignment missing control variable {name!r}")
-        self.name = name
-
-
 def _canonical_types(types):
     types = tuple(sorted(types, key=lambda t: t.order))
     if not types:
@@ -58,13 +52,6 @@ def decode_type(types, bits) -> FaultType:
             return types[-1]
         types = types[:-1]
     return types[0]
-
-
-def selection_bits(types, fault: FaultType) -> tuple:
-    """Inverse of ``decode_type``: the bits that select ``fault``; the
-    selection inputs after them are don't-cares."""
-    i = types.index(fault)
-    return (True,) * (len(types) - 1 - i) + ((False,) if i else ())
 
 
 def gadget(b: FormulaBuilder, kind: GateKind, types, ins, c, sels):
@@ -115,9 +102,6 @@ class ControlVars:
     @property
     def selections(self):
         return tuple(n for n in (self.b1, self.b2) if n is not None)
-
-    def names(self):
-        return (self.c,) + self.selections
 
 
 @dataclass
@@ -238,9 +222,19 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
         lowering=(circuit, nets, tainted))
 
 
+def inputs_only_lowering(circuit, input_vars: dict, k: int) -> tuple:
+    """The lowering of a separate golden circuit before ``golden_taps``: it
+    shares only the input variables with the instrumented circuit, so no
+    other net has a node yet and every gate and register is tainted."""
+    everything = set(circuit.gate_map).union(circuit.register_names)
+    return (circuit, [{n: input_vars[(c, n)] for n in circuit.inputs}
+                      for c in range(1, k + 1)], [everything] * k)
+
+
 def golden_taps(b: FormulaBuilder, lowering: tuple) -> dict:
     """Fault-free taps of the data outputs, (cycle, name) -> node, built on
-    ``b`` from the ``lowering`` an ``instrument`` pass on ``b`` left.
+    ``b`` from a ``lowering``: the one an ``instrument`` pass on ``b`` left,
+    or ``inputs_only_lowering`` for a separate golden circuit.
 
     A net is tainted when a fault can reach it: it is a fault location, a
     gate with a tainted operand, or a register whose next-state net was
@@ -300,34 +294,14 @@ def golden_taps(b: FormulaBuilder, lowering: tuple) -> dict:
     return taps
 
 
-def canonical_assignment(controlled: ControlledCircuit, vector: FaultVector) -> dict:
-    """The control-input assignment compatible with a fault vector: c = 1 at
-    its instances with selection bits per type, everything else 0."""
-
-    assignment = {name: False for cv in controlled.control_map.values()
-                  for name in cv.names()}
-    for event in vector:
-        cv = controlled.control_map.get(event.instance)
-        if cv is None:
-            raise EncoderError(f"event at {event.instance.label} outside instrumented locations")
-        if event.fault_type not in controlled.types:
-            raise EncoderError(f"fault type {event.fault_type.token} not encodable")
-        assignment[cv.c] = True
-        assignment.update(zip(cv.selections,
-                              selection_bits(controlled.types, event.fault_type)))
-    return assignment
-
-
 def decode_fault_vector(assignment, controlled: ControlledCircuit) -> FaultVector:
-    """Unique fault vector compatible with a control-input assignment."""
+    """Unique fault vector compatible with a total control-input assignment."""
 
     events = []
     for inst, cv in sorted(controlled.control_map.items(),
                            key=lambda kv: (kv[0].cycle, kv[0].name)):
-        if cv.c not in assignment:
-            raise IncompleteAssignment(cv.c)
         if not assignment[cv.c]:
             continue
-        bits = [assignment.get(s, False) for s in cv.selections]
+        bits = [assignment[s] for s in cv.selections]
         events.append(FaultEvent(inst, decode_type(controlled.types, bits)))
     return FaultVector(events)

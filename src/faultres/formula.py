@@ -175,46 +175,6 @@ class FormulaBuilder:
             acc = self.and_(acc, n)
         return acc
 
-    def evaluate(self, root, assignment, default=False):
-        """Evaluate a node under a name->bool assignment (iterative, DAG-aware)."""
-        memo = {}
-        stack = [root]
-        while stack:
-            n = stack[-1]
-            if n in memo:
-                stack.pop()
-                continue
-            kind, args = self.kinds[n], self.args[n]
-            if kind == CONST:
-                memo[n] = bool(args[0])
-                stack.pop()
-                continue
-            if kind == VAR:
-                memo[n] = bool(assignment.get(args[0], default))
-                stack.pop()
-                continue
-            missing = [a for a in args if a not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            vals = [memo[a] for a in args]
-            if kind == NOT:
-                memo[n] = not vals[0]
-            elif kind == AND:
-                memo[n] = vals[0] and vals[1]
-            elif kind == OR:
-                memo[n] = vals[0] or vals[1]
-            elif kind == XOR:
-                memo[n] = vals[0] != vals[1]
-            elif kind == IFF:
-                memo[n] = vals[0] == vals[1]
-            elif kind == ITE:
-                memo[n] = vals[1] if vals[0] else vals[2]
-            else:
-                raise EncodingError(f"cannot evaluate node kind {kind}")
-            stack.pop()
-        return memo[root]
-
 
 @dataclass(frozen=True)
 class CardinalityConstraint:
@@ -230,14 +190,6 @@ class BoolFormula:
     builder: FormulaBuilder
     root: int
     cardinality: list = field(default_factory=list)
-
-    def evaluate(self, assignment) -> bool:
-        if not self.builder.evaluate(self.root, assignment):
-            return False
-        for c in self.cardinality:
-            if sum(1 for v in c.var_names if assignment.get(v, False)) > c.bound:
-                return False
-        return True
 
 
 @dataclass

@@ -322,14 +322,14 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
         types, location = model_raw["types"], model_raw["location"]
     except KeyError as e:
         raise SchemaError(f"model missing key {e.args[0]!r}") from None
-    if not isinstance(ne, int) or ne < 1:
-        raise InvalidModel("ne must be >= 1")
-    if not isinstance(nc, int) or nc < 1:
-        raise InvalidModel("nc must be >= 1")
+    if not isinstance(ne, int) or isinstance(ne, bool) or ne < 1:
+        raise InvalidModel("ne must be an integer >= 1")
+    if not isinstance(nc, int) or isinstance(nc, bool) or nc < 1:
+        raise InvalidModel("nc must be an integer >= 1")
     if not isinstance(types, list) or not types:
         raise InvalidModel("types must be a non-empty list")
     for t in types:
-        if t not in _TYPE_TOKENS:
+        if not isinstance(t, str) or t not in _TYPE_TOKENS:
             raise InvalidModel(
                 f"unknown fault type {t!r} (expected subset of {tuple(_TYPE_TOKENS)})")
     if location not in LOCATION_CLASSES:
@@ -344,7 +344,7 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
     )
 
     blacklist = raw.get("blacklist", [])
-    if not isinstance(blacklist, list):
+    if not isinstance(blacklist, list) or not all(isinstance(b, str) for b in blacklist):
         raise SchemaError("blacklist must be a list of gate names")
     known = {r for r, _ in doc.registers} | {g.name for g in doc.gates}
     for b in blacklist:

@@ -93,7 +93,9 @@ def brute_force_verdict(unrolled: UnrolledCircuit, blacklist,
         witness = find_witness(unrolled, vector)
         if witness is not None:
             replay = check_effectiveness(unrolled, vector, witness)
-            assert replay.effective
+            if not replay.effective:
+                raise OracleError(
+                    f"witness {witness} of {vector!r} is not effective on replay")
             return Verdict("not_resistant",
                            counterexample=Counterexample(
                                vector, witness, replay.divergence_cycle,

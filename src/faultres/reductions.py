@@ -10,7 +10,6 @@ on that exit gate, so the inner gates need no control variables of their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .circuit_model import FaultResistanceModel, SequentialCircuit, UnrolledCircuit, check_blacklist
 from .simulator import FaultType
@@ -20,25 +19,6 @@ class NotApplicable(Exception):
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class FaultTypeReduction:
-    model: FaultResistanceModel
-    note: Optional[str] = None
-
-
-@dataclass
-class ExitMap:
-    """m1 maps every gate to its exit gate; m2 maps each exit gate to the set
-    of gates absorbed into its single-exit sub-circuit (itself included)."""
-
-    m1: dict
-    m2: dict
-
-    def absorbed(self):
-        """Gates merged into some other gate's sub-circuit."""
-        return {g for g, exit_ in self.m1.items() if g != exit_}
 
 
 @dataclass(frozen=True)
@@ -62,21 +42,20 @@ class ReductionPlan:
     skipped: list = field(default_factory=list)
 
 
-def reduce_fault_types(model: FaultResistanceModel) -> FaultTypeReduction:
+def reduce_fault_types(model: FaultResistanceModel) -> FaultResistanceModel:
     """Collapse the type set to {bit-flip} when bit-flip is allowed: any output
     change a set/reset fault produces is a flip of that signal, so restricting
     to flips preserves the verdict in both directions."""
 
-    if FaultType.BITFLIP in model.fault_types:
-        if model.fault_types == frozenset({FaultType.BITFLIP}):
-            return FaultTypeReduction(model, note="type set already {bf}")
-        reduced = FaultResistanceModel(
-            n_e=model.n_e, n_c=model.n_c,
-            fault_types=frozenset({FaultType.BITFLIP}),
-            location=model.location)
-        return FaultTypeReduction(reduced)
-    return FaultTypeReduction(
-        model, note="bf not in the allowed types; reduction would not preserve counterexamples")
+    if FaultType.BITFLIP not in model.fault_types:
+        raise NotApplicable(
+            "bf not in the allowed types; reduction would not preserve counterexamples")
+    if model.fault_types == frozenset({FaultType.BITFLIP}):
+        raise NotApplicable("type set already {bf}")
+    return FaultResistanceModel(
+        n_e=model.n_e, n_c=model.n_c,
+        fault_types=frozenset({FaultType.BITFLIP}),
+        location=model.location)
 
 
 def _sink_nets(circuit: SequentialCircuit) -> set:
@@ -109,44 +88,34 @@ def single_successor_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> s
     return extra
 
 
-def single_exit_map(unrolled: UnrolledCircuit, blacklist) -> ExitMap:
+def single_exit_map(unrolled: UnrolledCircuit, blacklist) -> dict:
     """Maximal single-exit sub-circuits, by one reverse-topological sweep of
-    the frame.  A gate merges into its successors' common exit only when every
-    successor (including output ports and register writes) already belongs to
-    that exit, the exit is unprotected, and the exit is an internal logic gate.
-    Register reads are always their own exits and never merge downstream."""
+    the frame: maps every gate and register to its exit gate.  A gate merges
+    into its successors' common exit only when every successor (including
+    output ports and register writes) already belongs to that exit, the exit
+    is unprotected, and the exit is an internal logic gate.  Register reads
+    are always their own exits and never merge downstream."""
 
     circuit = unrolled.circuit
     blacklist = check_blacklist(circuit, blacklist)
     sinks = _sink_nets(circuit)
-    m1, m2 = {}, {}
-
-    def own_exit(net):
-        m1[net] = net
-        m2.setdefault(net, set()).add(net)
-
+    exit_of = {}
     for net in reversed(circuit.topo_order):
+        exit_of[net] = net
         succs = circuit.successors.get(net, ())
         if net in sinks or not succs:
-            own_exit(net)
             continue
-        exits = {m1[s] for s in succs}
-        if len(exits) != 1:
-            own_exit(net)
-            continue
-        exit_ = exits.pop()
-        if exit_ in blacklist or exit_ not in circuit.gate_map:
-            own_exit(net)
-            continue
-        m1[net] = exit_
-        m2[exit_].add(net)
-
+        exits = {exit_of[s] for s in succs}
+        if len(exits) == 1:
+            exit_ = exits.pop()
+            if exit_ not in blacklist and exit_ in circuit.gate_map:
+                exit_of[net] = exit_
     for r in circuit.register_names:
-        own_exit(r)
-    return ExitMap(m1, m2)
+        exit_of[r] = r
+    return exit_of
 
 
-def aggressive_blacklist(exit_map: ExitMap, blacklist, model) -> set:
+def aggressive_blacklist(exit_of: dict, blacklist, model) -> set:
     """All gates absorbed into some other gate's exit sub-circuit; sound only
     for the pure bit-flip model on combinational locations."""
 
@@ -154,7 +123,7 @@ def aggressive_blacklist(exit_map: ExitMap, blacklist, model) -> set:
         raise NotApplicable("needs T = {bf}")
     if model.location not in ("c", "cr"):
         raise NotApplicable("needs location c or cr")
-    return exit_map.absorbed() - set(blacklist)
+    return {g for g, exit_ in exit_of.items() if g != exit_} - set(blacklist)
 
 
 def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistanceModel,
@@ -168,20 +137,18 @@ def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistance
     plan = ReductionPlan(effective_model=model, effective_blacklist=blacklist)
 
     if flags.fault_type:
-        result = reduce_fault_types(model)
-        if result.note is None:
-            removed = len(model.fault_types) - 1
-            plan.effective_model = result.model
+        try:
+            plan.effective_model = reduce_fault_types(model)
             plan.applied.append(AppliedReduction(
-                "fault_type", removed, detail="types -> {bf}"))
-        else:
-            plan.skipped.append(SkippedReduction("fault_type", result.note))
+                "fault_type", len(model.fault_types) - 1, detail="types -> {bf}"))
+        except NotApplicable as e:
+            plan.skipped.append(SkippedReduction("fault_type", e.reason))
 
     gate_reduction_done = False
     if flags.single_exit:
         try:
-            exit_map = single_exit_map(unrolled, plan.effective_blacklist)
-            extra = aggressive_blacklist(exit_map, plan.effective_blacklist,
+            exit_of = single_exit_map(unrolled, plan.effective_blacklist)
+            extra = aggressive_blacklist(exit_of, plan.effective_blacklist,
                                          plan.effective_model)
             plan.effective_blacklist = plan.effective_blacklist | frozenset(extra)
             plan.applied.append(AppliedReduction("single_exit", len(extra)))

@@ -31,6 +31,7 @@ from .fault_encoder import (
     ControlledCircuit,
     decode_fault_vector,
     golden_taps,
+    inputs_only_lowering,
     instrument,
     make_input_vars,
 )
@@ -118,8 +119,9 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
 
     # Golden side, over the same input variables.  When it is the protected
     # circuit itself, it reuses every instrumented node no fault can reach
-    # and lowers only the rest of the data outputs' cones; a separate golden
-    # circuit shares nothing and is lowered in full.
+    # and lowers only the rest of the data outputs' cones.  A separate golden
+    # circuit shares only the input variables: every gate and register of it
+    # counts as fault-reachable, so the data outputs' cones are lowered whole.
     shared_inputs = controlled.input_vars
     for (cycle, name) in shared_inputs:
         if name not in golden.circuit.inputs:
@@ -127,11 +129,9 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
     if set(golden.circuit.inputs) != {n for (_, n) in shared_inputs}:
         raise ShapeMismatch("golden and controlled circuits have different inputs")
     lowering, controlled.lowering = controlled.lowering, None
-    if lowering is not None and lowering[0] is golden.circuit:
-        reference = golden_taps(b, lowering)
-    else:
-        reference = instrument(golden, set(), controlled.types, builder=b,
-                               input_vars=shared_inputs).taps
+    if lowering[0] is not golden.circuit:
+        lowering = inputs_only_lowering(golden.circuit, shared_inputs, golden.k)
+    reference = golden_taps(b, lowering)
 
     disjuncts = []
     flag_prefix = b.true
@@ -216,8 +216,10 @@ def _decode_inputs(model_bits, cnf: CNF, circuit: SequentialCircuit, k: int):
 
 def _check_golden_agrees(golden: UnrolledCircuit, protected: UnrolledCircuit, inputs):
     """Raise GoldenDisagrees at the first cycle and output where the two
-    circuits differ without faults on ``inputs``."""
-    gold = run_trace(golden, inputs)
+    circuits differ without faults on ``inputs``, whose rows are in the
+    protected circuit's input order; the golden circuit reads them by name."""
+    pos = [protected.circuit.inputs.index(n) for n in golden.circuit.inputs]
+    gold = run_trace(golden, [tuple(row[i] for i in pos) for row in inputs])
     prot = run_trace(protected, inputs)
     flag = protected.circuit.flag
     for cycle, (g, p) in enumerate(zip(gold.outputs, prot.outputs), start=1):

@@ -106,21 +106,6 @@ class FaultVector:
         return sorted(self.events,
                       key=lambda e: (e.instance.cycle, e.instance.name, e.fault_type.order))
 
-    @property
-    def sharp_clk(self):
-        """Number of distinct fault-active cycles."""
-        return len({e.instance.cycle for e in self.events})
-
-    @property
-    def max_epc(self):
-        """Maximum number of events in any single cycle."""
-        if not self.events:
-            return 0
-        counts = {}
-        for e in self.events:
-            counts[e.instance.cycle] = counts.get(e.instance.cycle, 0) + 1
-        return max(counts.values())
-
 
 @dataclass
 class Trace:

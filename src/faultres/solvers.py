@@ -45,14 +45,6 @@ class SatResult:
     restarts: Optional[int] = None
     learnt: Optional[int] = None
 
-    @property
-    def is_sat(self):
-        return self.status == "sat"
-
-    @property
-    def is_unsat(self):
-        return self.status == "unsat"
-
 
 class CdclSolver:
     """Conflict-driven clause learning with two watched literals, first-UIP

@@ -1,7 +1,9 @@
 import pytest
 
 from faultres import build_and_validate, parse_config, parse_netlist, unroll
+from faultres.circuit_model import GateInstance
 from faultres.fixtures import fixture_text
+from faultres.formula import AND, CONST, IFF, ITE, NOT, OR, VAR, XOR
 
 # Golden truth table of the 4-bit S-box, input value 0..15 (a msb), output wxyz.
 SBOX = [
@@ -36,6 +38,95 @@ SBOX_FAULTY = {
 
 def input_bits(value):
     return tuple((value >> (3 - i)) & 1 for i in range(4))
+
+
+# Test oracles and views of the encoder's data that the package itself never
+# needs.
+
+_NODE_OPS = {
+    NOT: lambda v: not v[0],
+    AND: lambda v: v[0] and v[1],
+    OR: lambda v: v[0] or v[1],
+    XOR: lambda v: v[0] != v[1],
+    IFF: lambda v: v[0] == v[1],
+    ITE: lambda v: v[1] if v[0] else v[2],
+}
+
+
+def evaluate(builder, root, assignment):
+    """Value of formula node ``root`` under a name -> bool assignment in which
+    unassigned variables are False.  A node's arguments are older nodes, so
+    one pass in id order evaluates every node up to ``root``."""
+    val = []
+    for kind, args in zip(builder.kinds[:root + 1], builder.args):
+        if kind == CONST:
+            val.append(bool(args[0]))
+        elif kind == VAR:
+            val.append(bool(assignment.get(args[0], False)))
+        else:
+            val.append(_NODE_OPS[kind]([val[a] for a in args]))
+    return val[root]
+
+
+def formula_holds(formula, assignment):
+    """A BoolFormula's meaning: the root holds and no cardinality bound is
+    exceeded."""
+    return evaluate(formula.builder, formula.root, assignment) and all(
+        sum(1 for v in c.var_names if assignment.get(v, False)) <= c.bound
+        for c in formula.cardinality)
+
+
+def selection_bits(types, fault):
+    """Inverse of ``decode_type``: the bits that select ``fault``; the
+    selection inputs after them are don't-cares."""
+    i = types.index(fault)
+    return (True,) * (len(types) - 1 - i) + ((False,) if i else ())
+
+
+def canonical_assignment(controlled, vector):
+    """The control-input assignment compatible with a fault vector: c = 1 at
+    its instances with selection bits per type, everything else 0."""
+    assignment = {name: False for cv in controlled.control_map.values()
+                  for name in (cv.c,) + cv.selections}
+    for event in vector:
+        cv = controlled.control_map[event.instance]
+        assert event.fault_type in controlled.types, event
+        assignment[cv.c] = True
+        assignment.update(zip(cv.selections,
+                              selection_bits(controlled.types, event.fault_type)))
+    return assignment
+
+
+def exit_groups(exit_of):
+    """The paper's M2 sets from a gate -> exit map: each exit gate's
+    single-exit sub-circuit, itself included."""
+    groups = {}
+    for gate, exit_ in exit_of.items():
+        groups.setdefault(exit_, set()).add(gate)
+    return groups
+
+
+def sharp_clk(vector):
+    """Number of distinct fault-active cycles."""
+    return len({e.instance.cycle for e in vector})
+
+
+def max_epc(vector):
+    """Maximum number of events in any single cycle."""
+    counts = {}
+    for e in vector:
+        counts[e.instance.cycle] = counts.get(e.instance.cycle, 0) + 1
+    return max(counts.values(), default=0)
+
+
+def instances(unrolled):
+    """All gate instances, logic then registers, cycle-major."""
+    out = []
+    for cycle in range(1, unrolled.k + 1):
+        out += [GateInstance(cycle, g.name) for g in unrolled.circuit.gates]
+        out += [GateInstance(cycle, r, is_register=True)
+                for r in unrolled.circuit.register_names]
+    return out
 
 
 @pytest.fixture(scope="session")

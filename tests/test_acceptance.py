@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import SBOX, SBOX_FAULTY, input_bits
+from conftest import SBOX, SBOX_FAULTY, exit_groups, input_bits, instances
 from faultres.circuit_model import (
     FaultResistanceModel,
     GateInstance,
@@ -100,13 +100,13 @@ def test_criterion_3_reduction_fixtures(rect_parity_unrolled):
     extra = single_successor_blacklist(rect_parity_unrolled, blacklist, model)
     assert extra == {"s4", "s5", "s7", "s8", "p1", "p2", "p3", "p4", "p5"}
 
-    em = single_exit_map(rect_parity_unrolled, blacklist)
-    assert em.m2["p6"] == {"p1", "p2", "p3", "p4", "p5", "p6"}
-    assert em.m2["x"] == {"s8", "x"}
-    assert em.m2["w"] == {"s7", "w"}
-    assert em.m2["z"] == {"s4", "z"}
-    assert em.m2["s6"] == {"s5", "s6"}
-    singleton = {g for g, members in em.m2.items() if members == {g}}
+    m2 = exit_groups(single_exit_map(rect_parity_unrolled, blacklist))
+    assert m2["p6"] == {"p1", "p2", "p3", "p4", "p5", "p6"}
+    assert m2["x"] == {"s8", "x"}
+    assert m2["w"] == {"s7", "w"}
+    assert m2["z"] == {"s4", "z"}
+    assert m2["s6"] == {"s5", "s6"}
+    singleton = {g for g, members in m2.items() if members == {g}}
     assert singleton == {"s1", "s2", "s3", "y", "c1", "c2", "c3", "flag"}
     report("3 reduction fixtures (single-successor set and exit map, exact): PASS")
 
@@ -211,7 +211,7 @@ def test_criterion_7_size_bound(rect_parity_unrolled, rect_revised):
             locations = fault_locations(unrolled, set(), "cr")
             controlled = instrument(unrolled, locations, types)
             # every node of the formula DAG against 6|T| x k x (gates + registers)
-            bound = 6 * len(types) * len(unrolled.instances)
+            bound = 6 * len(types) * len(instances(unrolled))
             nodes = len(controlled.builder.kinds)
             assert nodes <= bound
             worst = max(worst, nodes / bound)
@@ -247,7 +247,7 @@ def test_criterion_9_tseitin_equisatisfiability():
             fb.var(n, ROLE_INPUT)
         root = random_formula(fb, rng, names, depth=4)
         cnf = tseitin_cnf(BoolFormula(fb, root))
-        assert solve_cnf(cnf).is_sat == truth_table_satisfiable(fb, root, names)
+        assert (solve_cnf(cnf).status == "sat") == truth_table_satisfiable(fb, root, names)
         checked += 1
     report(f"9 Tseitin equisatisfiability ({checked} formulas over <= 4 vars, "
            f"100% agreement with truth tables): PASS")

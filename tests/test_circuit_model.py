@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import instances
 from faultres.circuit_model import (
     ArityMismatch,
     CombinationalCycle,
@@ -52,15 +53,15 @@ def test_build_arity_mismatch():
 
 def test_unroll_rect(rect_parity):
     u = unroll(rect_parity, 1)
-    assert len(u.instances) == 22
-    assert all(not inst.is_register for inst in u.instances)
+    assert len(instances(u)) == 22
+    assert all(not inst.is_register for inst in instances(u))
 
 
 def test_unroll_sequential():
     c = build_and_validate(parse_netlist(SEQ_TEXT))
     u = unroll(c, 3)
-    logic = [i for i in u.instances if not i.is_register]
-    regs = [i for i in u.instances if i.is_register]
+    logic = [i for i in instances(u) if not i.is_register]
+    regs = [i for i in instances(u) if i.is_register]
     assert [i.label for i in logic] == ["g@1", "g@2", "g@3"]
     assert [i.label for i in regs] == ["r@1", "r@2", "r@3"]
 

@@ -99,9 +99,10 @@ def test_verify_dimacs_dump(workdir, monkeypatch):
 
 
 def test_encode_golden_same_netlist_is_byte_identical(workdir, monkeypatch):
-    # --golden with the protected netlist's own file takes the full fault-free
-    # lowering (a second instrument call); without it the golden side reuses
-    # the instrumented nodes.  Both give the same DIMACS and sidecar bytes.
+    # --golden with the protected netlist's own file lowers that separate
+    # circuit's data cones whole; without it the golden side reuses the
+    # instrumented nodes.  Each encode calls instrument once, and both give the
+    # same DIMACS and sidecar bytes.
     import faultres.sat_encoding
 
     from faultres.netlist_io import write_netlist
@@ -127,7 +128,7 @@ def test_encode_golden_same_netlist_is_byte_identical(workdir, monkeypatch):
         assert run_cli(*args, "--dimacs", workdir / "plain.cnf") == 0
         assert len(calls) == 1
         assert run_cli(*args, "--golden", workdir / nl, "--dimacs", workdir / "gold.cnf") == 0
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert (workdir / "plain.cnf").read_bytes() == (workdir / "gold.cnf").read_bytes(), nl
         assert ((workdir / "plain.cnf.map.json").read_bytes()
                 == (workdir / "gold.cnf.map.json").read_bytes()), nl
@@ -206,6 +207,15 @@ def test_reduce_json(workdir, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["model"]["types"] == ["bf"]
     assert set(data["removed_gates"]) == {"s4", "s5", "s7", "s8"}
+
+    # --no-reduce-gates overrides --aggressive
+    code = run_cli("reduce", workdir / "rect_parity.nl",
+                   "--config", workdir / "zeta_1_1_all_c.json",
+                   "--no-reduce-gates", "--aggressive")
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in data["applied"]] == ["fault_type"]
+    assert data["removed_gates"] == []
 
 
 def test_encode_dump_controls(workdir, capsys):

@@ -1,8 +1,7 @@
 import itertools
 import random
 
-import pytest
-
+from conftest import canonical_assignment, evaluate, instances, selection_bits
 from faultres.circuit_model import (
     BITFLIP_COMPLEMENT,
     KIND_ARITY,
@@ -14,15 +13,13 @@ from faultres.circuit_model import (
     unroll,
 )
 from faultres.fault_encoder import (
-    IncompleteAssignment,
-    canonical_assignment,
     decode_fault_vector,
     decode_type,
     faulted_kind,
     gadget,
     golden_taps,
+    inputs_only_lowering,
     instrument,
-    selection_bits,
 )
 from faultres.formula import FormulaBuilder, ROLE_INPUT
 from faultres.fixtures import fixture_text
@@ -69,7 +66,7 @@ def eval_gadget(kind, types, data, c, b1=0, b2=0):
     node = gadget(fb, kind, types, ins, fb.var("c", "control"), sels)
     env = {f"in{i}": bool(bit) for i, bit in enumerate(data)}
     env.update({"c": bool(c), "b1": bool(b1), "b2": bool(b2)})
-    return int(fb.evaluate(node, env))
+    return int(evaluate(fb, node, env))
 
 
 def test_gadget_truth_tables_exhaustive():
@@ -148,7 +145,7 @@ def test_instrument_size_bound(rect_parity_unrolled):
         controlled = instrument(rect_parity_unrolled, locations, types)
         # every node of the formula DAG, inputs and constants included
         nodes = len(controlled.builder.kinds)
-        assert nodes <= 6 * len(types) * len(rect_parity_unrolled.instances)
+        assert nodes <= 6 * len(types) * len(instances(rect_parity_unrolled))
 
 
 def test_decode_examples(rect_parity_unrolled):
@@ -156,7 +153,8 @@ def test_decode_examples(rect_parity_unrolled):
                                 {"p1", "p2", "p3", "p4", "p5", "p6",
                                  "c1", "c2", "c3", "flag"}, "c")
     controlled = instrument(rect_parity_unrolled, locations, ALL)
-    base = {name: False for cv in controlled.control_map.values() for name in cv.names()}
+    base = {name: False for cv in controlled.control_map.values()
+            for name in (cv.c,) + cv.selections}
 
     inst = GateInstance(1, "s3")
     cv = controlled.control_map[inst]
@@ -171,13 +169,6 @@ def test_decode_examples(rect_parity_unrolled):
     assert decode_fault_vector(a, controlled) == FaultVector(
         [FaultEvent(inst, FaultType.RESET)])
     assert decode_fault_vector(base, controlled) == FaultVector([])
-
-
-def test_decode_incomplete_assignment(rect_parity_unrolled):
-    locations = fault_locations(rect_parity_unrolled, set(), "c")
-    controlled = instrument(rect_parity_unrolled, locations, ALL)
-    with pytest.raises(IncompleteAssignment):
-        decode_fault_vector({}, controlled)
 
 
 def test_roundtrip_vectors(rect_parity_unrolled):
@@ -215,7 +206,7 @@ def test_unrolled_formula_matches_sequential_run():
                     env[f"{name}@{cycle}"] = bool(rows[cycle - 1][pos])
             for cycle in range(1, k + 1):
                 for o in circuit.outputs:
-                    got = lowered.builder.evaluate(lowered.taps[(cycle, o)], env)
+                    got = evaluate(lowered.builder, lowered.taps[(cycle, o)], env)
                     assert int(got) == trace.outputs[cycle - 1][o]
 
 
@@ -245,22 +236,25 @@ def test_instrumented_circuit_simulates_every_fault_vector():
                         env[f"{name}@{cycle}"] = bool(rows[cycle - 1][pos])
                 for cycle in range(1, k + 1):
                     for o in circuit.outputs:
-                        got = controlled.builder.evaluate(
-                            controlled.taps[(cycle, o)], env)
+                        got = evaluate(controlled.builder,
+                                       controlled.taps[(cycle, o)], env)
                         assert int(got) == trace.outputs[cycle - 1][o], (
                             seed, vector, rows, cycle, o)
 
 
-def _reused_and_full_taps(u, locations, types=ALL):
-    """The golden taps built from the instrumented lowering, and the taps of a
-    full fault-free lowering made afterwards on the same builder."""
+def _golden_and_full_taps(u, locations, types=ALL):
+    """The golden taps built from the instrumented lowering and from a
+    separate golden circuit's lowering, and the taps of a full fault-free
+    lowering made afterwards, all on the instrumented circuit's builder."""
     controlled = instrument(u, locations, types)
-    reused = golden_taps(controlled.builder, controlled.lowering)
-    full = instrument(u, set(), types, builder=controlled.builder,
-                      input_vars=controlled.input_vars)
+    b, input_vars = controlled.builder, controlled.input_vars
+    golden = [golden_taps(b, controlled.lowering),
+              golden_taps(b, inputs_only_lowering(u.circuit, input_vars, u.k))]
+    full = instrument(u, set(), types, builder=b, input_vars=input_vars)
     data = [o for o in u.circuit.outputs if o != u.circuit.flag]
-    assert sorted(reused) == sorted((c, o) for c in range(1, u.k + 1) for o in data)
-    return controlled, reused, full.taps
+    for taps in golden:
+        assert sorted(taps) == sorted((c, o) for c in range(1, u.k + 1) for o in data)
+    return golden, full.taps
 
 
 # A flag-only copy of a data cone that comes first in topological order: the
@@ -272,7 +266,8 @@ COPY_FIRST = (".inputs a b c\n.outputs p flg\n.flag flg\n"
 
 
 def test_golden_taps_are_the_fault_free_lowering():
-    # The reused golden side names exactly the nodes a full fault-free
+    # The golden side, reused from the instrumented lowering or built for a
+    # separate golden circuit, names exactly the nodes a full fault-free
     # lowering on the same builder yields (hash-consing makes equal lowerings
     # the same node ids), over both fixtures, seeded random netlists, every
     # location class and k = 1..3.
@@ -289,8 +284,9 @@ def test_golden_taps_are_the_fault_free_lowering():
     cases.append((build_and_validate(parse_netlist(COPY_FIRST)), {"flg"}))
     for (circuit, blacklist), loc, k in itertools.product(cases, ("c", "r", "cr"), (1, 2, 3)):
         u = unroll(circuit, k)
-        _, reused, full = _reused_and_full_taps(u, fault_locations(u, blacklist, loc))
-        assert reused == {key: full[key] for key in reused}, (circuit.name, loc, k)
+        golden, full = _golden_and_full_taps(u, fault_locations(u, blacklist, loc))
+        for side, taps in zip(("reused", "separate"), golden):
+            assert taps == {key: full[key] for key in taps}, (side, circuit.name, loc, k)
 
 
 def _dup_and_compare(doc):

@@ -169,6 +169,16 @@ def test_config_schema_errors(rect_parity_doc):
     with pytest.raises(InvalidModel):
         parse_config('{"k":1,"model":{"ne":1,"nc":1,"types":["bf"],"location":"q"}}',
                      rect_parity_doc)
+    # Unhashable entries, and booleans where counts belong.
+    for model_raw in ('"ne":1,"nc":1,"types":[["bf"]]', '"ne":true,"nc":1,"types":["bf"]',
+                      '"ne":1,"nc":true,"types":["bf"]'):
+        with pytest.raises(InvalidModel):
+            parse_config('{"k":1,"model":{%s,"location":"c"}}' % model_raw,
+                         rect_parity_doc)
+    for blacklist in ('[["s1"]]', '[{"s1":1}]'):
+        with pytest.raises(SchemaError):
+            parse_config('{"k":1,"model":{"ne":1,"nc":1,"types":["bf"],"location":"c"},'
+                         '"blacklist":%s}' % blacklist, rect_parity_doc)
 
 
 def test_config_external_solver(rect_parity_doc):

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from conftest import max_epc, sharp_clk
 from faultres.circuit_model import (
     FaultResistanceModel,
     GateInstance,
@@ -86,7 +87,7 @@ def test_enumerate_types_and_keys_admissible():
     locs = [g(1, "a"), g(2, "b"), g(2, "c")]
     m = model(ne=2, nc=2, types=ALL)
     for v in enumerate_fault_vectors(locs, m):
-        assert v.max_epc <= 2 and v.sharp_clk <= 2
+        assert max_epc(v) <= 2 and sharp_clk(v) <= 2
         assert len({e.instance for e in v.events}) == len(v.events)
         assert all(e.fault_type in ALL for e in v.events)
 
@@ -103,6 +104,20 @@ def test_enumerate_budget():
     m = model(ne=3, nc=1, types=ALL)
     with pytest.raises(BudgetExceeded):
         list(enumerate_fault_vectors(locs, m, OracleBudget(max_vectors=100)))
+
+
+def test_brute_force_replay_failure_raises(rect_parity_unrolled, monkeypatch):
+    # The oracle re-checks each witness it finds; a replay that disagrees is
+    # an error, also under python -O.
+    import faultres.oracle
+    from faultres.oracle import OracleError
+    from faultres.simulator import EffectivenessResult
+
+    monkeypatch.setattr(faultres.oracle, "check_effectiveness",
+                        lambda unrolled, vector, inputs: EffectivenessResult(False))
+    with pytest.raises(OracleError, match="is not effective on replay") as info:
+        brute_force_verdict(rect_parity_unrolled, {"c1", "c2", "c3", "flag"}, model())
+    assert type(info.value) is OracleError
 
 
 def test_brute_force_rect_set_faults(rect_parity_unrolled):

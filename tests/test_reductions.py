@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import exit_groups
 from faultres.circuit_model import FaultResistanceModel, build_and_validate, unroll
 from faultres.netlist_io import ReductionFlags, parse_netlist
 from faultres.oracle import random_netlist
@@ -26,21 +27,19 @@ def model(ne=1, nc=1, types=ALL, loc="c"):
 
 
 def test_reduce_fault_types_all():
-    r = reduce_fault_types(model(types=ALL))
-    assert r.model.fault_types == BF
-    assert r.note is None
+    assert reduce_fault_types(model(types=ALL)) == model(types=BF)
 
 
 def test_reduce_fault_types_identity():
-    r = reduce_fault_types(model(ne=2, types=BF, loc="cr"))
-    assert r.model.fault_types == BF
-    assert r.note is not None
+    with pytest.raises(NotApplicable, match=r"^type set already \{bf\}$"):
+        reduce_fault_types(model(ne=2, types=BF, loc="cr"))
 
 
 def test_reduce_fault_types_not_applicable():
-    r = reduce_fault_types(model(types=S_ONLY))
-    assert r.model.fault_types == S_ONLY
-    assert r.note is not None
+    with pytest.raises(NotApplicable) as info:
+        reduce_fault_types(model(types=S_ONLY))
+    assert info.value.reason == (
+        "bf not in the allowed types; reduction would not preserve counterexamples")
 
 
 def test_single_successor_rect(rect_parity_unrolled):
@@ -68,44 +67,45 @@ def test_single_successor_not_applicable(rect_parity_unrolled):
 
 
 def test_single_exit_map_rect(rect_parity_unrolled):
-    em = single_exit_map(rect_parity_unrolled, PARITY_CHECK)
-    assert em.m2["p6"] == {"p1", "p2", "p3", "p4", "p5", "p6"}
-    assert em.m2["x"] == {"s8", "x"}
-    assert em.m2["w"] == {"s7", "w"}
-    assert em.m2["z"] == {"s4", "z"}
-    assert em.m2["s6"] == {"s5", "s6"}
+    m2 = exit_groups(single_exit_map(rect_parity_unrolled, PARITY_CHECK))
+    assert m2["p6"] == {"p1", "p2", "p3", "p4", "p5", "p6"}
+    assert m2["x"] == {"s8", "x"}
+    assert m2["w"] == {"s7", "w"}
+    assert m2["z"] == {"s4", "z"}
+    assert m2["s6"] == {"s5", "s6"}
     for gate in ["s1", "s2", "s3", "y", "c1", "c2", "c3", "flag"]:
-        assert em.m2[gate] == {gate}
+        assert m2[gate] == {gate}
 
 
 def test_single_exit_map_partition(rect_parity_unrolled):
-    em = single_exit_map(rect_parity_unrolled, PARITY_CHECK)
+    exit_of = single_exit_map(rect_parity_unrolled, PARITY_CHECK)
+    m2 = exit_groups(exit_of)
     seen = []
-    for members in em.m2.values():
+    for members in m2.values():
         seen.extend(members)
     assert len(seen) == len(set(seen)) == 22
-    for exit_, members in em.m2.items():
+    for exit_, members in m2.items():
         assert exit_ in members
         for g in members:
-            assert em.m1[g] == exit_
+            assert exit_of[g] == exit_
 
 
 def test_single_exit_chain_to_output():
     text = (".inputs i j\n.outputs c\ngate a = and(i, j)\ngate b = not(a)\n"
             "gate c = not(b)\n")
     u = unroll(build_and_validate(parse_netlist(text)), 1)
-    em = single_exit_map(u, set())
-    assert em.m2["c"] == {"a", "b", "c"}
+    assert exit_groups(single_exit_map(u, set()))["c"] == {"a", "b", "c"}
 
 
 def test_single_exit_register_feeder_is_own_exit():
     text = (".inputs i\n.outputs o\n.reg r init=0\ngate g = not(i)\n"
             "gate o = xor(r, i)\nnext r = g\n")
     u = unroll(build_and_validate(parse_netlist(text)), 2)
-    em = single_exit_map(u, set())
-    assert em.m2["g"] == {"g"}
+    exit_of = single_exit_map(u, set())
+    m2 = exit_groups(exit_of)
+    assert m2["g"] == {"g"}
     # register reads are their own exits and never merge downstream
-    assert em.m2["r"] == {"r"} and em.m1["r"] == "r"
+    assert m2["r"] == {"r"} and exit_of["r"] == "r"
 
 
 def test_aggressive_rect(rect_parity_unrolled):

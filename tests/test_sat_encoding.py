@@ -8,13 +8,14 @@ import sys
 
 import pytest
 
+from conftest import canonical_assignment, evaluate, formula_holds
 from faultres.circuit_model import (
     FaultResistanceModel,
     build_and_validate,
     fault_locations,
     unroll,
 )
-from faultres.fault_encoder import canonical_assignment, instrument, make_input_vars
+from faultres.fault_encoder import instrument, make_input_vars
 from faultres.formula import (
     ROLE_INPUT,
     BoolFormula,
@@ -70,7 +71,7 @@ def clauses_extendable_solver(clauses, num_vars, n_fixed, bits):
     """Same question decided with the CDCL solver (itself verified against
     truth tables elsewhere): fix vars 1..n_fixed with unit clauses, solve."""
     units = [[v if bits[v - 1] else -v] for v in range(1, n_fixed + 1)]
-    return CdclSolver(num_vars, clauses + units).solve().is_sat
+    return CdclSolver(num_vars, clauses + units).solve().status == "sat"
 
 
 def test_at_most_k_exact_small():
@@ -163,7 +164,7 @@ def random_formula(fb, rng, names, depth):
 
 def truth_table_satisfiable(fb, root, names):
     for bits in itertools.product((False, True), repeat=len(names)):
-        if fb.evaluate(root, dict(zip(names, bits))):
+        if evaluate(fb, root, dict(zip(names, bits))):
             return True
     return False
 
@@ -180,7 +181,7 @@ def test_tseitin_equisatisfiable_family():
         root = random_formula(fb, rng, names, depth=4)
         cnf = tseitin_cnf(BoolFormula(fb, root))
         want = truth_table_satisfiable(fb, root, names)
-        got = solve_cnf(cnf).is_sat
+        got = solve_cnf(cnf).status == "sat"
         assert got == want
         agree += 1
     assert agree == 220
@@ -192,7 +193,7 @@ def test_tseitin_constant_false_root():
     root = fb.and_(a, fb.not_(a))  # folds to const false
     cnf = tseitin_cnf(BoolFormula(fb, root))
     assert [] in cnf.clauses
-    assert solve_cnf(cnf).is_unsat
+    assert solve_cnf(cnf).status == "unsat"
 
 
 def test_tseitin_model_respects_formula():
@@ -202,9 +203,9 @@ def test_tseitin_model_respects_formula():
     formula = BoolFormula(fb, root)
     cnf = tseitin_cnf(formula)
     res = solve_cnf(cnf)
-    assert res.is_sat
+    assert res.status == "sat"
     env = {name: res.model[idx] for name, idx in cnf.var_index.items()}
-    assert fb.evaluate(root, env)
+    assert evaluate(fb, root, env)
 
 
 def test_emit_dimacs_exact():
@@ -230,10 +231,10 @@ def test_emit_dimacs_header_matches_body(rect_parity, zeta_1_1_all_c):
 
 
 def test_builtin_solver_basics():
-    assert solve_cnf(_cnf(1, [[1], [-1]])).is_unsat
+    assert solve_cnf(_cnf(1, [[1], [-1]])).status == "unsat"
     res = solve_cnf(_cnf(2, [[1, 2]]))
-    assert res.is_sat and (res.model[1] or res.model[2])
-    assert solve_cnf(_cnf(0, [[]])).is_unsat
+    assert res.status == "sat" and (res.model[1] or res.model[2])
+    assert solve_cnf(_cnf(0, [[]])).status == "unsat"
 
 
 def _model_digest(model):
@@ -245,7 +246,7 @@ def _model_digest(model):
 
 def _search(num_vars, clauses):
     res = CdclSolver(num_vars, clauses).solve()
-    digest = _model_digest(res.model) if res.is_sat else None
+    digest = _model_digest(res.model) if res.status == "sat" else None
     return (res.status, res.conflicts, res.decisions, digest)
 
 
@@ -304,11 +305,11 @@ def test_builtin_solver_search_pinned_on_random_3sat():
 
 def test_builtin_solver_counters():
     res = CdclSolver(3, [[1, 2], [1, -2], [-1, 3], [-1, -3]]).solve()
-    assert res.is_unsat
+    assert res.status == "unsat"
     assert (res.decisions, res.conflicts, res.restarts, res.learnt) == (1, 2, 0, 0)
     # An empty clause decides the answer before any search.
     res = CdclSolver(4, [[1, 2], [], [3]]).solve()
-    assert res.is_unsat
+    assert res.status == "unsat"
     assert (res.decisions, res.conflicts, res.restarts, res.learnt) == (0, 0, 0, 0)
 
 
@@ -332,8 +333,8 @@ def test_builtin_solver_random_vs_bruteforce():
             all(any((bits[abs(l) - 1]) == (l > 0) for l in cl) for cl in clauses)
             for bits in itertools.product((False, True), repeat=n))
         res = CdclSolver(n, clauses).solve()
-        assert res.is_sat == want
-        if res.is_sat:
+        assert (res.status == "sat") == want
+        if res.status == "sat":
             assert all(any(res.model[abs(l)] == (l > 0) for l in cl) for cl in clauses)
 
 
@@ -357,7 +358,7 @@ def test_builtin_solver_phase_transition_stress():
             all(any((bits[abs(l) - 1]) == (l > 0) for l in cl) for cl in clauses)
             for bits in itertools.product((False, True), repeat=n))
         res = CdclSolver(n, clauses).solve()
-        assert res.is_sat == want
+        assert (res.status == "sat") == want
         if want:
             sat_seen += 1
             assert all(any(res.model[abs(l)] == (l > 0) for l in cl)
@@ -383,7 +384,7 @@ for line in open(sys.argv[1]):
     lits = [int(t) for t in line.split()]
     clauses.append([l for l in lits if l != 0])
 res = solve_builtin(CNF(num_vars, clauses, {{}}, {{}}))
-if res.is_sat:
+if res.status == "sat":
     print("s SATISFIABLE")
     print("v " + " ".join(str(v if res.model[v] else -v)
                           for v in range(1, num_vars + 1)) + " 0")
@@ -402,9 +403,9 @@ def stub_solver(tmp_path):
 
 
 def test_external_solver_roundtrip(stub_solver):
-    assert solve_cnf(_cnf(1, [[1], [-1]]), stub_solver).is_unsat
+    assert solve_cnf(_cnf(1, [[1], [-1]]), stub_solver).status == "unsat"
     res = solve_cnf(_cnf(2, [[1, 2], [-1]]), stub_solver)
-    assert res.is_sat and res.model[2] and not res.model[1]
+    assert res.status == "sat" and res.model[2] and not res.model[1]
 
 
 def test_external_solver_bad_exit(tmp_path):
@@ -516,7 +517,7 @@ def test_formula_matches_effectiveness_semantics():
                     for pos, name in enumerate(circuit.inputs):
                         env[f"{name}@{cycle}"] = bool(rows[cycle - 1][pos])
                 want = check_effectiveness(u, vector, rows).effective
-                assert formula.evaluate(env) == want, (seed, vector, rows)
+                assert formula_holds(formula, env) == want, (seed, vector, rows)
 
 
 def test_verify_counterexample_reconfirms(rect_parity, zeta_1_1_all_c):
@@ -606,6 +607,23 @@ def test_verify_golden_disagreeing_without_faults(rect_parity, zeta_1_1_all_c):
     assert str(info.value) == (
         "golden circuit disagrees with the protected circuit without faults: "
         "inputs 0000, cycle 1, output 'x' is 0 in the golden circuit and 1 in "
+        "the protected one")
+
+
+def test_verify_golden_reads_inputs_by_name():
+    # The golden circuit declares the shared inputs in the other order and
+    # computes o = b where the protected circuit computes o = a.  With the
+    # only gate blacklisted, the miter is satisfiable without a fault, and the
+    # replay check must feed the golden circuit its inputs by name.
+    prot = build_and_validate(parse_netlist(".inputs a b\n.outputs o\ngate o = buf(a)\n"))
+    gold = build_and_validate(parse_netlist(".inputs b a\n.outputs o\ngate o = buf(b)\n"))
+    cfg = VerificationConfig(1, FaultResistanceModel(1, 1, frozenset(ALL), "c"),
+                             frozenset({"o"}), ReductionFlags(), ("builtin",))
+    with pytest.raises(GoldenDisagrees) as info:
+        verify(prot, cfg, golden=gold)
+    assert str(info.value) == (
+        "golden circuit disagrees with the protected circuit without faults: "
+        "inputs 01, cycle 1, output 'o' is 1 in the golden circuit and 0 in "
         "the protected one")
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import SBOX, SBOX_FAULTY, input_bits
+from conftest import SBOX, SBOX_FAULTY, input_bits, max_epc, sharp_clk
 from faultres.circuit_model import BITFLIP_COMPLEMENT, GateInstance, GateKind, build_and_validate, unroll
 from faultres.netlist_io import parse_netlist
 from faultres.oracle import random_netlist
@@ -89,8 +89,8 @@ def test_vector_stats():
         FaultEvent(GateInstance(1, "b"), FaultType.SET),
         FaultEvent(GateInstance(2, "a"), FaultType.BITFLIP),
     ])
-    assert v.sharp_clk == 2
-    assert v.max_epc == 2
+    assert sharp_clk(v) == 2
+    assert max_epc(v) == 2
 
 
 def test_run_trace_shape_errors(rect_parity_unrolled):
