@@ -190,6 +190,9 @@ class BoolFormula:
     builder: FormulaBuilder
     root: int
     cardinality: list = field(default_factory=list)
+    # Nodes whose disjunction the root implies, in the order a solver should
+    # try them; empty when the formula has no such split.
+    disjuncts: tuple = ()
 
 
 @dataclass
@@ -198,6 +201,9 @@ class CNF:
     clauses: list
     var_index: dict        # formula variable name -> CNF index
     roles: dict            # formula variable name -> role
+    # Literals of the formula's disjuncts, a search hint for the built-in
+    # solver; never written to DIMACS.
+    disjuncts: tuple = ()
 
 
 def at_most_k(literals, k, first_aux):
@@ -245,7 +251,12 @@ def at_most_k(literals, k, first_aux):
 def tseitin_cnf(formula: BoolFormula) -> CNF:
     """Equisatisfiable CNF with deterministic variable numbering: primary
     inputs, controls, selections, d auxiliaries, then Tseitin variables in
-    first-use order, then cardinality counters."""
+    first-use order, then cardinality counters.
+
+    ``CNF.disjuncts`` holds the literals of the formula's disjuncts, in
+    order, without constant-false or repeated nodes.  It is empty when fewer
+    than two remain, or when one has no literal because it folded to true or
+    their disjunction did and left it out of the formula."""
 
     b = formula.builder
     var_index, roles = {}, {}
@@ -331,7 +342,13 @@ def tseitin_cnf(formula: BoolFormula) -> CNF:
         next_var += len(aux)
         clauses.extend(extra)
 
-    return CNF(num_vars=next_var - 1, clauses=clauses, var_index=var_index, roles=roles)
+    live = [n for n in dict.fromkeys(formula.disjuncts) if n != b.false]
+    disjuncts = ()
+    if len(live) >= 2 and all(n in lit_of for n in live):
+        disjuncts = tuple(lit_of[n] for n in live)
+
+    return CNF(num_vars=next_var - 1, clauses=clauses, var_index=var_index, roles=roles,
+               disjuncts=disjuncts)
 
 
 def emit_dimacs(cnf: CNF):

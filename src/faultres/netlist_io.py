@@ -357,11 +357,10 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
     unknown = set(red_raw) - {"fault_type", "single_successor", "single_exit"}
     if unknown:
         raise SchemaError(f"unknown reduction flags: {sorted(unknown)}")
-    reductions = ReductionFlags(
-        fault_type=bool(red_raw.get("fault_type", True)),
-        single_successor=bool(red_raw.get("single_successor", True)),
-        single_exit=bool(red_raw.get("single_exit", False)),
-    )
+    for name, value in red_raw.items():
+        if not isinstance(value, bool):
+            raise SchemaError(f"reduction flag {name!r} must be true or false")
+    reductions = ReductionFlags(**red_raw)
 
     solver = raw.get("solver", "builtin")
     if solver == "builtin":

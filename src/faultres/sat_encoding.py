@@ -107,7 +107,8 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
     """Miter of the golden circuit against the instrumented one over shared
     primary inputs, with the flag-silence conjunct and cardinality bounds.
     Bounds that cannot bind (n_c >= k, n_e >= controls in a cycle) are left
-    out entirely."""
+    out entirely.  The root's disjuncts, one per cycle and data output in
+    cycle-major order, are kept on the formula for the built-in solver."""
 
     b = controlled.builder
     if golden.k != controlled.k:
@@ -167,7 +168,8 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
             conjuncts = []
 
     root = b.and_many(conjuncts + [root])
-    return BoolFormula(builder=b, root=root, cardinality=cardinality)
+    return BoolFormula(builder=b, root=root, cardinality=cardinality,
+                       disjuncts=tuple(disjuncts))
 
 
 @dataclass
@@ -237,10 +239,11 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
            solver=None) -> Verdict:
     """Decide fault-resistance of ``circuit`` under ``config``.  Unsat means
     resistant; a model is decoded and replay-confirmed on the simulator before
-    being reported.  A failed replay raises GoldenDisagrees when ``golden``
-    and ``circuit`` differ without faults on the decoded inputs, and
-    InternalEncodingError otherwise.  A solver that decides neither way
-    raises SolverUndecided."""
+    being reported.  With ``golden``, every model is first checked for a
+    golden circuit that differs from ``circuit`` without faults on the
+    decoded inputs, which raises GoldenDisagrees.  A failed replay raises
+    InternalEncodingError.  A solver that decides neither way raises
+    SolverUndecided."""
 
     problem = encode_problem(circuit, config, golden)
     backend = solver if solver is not None else config.solver
@@ -275,15 +278,13 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
              for name, idx in problem.cnf.var_index.items()}
     vector = decode_fault_vector(named, problem.controlled)
     inputs = _decode_inputs(result.model, problem.cnf, circuit, config.unroll_k)
-    replay = (check_effectiveness(problem.protected_unrolled, vector, inputs)
-              if len(vector) else None)
-    if replay is None or not replay.effective:
-        if golden is not None:
-            _check_golden_agrees(unroll(golden, config.unroll_k),
-                                 problem.protected_unrolled, inputs)
-        if replay is None:
-            raise InternalEncodingError(
-                "satisfying assignment decodes to an empty fault vector")
+    if golden is not None:
+        _check_golden_agrees(unroll(golden, config.unroll_k),
+                             problem.protected_unrolled, inputs)
+    if not len(vector):
+        raise InternalEncodingError("satisfying assignment decodes to an empty fault vector")
+    replay = check_effectiveness(problem.protected_unrolled, vector, inputs)
+    if not replay.effective:
         raise InternalEncodingError(
             f"replay of decoded counterexample is not effective: {vector!r} on {inputs}")
     return Verdict(

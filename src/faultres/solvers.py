@@ -34,6 +34,11 @@ class SolverUndecided(SolverError):
         self.reason = reason
 
 
+# CdclSolver.solve's status for "unsatisfiable under the assumptions";
+# solve_builtin never returns it.
+REFUTED = "refuted"
+
+
 @dataclass(frozen=True)
 class SatResult:
     status: str  # "sat" | "unsat" | "unknown"
@@ -62,9 +67,18 @@ class CdclSolver:
 
     Literal values sit in one list indexed by literal (``-v`` indexes from
     the end): True, False, or None while unassigned.  Watch lists are
-    indexed the same way.  ``decisions``, ``conflicts`` (the final one at
-    level 0 included), ``restarts`` and ``learnt`` (learnt clauses of two or
-    more literals, the ones stored) count search events."""
+    indexed the same way.
+
+    The solver is incremental.  ``solve(assumptions)`` decides the
+    assumption literals first, one per decision level, and answers
+    ``REFUTED`` when one of them turns false.  Learnt clauses, activities
+    and the level-0 assignments carry over from call to call.  A call with
+    a single assumption is refuted only once the assumption is false at
+    level 0, so its negation stays asserted for every later call.
+    Assumption levels are not counted as decisions.  ``decisions``,
+    ``conflicts`` (the final one at level 0 included), ``restarts`` and
+    ``learnt`` (learnt clauses of two or more literals, the ones stored)
+    count search events and add up across calls."""
 
     def __init__(self, num_vars, clauses):
         """``clauses`` is a list of literal sequences over variables
@@ -232,12 +246,19 @@ class CdclSolver:
                          conflicts=self.conflicts, restarts=self.restarts,
                          learnt=self.learnt)
 
-    def solve(self) -> SatResult:
+    def solve(self, assumptions=()) -> SatResult:
+        """Decide the clauses with every literal of ``assumptions`` held
+        true.  ``REFUTED`` means unsatisfiable under the assumptions, and
+        perhaps not without them; ``unsat`` means unsatisfiable outright,
+        and every later call answers the same.  Each call starts again from
+        decision level 0."""
         if self.unsat:
             return self._result("unsat")
+        self._backjump(0)
         val = self.val
         for u in self.units:
             if val[u] is False:
+                self.unsat = True
                 return self._result("unsat")
             if val[u] is None:
                 self._enqueue(u, None)
@@ -248,6 +269,7 @@ class CdclSolver:
             if conflict is not None:
                 self.conflicts += 1
                 if not self.trail_lim:
+                    self.unsat = True
                     return self._result("unsat")
                 since_restart += 1
                 self.act_inc *= 1.05
@@ -272,6 +294,15 @@ class CdclSolver:
                     # learnt at level 0, which then is never propagated.
                     # Fixing that changes the search the pinned tests record.
                     self._backjump(0)
+            elif len(self.trail_lim) < len(assumptions):
+                # Assumption i is decided at level i + 1; one that already
+                # holds gets an empty level, so the numbering stays aligned.
+                lit = assumptions[len(self.trail_lim)]
+                if val[lit] is False:
+                    return self._result(REFUTED)
+                self.trail_lim.append(len(self.trail))
+                if val[lit] is None:
+                    self._enqueue(lit, None)
             else:
                 var = self._decide()
                 if var == 0:
@@ -283,7 +314,17 @@ class CdclSolver:
 
 
 def solve_builtin(cnf: CNF) -> SatResult:
-    return CdclSolver(cnf.num_vars, cnf.clauses).solve()
+    """Solve ``cnf`` one disjunct at a time in one solver: assume each of
+    ``cnf.disjuncts`` in turn, and return the first model or the first
+    conflict at level 0.  A refuted disjunct leaves its negation asserted at
+    level 0 for the calls after it.  The last call, without assumptions,
+    decides the clauses as given.  The counters add up across the calls."""
+    solver = CdclSolver(cnf.num_vars, cnf.clauses)
+    for d in cnf.disjuncts:
+        result = solver.solve([d])
+        if result.status != REFUTED:
+            return result
+    return solver.solve()
 
 
 def solve_external(cnf: CNF, argv) -> SatResult:

@@ -179,6 +179,11 @@ def test_config_schema_errors(rect_parity_doc):
         with pytest.raises(SchemaError):
             parse_config('{"k":1,"model":{"ne":1,"nc":1,"types":["bf"],"location":"c"},'
                          '"blacklist":%s}' % blacklist, rect_parity_doc)
+    # Reduction flags are JSON booleans; "false" must not read as true.
+    for flag in ('"false"', '0', 'null'):
+        with pytest.raises(SchemaError, match="single_exit"):
+            parse_config('{"k":1,"model":{"ne":1,"nc":1,"types":["bf"],"location":"c"},'
+                         '"reductions":{"single_exit":%s}}' % flag, rect_parity_doc)
 
 
 def test_config_external_solver(rect_parity_doc):

@@ -17,6 +17,7 @@ from faultres.circuit_model import (
 )
 from faultres.fault_encoder import instrument, make_input_vars
 from faultres.formula import (
+    ROLE_CONTROL,
     ROLE_INPUT,
     BoolFormula,
     FormulaBuilder,
@@ -40,7 +41,7 @@ from faultres.sat_encoding import (
     verify,
 )
 from faultres.simulator import FaultType, FaultVector, check_effectiveness
-from faultres.solvers import CdclSolver, SolverUndecided, solve_cnf
+from faultres.solvers import REFUTED, CdclSolver, SolverUndecided, solve_cnf
 
 ALL = (FaultType.SET, FaultType.RESET, FaultType.BITFLIP)
 
@@ -196,6 +197,53 @@ def test_tseitin_constant_false_root():
     assert solve_cnf(cnf).status == "unsat"
 
 
+def test_tseitin_disjuncts():
+    fb = FormulaBuilder()
+    x, y, z = (fb.var(n, ROLE_INPUT) for n in "xyz")
+    dx, dy = fb.and_(x, y), fb.and_(y, z)
+    # Postorder numbering after the inputs 1..3: dx = 4, dy = 5, root = 6.
+    cnf = tseitin_cnf(BoolFormula(fb, fb.or_(dx, dy),
+                                  disjuncts=(dx, fb.false, dy, dx)))
+    assert cnf.disjuncts == (4, 5)
+    # A negated node maps to a negative literal.
+    cnf = tseitin_cnf(BoolFormula(fb, fb.or_(fb.not_(x), dy),
+                                  disjuncts=(fb.not_(x), dy)))
+    assert cnf.disjuncts == (-1, 4)
+    # Fewer than two live disjuncts, or one that folded to true: no split.
+    for disjuncts in ((dx, fb.false), (dx, dx), (dx, fb.true)):
+        root = fb.or_many(disjuncts)
+        assert tseitin_cnf(BoolFormula(fb, root, disjuncts=disjuncts)).disjuncts == ()
+    # The disjunction folds to true and leaves x out of the formula.
+    root = fb.and_(fb.or_(x, fb.not_(x)), dy)
+    assert tseitin_cnf(BoolFormula(fb, root, disjuncts=(x, fb.not_(x)))).disjuncts == ()
+
+
+def test_split_solve_on_random_disjunctions():
+    # Roots of the miter's shape, a conjunction with a disjunction, with
+    # constant, repeated and negated disjuncts: the split agrees with the
+    # truth table, and every model satisfies the formula.
+    rng = random.Random(4242)
+    names = ["v1", "v2", "v3", "v4", "v5"]
+    split = 0
+    for _ in range(200):
+        fb = FormulaBuilder()
+        for n in names:
+            fb.var(n, ROLE_INPUT)
+        disjuncts = [random_formula(fb, rng, names, depth=3)
+                     for _ in range(rng.randint(1, 5))]
+        disjuncts += rng.sample(disjuncts + [fb.false], rng.randint(0, 2))
+        root = fb.and_(random_formula(fb, rng, names, depth=2), fb.or_many(disjuncts))
+        formula = BoolFormula(fb, root, disjuncts=tuple(disjuncts))
+        cnf = tseitin_cnf(formula)
+        split += bool(cnf.disjuncts)
+        res = solve_cnf(cnf)
+        assert (res.status == "sat") == truth_table_satisfiable(fb, root, names)
+        if res.status == "sat":
+            env = {name: res.model[idx] for name, idx in cnf.var_index.items()}
+            assert evaluate(fb, root, env)
+    assert split > 100
+
+
 def test_tseitin_model_respects_formula():
     fb = FormulaBuilder()
     a, b, c = (fb.var(n, ROLE_INPUT) for n in "abc")
@@ -319,6 +367,12 @@ def _cnf(num_vars, clauses):
     return CNF(num_vars=num_vars, clauses=clauses, var_index={}, roles={})
 
 
+def _satisfiable(n, clauses):
+    return any(
+        all(any(bits[abs(l) - 1] == (l > 0) for l in cl) for cl in clauses)
+        for bits in itertools.product((False, True), repeat=n))
+
+
 def test_builtin_solver_random_vs_bruteforce():
     rng = random.Random(99)
     for _ in range(150):
@@ -329,9 +383,7 @@ def test_builtin_solver_random_vs_bruteforce():
             width = rng.randint(1, 3)
             clause = [rng.choice([1, -1]) * rng.randint(1, n) for _ in range(width)]
             clauses.append(clause)
-        want = any(
-            all(any((bits[abs(l) - 1]) == (l > 0) for l in cl) for cl in clauses)
-            for bits in itertools.product((False, True), repeat=n))
+        want = _satisfiable(n, clauses)
         res = CdclSolver(n, clauses).solve()
         assert (res.status == "sat") == want
         if res.status == "sat":
@@ -354,9 +406,7 @@ def test_builtin_solver_phase_transition_stress():
             if rng.random() < 0.05:
                 lits.append(-lits[0])      # tautology
             clauses.append(lits)
-        want = any(
-            all(any((bits[abs(l) - 1]) == (l > 0) for l in cl) for cl in clauses)
-            for bits in itertools.product((False, True), repeat=n))
+        want = _satisfiable(n, clauses)
         res = CdclSolver(n, clauses).solve()
         assert (res.status == "sat") == want
         if want:
@@ -366,6 +416,72 @@ def test_builtin_solver_phase_transition_stress():
         else:
             unsat_seen += 1
     assert sat_seen > 20 and unsat_seen > 20
+
+
+def _random_3sat(rng, n):
+    return [[rng.choice([1, -1]) * rng.randint(1, n) for _ in range(3)]
+            for _ in range(round(rng.uniform(3.0, 5.0) * n))]
+
+
+def _check_under_assumptions(res, n, clauses, assumptions):
+    """``res`` answers the clauses under the assumptions correctly: a model
+    of both, or a refutation when brute force finds none, and ``unsat`` only
+    when the clauses alone have no model."""
+    if _satisfiable(n, clauses + [[a] for a in assumptions]):
+        assert res.status == "sat"
+        assert all(any(res.model[abs(l)] == (l > 0) for l in cl)
+                   for cl in clauses + [[a] for a in assumptions])
+    else:
+        assert res.status in (REFUTED, "unsat")
+        if res.status == "unsat":
+            assert not _satisfiable(n, clauses)
+
+
+def test_builtin_solver_assumptions_vs_bruteforce():
+    # Repeated and complementary assumptions included.
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(3, 9)
+        clauses = _random_3sat(rng, n)
+        assumptions = [rng.choice([1, -1]) * rng.randint(1, n)
+                       for _ in range(rng.randint(0, 4))]
+        res = CdclSolver(n, clauses).solve(assumptions)
+        _check_under_assumptions(res, n, clauses, assumptions)
+        seen.add(res.status)
+    assert seen == {"sat", "unsat", REFUTED}
+
+
+def test_builtin_solver_assumption_sequence_stays_sound():
+    # One solver, many calls with one assumption each, as solve_builtin
+    # makes them.  A refutation leaves the negated assumption asserted at
+    # level 0: assuming it again is refuted before any search.  Learnt
+    # clauses carried between calls must never cut a model, and the
+    # counters only grow.
+    rng = random.Random(57)
+    refuted = 0
+    for _ in range(150):
+        n = rng.randint(4, 8)
+        clauses = _random_3sat(rng, n)
+        solver = CdclSolver(n, clauses)
+        counters = (0, 0, 0, 0)
+        for _ in range(rng.randint(1, 6)):
+            assumption = rng.choice([1, -1]) * rng.randint(1, n)
+            res = solver.solve([assumption])
+            _check_under_assumptions(res, n, clauses, [assumption])
+            now = (res.decisions, res.conflicts, res.restarts, res.learnt)
+            assert all(a <= b for a, b in zip(counters, now))
+            counters = now
+            if res.status == REFUTED:
+                refuted += 1
+                again = solver.solve([assumption])
+                assert again.status == REFUTED
+                assert (again.decisions, again.conflicts) == now[:2]
+        res = solver.solve()
+        assert (res.status == "sat") == _satisfiable(n, clauses)
+        if res.status == "sat":
+            assert all(any(res.model[abs(l)] == (l > 0) for l in cl) for cl in clauses)
+    assert refuted > 50
 
 
 SOLVER_STUB = """#!{python}
@@ -627,6 +743,23 @@ def test_verify_golden_reads_inputs_by_name():
         "the protected one")
 
 
+def test_verify_golden_checked_when_replay_is_effective(monkeypatch):
+    # The golden circuit computes o2 = not(a), so it disagrees on every
+    # input.  The solver answers with a bit-flip on o1, which the replay
+    # confirms; the golden check must still run and report the disagreement.
+    prot = build_and_validate(parse_netlist(
+        ".inputs a\n.outputs o1 o2\ngate o1 = buf(a)\ngate o2 = buf(a)\n"))
+    gold = build_and_validate(parse_netlist(
+        ".inputs a\n.outputs o1 o2\ngate o1 = buf(a)\ngate o2 = not(a)\n"))
+    cfg = VerificationConfig(1, FaultResistanceModel(1, 1, frozenset({FaultType.BITFLIP}), "c"),
+                             frozenset({"o2"}), ReductionFlags(), ("stub-solver",))
+    cnf = encode_problem(prot, cfg, gold).cnf
+    (control,) = [i for name, i in cnf.var_index.items() if cnf.roles[name] == ROLE_CONTROL]
+    _capturing_solver(monkeypatch, extra=[[control]])
+    with pytest.raises(GoldenDisagrees, match="output 'o2'"):
+        verify(prot, cfg, golden=gold)
+
+
 def test_verify_empty_vector_with_agreeing_golden_is_internal(
         rect_parity, zeta_1_1_all_c, monkeypatch):
     # A golden circuit that agrees without faults leaves an empty decoded
@@ -660,6 +793,77 @@ def test_verify_agrees_with_oracle_under_blacklists():
                 cfg = VerificationConfig(k, model, blacklist, flags, ("builtin",))
                 assert verify(circuit, cfg).status == brute.status, (
                     seed, k, ne, nc, loc, sorted(blacklist), flags)
+
+
+def _capturing_solver(monkeypatch, extra=()):
+    """Stand in for an external solver process: record the DIMACS bytes it
+    is handed and answer with a plain solve of the clauses they hold, plus
+    the ``extra`` clauses."""
+    import subprocess
+
+    import faultres.solvers
+
+    received = []
+
+    def run(argv, **kwargs):
+        with open(argv[-1], "rb") as f:
+            data = f.read()
+        received.append(data)
+        lines = data.decode().splitlines()
+        num_vars = int(lines[0].split()[2])
+        clauses = [[int(t) for t in line.split()[:-1]] for line in lines[1:]]
+        res = CdclSolver(num_vars, clauses + list(extra)).solve()
+        if res.status == "unsat":
+            return subprocess.CompletedProcess(argv, 20, "s UNSATISFIABLE\n", "")
+        model = " ".join(str(v if res.model[v] else -v) for v in range(1, num_vars + 1))
+        return subprocess.CompletedProcess(argv, 10, f"v {model} 0\n", "")
+
+    monkeypatch.setattr(faultres.solvers.subprocess, "run", run)
+    return received
+
+
+def test_split_solve_agrees_with_plain_solve(monkeypatch):
+    # Both fixtures, then 30 random netlists with and without a flag over
+    # every location class and k = 1..3.  The disjunct-by-disjunct solve
+    # must give the status of one plain solve, every counterexample must
+    # replay, and an external solver must get the plain DIMACS text.
+    received = _capturing_solver(monkeypatch)
+    cases = []
+    for nl, cfg in (("rect_parity.nl", "zeta_1_1_all_c.json"),
+                    ("rect_parity.nl", "zeta_1_1_all_c_parity.json"),
+                    ("rect_revised.nl", "zeta_1_1_all_c.json"),
+                    ("rect_revised.nl", "zeta_1_1_all_c_parity.json")):
+        doc = parse_netlist(fixture_text(nl))
+        cases.append((build_and_validate(doc), parse_config(fixture_text(cfg), doc)))
+    for seed in range(30):
+        for with_flag in (True, False):
+            doc = random_netlist(seed, max_gates=8, max_regs=2, num_inputs=3,
+                                 with_flag=with_flag).doc
+            circuit = build_and_validate(doc)
+            for loc in ("c", "r", "cr"):
+                for k in (1, 2, 3):
+                    model = FaultResistanceModel(1, 1, frozenset(ALL), loc)
+                    cases.append((circuit, VerificationConfig(
+                        k, model, frozenset(), ReductionFlags(), ("builtin",))))
+    split = 0
+    seen = set()
+    for circuit, cfg in cases:
+        verdict = verify(circuit, cfg)
+        cnf = verdict.cnf
+        plain = CdclSolver(cnf.num_vars, cnf.clauses).solve().status
+        assert solve_cnf(cnf).status == plain
+        assert verdict.status == {"unsat": "resistant", "sat": "not_resistant"}[plain]
+        if verdict.counterexample is not None:
+            cx = verdict.counterexample
+            replay = check_effectiveness(unroll(circuit, cfg.unroll_k),
+                                         cx.fault_vector, cx.inputs)
+            assert replay.effective
+        external = verify(circuit, cfg, solver=("stub-solver",))
+        assert external.status == verdict.status
+        assert received.pop() == emit_dimacs(cnf)[0].encode()
+        split += bool(cnf.disjuncts)
+        seen.add(verdict.status)
+    assert split > len(cases) // 2 and seen == {"resistant", "not_resistant"}
 
 
 def test_encoding_size_polynomial():
