@@ -144,6 +144,8 @@ def _print_verdict(verdict, out=None):
     out = out if out is not None else sys.stdout
     if verdict.is_resistant:
         print("RESISTANT: no admissible fault vector is effective", file=out)
+        if any(r.name == "unobservable" for r in verdict.stats.reductions_applied):
+            print("  no vulnerable gate reaches a data output within k cycles", file=out)
     else:
         c = verdict.counterexample
         events = ", ".join(f"{e.instance.label}:{e.fault_type.token}" for e in c.fault_vector)

@@ -1,10 +1,14 @@
 """Verdict-preserving shrinking of the fault-type set and the vulnerable-gate
 set, applied before encoding.
 
-Both gate reductions rest on the same observation: if every path out of a
-gate (or a whole sub-circuit) is funneled through a single downstream logic
-gate, a fault inside is either absorbed or indistinguishable from one fault
-on that exit gate, so the inner gates need no control variables of their own.
+Both optional gate reductions rest on the same observation: if every path
+out of a gate (or a whole sub-circuit) is funneled through a single
+downstream logic gate, a fault inside is either absorbed or
+indistinguishable from one fault on that exit gate, so the inner gates need
+no control variables of their own.  The unobservable reduction always runs
+last: when no vulnerable gate can reach a data output at all, every
+vulnerable gate and register is dropped and the circuit is resistant
+without a miter.
 """
 
 from __future__ import annotations
@@ -126,12 +130,63 @@ def aggressive_blacklist(exit_of: dict, blacklist, model) -> set:
     return {g for g, exit_ in exit_of.items() if g != exit_} - set(blacklist)
 
 
+def unobservable_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> set:
+    """Every vulnerable gate and register, when no fault on one can reach a
+    data output (any output but the flag) within the unrolled cycles.
+
+    A backward walk from the data outputs follows gate operands and, from a
+    register read, the register's next-state net one cycle earlier: a fault
+    in cycle c reaches an output of cycle j >= c only across j - c register
+    boundaries, so at most k - 1 of them are crossed.  If the walk meets no
+    vulnerable net, every data output in every cycle is the same function
+    with and without faults, whatever the flag does, so the reduction is
+    exact.  It stops at the first vulnerable net it meets."""
+
+    circuit = unrolled.circuit
+    blacklist = check_blacklist(circuit, blacklist)
+    vulnerable = set()
+    if model.location in ("c", "cr"):
+        vulnerable.update(circuit.gate_map)
+    if model.location in ("r", "cr"):
+        vulnerable.update(circuit.register_names)
+    vulnerable -= blacklist
+    if not vulnerable:
+        raise NotApplicable("no vulnerable gate or register")
+
+    frontier = [o for o in circuit.outputs if o != circuit.flag]
+    seen = set(frontier)
+    # One pass per cycle, the outputs' own first; the next-state nets the
+    # last pass queues would be one crossing too many and are never walked.
+    for _ in range(unrolled.k):
+        registers = []
+        while frontier:
+            net = frontier.pop()
+            if net in vulnerable:
+                raise NotApplicable(f"{net!r} reaches a data output")
+            g = circuit.gate_map.get(net)
+            if g is None:
+                if net in circuit.next_state:
+                    registers.append(net)
+                continue
+            for op in g.operands:
+                if op not in seen:
+                    seen.add(op)
+                    frontier.append(op)
+        for r in registers:
+            nxt = circuit.next_state[r]
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return vulnerable
+
+
 def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistanceModel,
                     flags) -> ReductionPlan:
     """Compose the requested reductions.  Fault types shrink first; then the
     single-exit reduction runs if the model is now pure bit-flip, otherwise
     the single-successor one.  Inapplicable requests are recorded, never
-    silently dropped."""
+    silently dropped.  The unobservable reduction runs last whatever the
+    flags say, because it is exact, and is recorded only when it fires."""
 
     blacklist = check_blacklist(unrolled.circuit, blacklist)
     plan = ReductionPlan(effective_model=model, effective_blacklist=blacklist)
@@ -167,5 +222,13 @@ def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistance
     elif flags.single_successor and gate_reduction_done:
         plan.skipped.append(SkippedReduction(
             "single_successor", "subsumed by single_exit"))
+
+    try:
+        extra = unobservable_blacklist(unrolled, plan.effective_blacklist,
+                                       plan.effective_model)
+        plan.effective_blacklist = plan.effective_blacklist | frozenset(extra)
+        plan.applied.append(AppliedReduction("unobservable", len(extra)))
+    except NotApplicable:
+        pass
 
     return plan

@@ -175,6 +175,7 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
 @dataclass
 class EncodedProblem:
     protected_unrolled: UnrolledCircuit
+    golden_unrolled: UnrolledCircuit  # protected_unrolled without a separate golden
     plan: ReductionPlan
     locations: set
     controlled: ControlledCircuit
@@ -186,23 +187,37 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
                    golden: Optional[SequentialCircuit] = None) -> EncodedProblem:
     """unroll -> plan reductions -> fault locations -> instrument -> formula
     -> CNF.  ``golden`` optionally supplies a separate unprotected reference
-    circuit for the miter's golden side."""
+    circuit for the miter's golden side.
+
+    With no fault location and no separate golden circuit, the faulty and
+    the fault-free outputs are one function, so the formula is constant
+    false over the input variables: nothing is instrumented, and the CNF is
+    the one the full miter would fold to."""
 
     start = time.perf_counter()
     unrolled = unroll(circuit, config.unroll_k)
     golden_unrolled = unroll(golden, config.unroll_k) if golden is not None else unrolled
 
     plan = plan_reductions(unrolled, config.blacklist, config.model, config.reductions)
-    locations = fault_locations(unrolled, plan.effective_blacklist,
-                                plan.effective_model.location)
+    model = plan.effective_model
+    locations = fault_locations(unrolled, plan.effective_blacklist, model.location)
     builder = FormulaBuilder()
     input_vars = make_input_vars(builder, circuit, config.unroll_k)
-    controlled = instrument(unrolled, locations, plan.effective_model.fault_types,
-                            builder=builder, input_vars=input_vars)
-    formula = build_fr_formula(golden_unrolled, controlled, plan.effective_model)
+    if locations or golden is not None:
+        controlled = instrument(unrolled, locations, model.fault_types,
+                                builder=builder, input_vars=input_vars)
+        formula = build_fr_formula(golden_unrolled, controlled, model)
+    else:
+        controlled = ControlledCircuit(
+            builder=builder, k=config.unroll_k, outputs=circuit.outputs,
+            flag=circuit.flag, input_vars=input_vars,
+            types=tuple(sorted(model.fault_types, key=lambda t: t.order)),
+            taps={}, flag_taps={}, control_map={}, cycle_controls={})
+        formula = BoolFormula(builder, builder.false)
     cnf = tseitin_cnf(formula)
     encode_time = time.perf_counter() - start
-    return EncodedProblem(unrolled, plan, locations, controlled, cnf, encode_time)
+    return EncodedProblem(unrolled, golden_unrolled, plan, locations, controlled, cnf,
+                          encode_time)
 
 
 def _decode_inputs(model_bits, cnf: CNF, circuit: SequentialCircuit, k: int):
@@ -279,8 +294,7 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
     vector = decode_fault_vector(named, problem.controlled)
     inputs = _decode_inputs(result.model, problem.cnf, circuit, config.unroll_k)
     if golden is not None:
-        _check_golden_agrees(unroll(golden, config.unroll_k),
-                             problem.protected_unrolled, inputs)
+        _check_golden_agrees(problem.golden_unrolled, problem.protected_unrolled, inputs)
     if not len(vector):
         raise InternalEncodingError("satisfying assignment decodes to an empty fault vector")
     replay = check_effectiveness(problem.protected_unrolled, vector, inputs)

@@ -36,6 +36,19 @@ SBOX_FAULTY = {
 }
 
 
+# A duplicate-and-compare circuit with the original and the comparator
+# blacklisted: the copy (b_o, b_n, b_r) reaches only the flag, so no fault can
+# change the data output and the circuit is resistant by its structure.
+DUP_COMPARE = (".inputs a b\n.outputs o flag\n.flag flag\n"
+               ".reg r init=0\n.reg b_r init=0\n"
+               "gate o = and(a, r)\ngate n = or(o, b)\nnext r = n\n"
+               "gate b_o = and(a, b_r)\ngate b_n = or(b_o, b)\nnext b_r = b_n\n"
+               "gate k_o = xor(o, b_o)\ngate k_r = xor(r, b_r)\n"
+               "gate flag = or(k_o, k_r)\n")
+DUP_COMPARE_CONFIG = ('{"k": 2, "model": {"ne": 1, "nc": 1, "types": ["s", "r", "bf"], '
+                      '"location": "cr"}, "blacklist": ["o", "n", "r", "k_o", "k_r", "flag"]}')
+
+
 def input_bits(value):
     return tuple((value >> (3 - i)) & 1 for i in range(4))
 

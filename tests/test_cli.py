@@ -5,6 +5,7 @@ import sys
 import jsonschema
 import pytest
 
+from conftest import DUP_COMPARE, DUP_COMPARE_CONFIG
 from faultres.cli import main
 from faultres.fixtures import fixture_path, fixture_text
 
@@ -301,6 +302,49 @@ def test_verify_reports_solver_counters(workdir, capsys):
     # are the counters summed over its calls, not those of one plain solve.
     assert (stats["conflicts"], stats["decisions"]) == (76, 77)
     assert "76 conflicts, 77 decisions" in capsys.readouterr().out
+
+
+UNOBSERVABLE_LINE = "  no vulnerable gate reaches a data output within k cycles\n"
+
+
+def test_structurally_resistant_circuit(tmp_path, capsys):
+    # The copy is the only vulnerable logic and reaches only the flag.
+    nl, cfg = tmp_path / "dup.nl", tmp_path / "dup.json"
+    nl.write_text(DUP_COMPARE)
+    cfg.write_text(DUP_COMPARE_CONFIG)
+
+    assert run_cli("reduce", nl, "--config", cfg) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["removed_gates"] == ["b_n", "b_o", "b_r"]
+    assert {"name": "unobservable", "gates_removed": 3, "detail": ""} in data["applied"]
+    # exact, so --no-reduce-gates leaves it on
+    assert run_cli("reduce", nl, "--config", cfg, "--no-reduce-gates") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in data["applied"]] == ["fault_type", "unobservable"]
+
+    dimacs = tmp_path / "dup.cnf"
+    assert run_cli("encode", nl, "--config", cfg, "--dimacs", dimacs) == 0
+    capsys.readouterr()
+    assert dimacs.read_text() == "p cnf 4 1\n0\n"
+    assert run_cli("encode", nl, "--config", cfg, "--dump-controls") == 0
+    assert json.loads(capsys.readouterr().out) == {}
+
+    report = tmp_path / "dup_report.json"
+    assert run_cli("verify", nl, "--config", cfg, "--json", report) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("RESISTANT: no admissible fault vector is effective\n"
+                          + UNOBSERVABLE_LINE)
+    data = json.loads(report.read_text())
+    jsonschema.validate(data, load_schema())
+    assert data["verdict"] == "resistant" and data["stats"]["locations"] == 0
+    assert data["reductions"]["applied"][-1]["name"] == "unobservable"
+
+
+def test_verify_output_unchanged_when_a_fault_reaches_data(workdir, capsys):
+    for nl, code in (("rect_revised.nl", 0), ("rect_parity.nl", 1)):
+        assert run_cli("verify", workdir / nl,
+                       "--config", workdir / "zeta_1_1_all_c.json") == code
+        assert UNOBSERVABLE_LINE not in capsys.readouterr().out
 
 
 def test_json_reports_validate_on_all_fixtures(workdir, tmp_path):

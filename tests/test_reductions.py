@@ -1,9 +1,16 @@
+import random
+
 import pytest
 
 from conftest import exit_groups
-from faultres.circuit_model import FaultResistanceModel, build_and_validate, unroll
-from faultres.netlist_io import ReductionFlags, parse_netlist
-from faultres.oracle import random_netlist
+from faultres.circuit_model import (
+    FaultResistanceModel,
+    build_and_validate,
+    fault_locations,
+    unroll,
+)
+from faultres.netlist_io import ReductionFlags, VerificationConfig, parse_netlist
+from faultres.oracle import brute_force_verdict, random_netlist
 from faultres.reductions import (
     NotApplicable,
     aggressive_blacklist,
@@ -11,7 +18,9 @@ from faultres.reductions import (
     reduce_fault_types,
     single_exit_map,
     single_successor_blacklist,
+    unobservable_blacklist,
 )
+from faultres.sat_encoding import verify
 from faultres.simulator import FaultType
 
 ALL = frozenset(FaultType)
@@ -188,3 +197,90 @@ def test_single_exit_map_linear_visits(rect_parity):
     v = len(circuit.gates) + len(circuit.registers)
     e = sum(len(s) for s in rect_parity.successors.values())
     assert counting.gets <= 2 * (v + e)
+
+
+def test_unobservable_reach_is_per_cycle():
+    # g's value reaches the data output o only through r, one cycle later.
+    # With o blacklisted, g is the only vulnerable gate: unobservable at
+    # k = 1, and a flip of g@1 shows on o@2 at k = 2.
+    text = (".inputs a\n.outputs o\n.reg r init=0\ngate g = not(a)\n"
+            "next r = g\ngate o = buf(r)\n")
+    circuit = build_and_validate(parse_netlist(text))
+    m = model(types=ALL, loc="c")
+    for k, status in ((1, "resistant"), (2, "not_resistant")):
+        u = unroll(circuit, k)
+        plan = plan_reductions(u, {"o"}, m, ReductionFlags())
+        fired = any(r.name == "unobservable" for r in plan.applied)
+        assert fired == (k == 1), k
+        cfg = VerificationConfig(k, m, frozenset({"o"}), ReductionFlags(), ("builtin",))
+        assert verify(circuit, cfg).status == status
+        assert brute_force_verdict(u, {"o"}, m).status == status
+    assert unobservable_blacklist(unroll(circuit, 1), {"o"}, m) == {"g"}
+    with pytest.raises(NotApplicable, match="'g' reaches a data output"):
+        unobservable_blacklist(unroll(circuit, 2), {"o"}, m)
+    # With registers vulnerable too, a fault on r@1 shows on o@1.
+    m = model(types=ALL, loc="cr")
+    with pytest.raises(NotApplicable, match="'r' reaches a data output"):
+        unobservable_blacklist(unroll(circuit, 1), {"o"}, m)
+    cfg = VerificationConfig(1, m, frozenset({"o"}), ReductionFlags(), ("builtin",))
+    assert verify(circuit, cfg).status == "not_resistant"
+
+
+def test_unobservable_keeps_flag_only_locations():
+    # o reaches the data output; f1, f2 and flag reach only the flag, which
+    # is raised whenever o alone is faulted.  A second fault on the flag
+    # logic masks the first, so no location may go while one of them reaches
+    # a data output.
+    text = (".inputs a b\n.outputs o flag\n.flag flag\ngate o = and(a, b)\n"
+            "gate f1 = and(b, a)\ngate f2 = not(f1)\ngate flag = xnor(o, f2)\n")
+    circuit = build_and_validate(parse_netlist(text))
+    u = unroll(circuit, 1)
+    for ne, status in ((1, "resistant"), (2, "not_resistant")):
+        m = model(ne=ne, types=BF, loc="c")
+        plan = plan_reductions(u, set(), m, ReductionFlags(False, False, False))
+        assert plan.applied == [] and plan.effective_blacklist == frozenset()
+        assert len(fault_locations(u, plan.effective_blacklist, "c")) == 4
+        cfg = VerificationConfig(1, m, frozenset(), ReductionFlags(False, False, False),
+                                 ("builtin",))
+        assert verify(circuit, cfg).status == status
+        assert brute_force_verdict(u, set(), m).status == status
+
+
+def _frame_cone(circuit, nets):
+    """Every net the given nets read within one frame, themselves included."""
+    cone, stack = set(nets), list(nets)
+    while stack:
+        g = circuit.gate_map.get(stack.pop())
+        for op in g.operands if g is not None else ():
+            if op not in cone:
+                cone.add(op)
+                stack.append(op)
+    return cone
+
+
+def test_unobservable_agrees_with_oracle():
+    # Two blacklists per netlist: the data outputs' cones within one frame,
+    # under which the reduction fires at k = 1 and then only while no
+    # register carries a vulnerable gate's value into those cones; and a
+    # random half of the gates and registers.
+    rng = random.Random(8)
+    cases = fired = 0
+    for seed in range(30):
+        circuit = build_and_validate(random_netlist(
+            seed, max_gates=7, max_regs=2, num_inputs=3).doc)
+        names = sorted(set(circuit.gate_map) | set(circuit.register_names))
+        data = [o for o in circuit.outputs if o != circuit.flag]
+        blacklists = (frozenset(_frame_cone(circuit, data) & set(names)),
+                      frozenset(rng.sample(names, len(names) // 2)))
+        for blacklist in blacklists:
+            for loc in ("c", "r", "cr"):
+                for k in (1, 2, 3):
+                    m = model(types=ALL, loc=loc)
+                    cfg = VerificationConfig(k, m, blacklist, ReductionFlags(), ("builtin",))
+                    verdict = verify(circuit, cfg)
+                    brute = brute_force_verdict(unroll(circuit, k), blacklist, m)
+                    assert verdict.status == brute.status, (seed, sorted(blacklist), loc, k)
+                    cases += 1
+                    fired += any(r.name == "unobservable"
+                                 for r in verdict.stats.reductions_applied)
+    assert 3 * fired >= cases, (fired, cases)

@@ -8,7 +8,13 @@ import sys
 
 import pytest
 
-from conftest import canonical_assignment, evaluate, formula_holds
+from conftest import (
+    DUP_COMPARE,
+    DUP_COMPARE_CONFIG,
+    canonical_assignment,
+    evaluate,
+    formula_holds,
+)
 from faultres.circuit_model import (
     FaultResistanceModel,
     build_and_validate,
@@ -758,6 +764,68 @@ def test_verify_golden_checked_when_replay_is_effective(monkeypatch):
     _capturing_solver(monkeypatch, extra=[[control]])
     with pytest.raises(GoldenDisagrees, match="output 'o2'"):
         verify(prot, cfg, golden=gold)
+
+
+def test_verify_golden_unrolls_each_circuit_once(rect_parity, zeta_1_1_all_c, monkeypatch):
+    # The golden check on a SAT answer reuses the golden circuit's unroll
+    # from the encode.
+    import faultres.sat_encoding
+
+    calls = []
+
+    def counted(circuit, k, _unroll=faultres.sat_encoding.unroll):
+        calls.append(circuit)
+        return _unroll(circuit, k)
+
+    monkeypatch.setattr(faultres.sat_encoding, "unroll", counted)
+    assert verify(rect_parity, zeta_1_1_all_c, golden=rect_parity).status == "not_resistant"
+    assert len(calls) == 2
+
+
+def _dup_compare():
+    doc = parse_netlist(DUP_COMPARE)
+    return build_and_validate(doc), parse_config(DUP_COMPARE_CONFIG, doc)
+
+
+def test_unobservable_encodes_the_folded_miter_without_instrumenting(monkeypatch):
+    # No vulnerable gate reaches the data output, so encode_problem builds
+    # the constant-false formula over the inputs: the CNF the full miter
+    # over an empty location set folds to, byte for byte.
+    import faultres.sat_encoding
+
+    circuit, cfg = _dup_compare()
+    u = unroll(circuit, cfg.unroll_k)
+    b = FormulaBuilder()
+    controlled = instrument(u, set(), ALL, builder=b,
+                            input_vars=make_input_vars(b, circuit, cfg.unroll_k))
+    folded = tseitin_cnf(build_fr_formula(u, controlled, cfg.model))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("called on a structurally resistant circuit")
+
+    monkeypatch.setattr(faultres.sat_encoding, "instrument", fail)
+    monkeypatch.setattr(faultres.sat_encoding, "build_fr_formula", fail)
+    problem = encode_problem(circuit, cfg)
+    assert problem.locations == set()
+    assert problem.controlled.control_map == {}
+    assert problem.cnf.num_vars == 4 and problem.cnf.clauses == [[]]
+    assert emit_dimacs(problem.cnf) == emit_dimacs(folded)
+    verdict = verify(circuit, cfg)
+    assert verdict.status == "resistant" and verdict.cnf.clauses == [[]]
+    assert [(r.name, r.gates_removed) for r in verdict.stats.reductions_applied] == [
+        ("fault_type", 2), ("single_successor", 0), ("unobservable", 3)]
+
+
+def test_unobservable_with_disagreeing_golden_raises():
+    # Every vulnerable gate is unobservable, but a separate golden circuit
+    # can differ without faults; the full miter finds that.
+    circuit, cfg = _dup_compare()
+    golden = build_and_validate(parse_netlist(
+        ".inputs a b\n.outputs o\n.reg r init=0\ngate o = and(a, r)\n"
+        "gate n = and(o, b)\nnext r = n\n"))
+    assert encode_problem(circuit, cfg).locations == set()
+    with pytest.raises(GoldenDisagrees, match="output 'o'"):
+        verify(circuit, cfg, golden=golden)
 
 
 def test_verify_empty_vector_with_agreeing_golden_is_internal(
