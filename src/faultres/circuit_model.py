@@ -46,6 +46,12 @@ class InvalidK(CircuitError):
     pass
 
 
+class UnknownLocationClass(CircuitError):
+    def __init__(self, location):
+        super().__init__(f"location class must be one of {LOCATION_CLASSES}, got {location!r}")
+        self.location = location
+
+
 class UnknownBlacklistGate(CircuitError):
     def __init__(self, name):
         super().__init__(f"blacklisted gate {name!r} is not a gate or register of the circuit")
@@ -163,6 +169,10 @@ class SequentialCircuit:
     topo_order: tuple = ()
     gate_map: dict = field(default_factory=dict)
     successors: dict = field(default_factory=dict)  # net -> tuple of consumer gate names
+    # net -> fewest register crossings on a path to a data output (any output
+    # but the flag); nets with no such path are absent.  A net in cycle c
+    # reaches a data output by cycle k iff data_depth[net] <= k - c.
+    data_depth: dict = field(default_factory=dict)
 
     @property
     def register_names(self):
@@ -225,7 +235,33 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
         topo_order=tuple(topo),
         gate_map=gate_map,
         successors=successors,
+        data_depth=_data_depths(doc.outputs, doc.flag_output, gate_map, doc.next_state),
     )
+
+
+def _data_depths(outputs, flag, gate_map, next_state) -> dict:
+    """Breadth-first over register crossings, backward from the data outputs:
+    each level follows gate operands at the same depth, and a register read
+    leads to its next-state net one level deeper."""
+    depth = {}
+    frontier = [o for o in outputs if o != flag]
+    level = 0
+    while frontier:
+        stack = [net for net in frontier if net not in depth]
+        depth.update((net, level) for net in stack)
+        frontier = []
+        while stack:
+            net = stack.pop()
+            g = gate_map.get(net)
+            if g is not None:
+                for op in g.operands:
+                    if op not in depth:
+                        depth[op] = level
+                        stack.append(op)
+            elif net in next_state:
+                frontier.append(next_state[net])
+        level += 1
+    return depth
 
 
 def _find_cycle(gate_map, sources):
@@ -292,7 +328,8 @@ def fault_locations(unrolled: UnrolledCircuit, blacklist, location: str) -> set:
     """All fault-injectable instances: internal gates and register reads not
     protected by the blacklist, with whole classes removed per ``location``."""
 
-    assert location in LOCATION_CLASSES
+    if location not in LOCATION_CLASSES:
+        raise UnknownLocationClass(location)
     blacklist = check_blacklist(unrolled.circuit, blacklist)
     circuit = unrolled.circuit
     locations = set()

@@ -119,10 +119,6 @@ class ControlledCircuit:
     flag_taps: dict        # cycle -> node (constant false when no flag)
     control_map: dict      # GateInstance -> ControlVars
     cycle_controls: dict   # cycle -> list of control var names
-    # (circuit, per cycle {net name: node}, per cycle the set of tainted
-    # nets): what golden_taps builds the miter's golden side from.  Kept only
-    # until then; build_fr_formula drops it.
-    lowering: Optional[tuple] = None
 
 
 def make_input_vars(builder: FormulaBuilder, circuit, k) -> dict:
@@ -139,9 +135,9 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
                builder: Optional[FormulaBuilder] = None,
                input_vars: Optional[dict] = None) -> ControlledCircuit:
     """Replace every instance in ``locations`` by its gadget.  With an empty
-    location set this is simply the circuit-to-formula lowering.  The result
-    keeps the per-cycle ``lowering`` from which ``golden_taps`` builds the
-    fault-free side of the miter without lowering the circuit again."""
+    location set this is simply the circuit-to-formula lowering.  Every net no
+    fault reaches gets its fault-free node, so ``golden_taps`` on the same
+    builder finds those nodes again instead of making new ones."""
 
     types = _canonical_types(types)
     b = builder if builder is not None else FormulaBuilder()
@@ -180,117 +176,64 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
 
     taps = {}
     flag_taps = {}
-    nets, tainted = [], []
     state = {r: b.const(init) for r, init in circuit.registers}
-    hot_before = set()
     for cycle in range(1, unrolled.k + 1):
         here = by_cycle.get(cycle, {})
         env = {name: input_vars[(cycle, name)] for name in circuit.inputs}
-        hot = set()
         for r in circuit.register_names:
             cv = here.get(r)
-            if cv is not None:
-                env[r] = faulty(cv, GateKind.BUF, (state[r],))
-                hot.add(r)
-            else:
-                env[r] = state[r]
-                if circuit.next_state[r] in hot_before:
-                    hot.add(r)
+            env[r] = state[r] if cv is None else faulty(cv, GateKind.BUF, (state[r],))
         for name in circuit.topo_order:
             g = circuit.gate_map[name]
             ins = tuple(env[op] for op in g.operands)
             cv = here.get(name)
-            if cv is not None:
-                env[name] = faulty(cv, g.kind, ins)
-                hot.add(name)
-            else:
-                env[name] = _kind_node(b, g.kind, ins)
-                if not hot.isdisjoint(g.operands):
-                    hot.add(name)
+            env[name] = _kind_node(b, g.kind, ins) if cv is None else faulty(cv, g.kind, ins)
         for o in circuit.outputs:
             taps[(cycle, o)] = env[o]
         flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
         state = {r: env[circuit.next_state[r]] for r in circuit.register_names}
-        nets.append(env)
-        tainted.append(hot)
-        hot_before = hot
 
     return ControlledCircuit(
         builder=b, k=unrolled.k, outputs=circuit.outputs, flag=circuit.flag,
         types=types, input_vars=input_vars, taps=taps, flag_taps=flag_taps,
-        control_map=control_map, cycle_controls=cycle_controls,
-        lowering=(circuit, nets, tainted))
+        control_map=control_map, cycle_controls=cycle_controls)
 
 
-def inputs_only_lowering(circuit, input_vars: dict, k: int) -> tuple:
-    """The lowering of a separate golden circuit before ``golden_taps``: it
-    shares only the input variables with the instrumented circuit, so no
-    other net has a node yet and every gate and register is tainted."""
-    everything = set(circuit.gate_map).union(circuit.register_names)
-    return (circuit, [{n: input_vars[(c, n)] for n in circuit.inputs}
-                      for c in range(1, k + 1)], [everything] * k)
-
-
-def golden_taps(b: FormulaBuilder, lowering: tuple) -> dict:
+def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict) -> dict:
     """Fault-free taps of the data outputs, (cycle, name) -> node, built on
-    ``b`` from a ``lowering``: the one an ``instrument`` pass on ``b`` left,
-    or ``inputs_only_lowering`` for a separate golden circuit.
+    ``b`` over the primary-input variables ``input_vars``.
 
-    A net is tainted when a fault can reach it: it is a fault location, a
-    gate with a tainted operand, or a register whose next-state net was
-    tainted in the cycle before.  An untainted net's instrumented node is the
-    plain lowering of the same operand nodes, so it is the fault-free node
-    too.  Only the tainted nets a data output reads are lowered again, in the
-    order a full fault-free lowering visits them (cycle-major, registers,
-    then topological order); for every net skipped, hash-consing would have
-    returned the instrumented node.  The taps are the nodes a full lowering
-    yields.  Their creation order, and with it the CNF numbering, differs
-    from a full lowering's only when a skipped cone (one only the flag reads)
-    equals a data cone in structure and comes first in topological order."""
+    Only each cycle's data cone is lowered: in cycle c the nets with
+    ``data_depth <= k - c``, the only ones that reach a data output within
+    the k cycles.  They are lowered in the order a full lowering visits them
+    (cycle-major, registers, then topological order).  On the builder of an
+    ``instrument`` pass over the same circuit, a net no fault reaches lowers
+    to its instrumented node, which hash-consing returns without adding a
+    node, so only the fault-reachable nets a data output reads add nodes.
+    The taps are the nodes a full lowering yields.  Their creation order, and
+    with it the CNF numbering, differs from a full lowering's only when a
+    skipped cone (one only the flag reads) equals a data cone in structure
+    and comes first in topological order."""
 
-    circuit, nets, tainted = lowering
-    k = len(nets)
+    circuit, k = unrolled.circuit, unrolled.k
+    depth = circuit.data_depth
     data = [o for o in circuit.outputs if o != circuit.flag]
-
-    # Walk back from the data outputs through tainted nets, last cycle first;
-    # a register leads to its next-state net in the cycle before.
-    need = [set() for _ in range(k)]
-    for c in reversed(range(k)):
-        hot, seen = tainted[c], need[c]
-        seen.update(o for o in data if o in hot)
-        stack = list(seen)
-        while stack:
-            net = stack.pop()
-            g = circuit.gate_map.get(net)
-            if g is not None:
-                for op in g.operands:
-                    if op in hot and op not in seen:
-                        seen.add(op)
-                        stack.append(op)
-            elif c and circuit.next_state[net] in tainted[c - 1]:
-                need[c - 1].add(circuit.next_state[net])
-
-    taps = {}
     init = circuit.init_bits
+    taps = {}
     before = {}
-    for c in range(k):
-        env, want, gold = nets[c], need[c], {}
-        if want:
-            for r in circuit.register_names:
-                if r in want:
-                    if c == 0:
-                        gold[r] = b.const(init[r])
-                    else:
-                        nxt = circuit.next_state[r]
-                        gold[r] = before[nxt] if nxt in before else nets[c - 1][nxt]
-            for name in circuit.topo_order:
-                if name in want:
-                    g = circuit.gate_map[name]
-                    gold[name] = _kind_node(b, g.kind, tuple(
-                        gold[op] if op in gold else env[op] for op in g.operands))
+    for c in range(1, k + 1):
+        reach = k - c
+        env = {name: input_vars[(c, name)] for name in circuit.inputs}
+        for r in circuit.register_names:
+            if depth.get(r, k) <= reach:
+                env[r] = b.const(init[r]) if c == 1 else before[circuit.next_state[r]]
+        for name in circuit.topo_order:
+            if depth.get(name, k) <= reach:
+                g = circuit.gate_map[name]
+                env[name] = _kind_node(b, g.kind, tuple(env[op] for op in g.operands))
         for o in data:
-            taps[(c + 1, o)] = gold[o] if o in gold else env[o]
-        before = gold
+            taps[(c, o)] = env[o]
+        before = env
     return taps
 
 

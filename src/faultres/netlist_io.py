@@ -242,7 +242,7 @@ def _validate_doc(doc: NetlistDoc, seen_stmt):
         declared.add(net)
 
     for g in doc.gates:
-        kind = GateKind(g.kind)
+        kind = _KIND_TOKENS[g.kind]  # the parser has checked the token
         if len(g.operands) != KIND_ARITY[kind]:
             raise ArityMismatch(g.name, kind, len(g.operands), g.line, g.col)
         for op in g.operands:

@@ -134,13 +134,11 @@ def unobservable_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> set:
     """Every vulnerable gate and register, when no fault on one can reach a
     data output (any output but the flag) within the unrolled cycles.
 
-    A backward walk from the data outputs follows gate operands and, from a
-    register read, the register's next-state net one cycle earlier: a fault
-    in cycle c reaches an output of cycle j >= c only across j - c register
-    boundaries, so at most k - 1 of them are crossed.  If the walk meets no
-    vulnerable net, every data output in every cycle is the same function
-    with and without faults, whatever the flag does, so the reduction is
-    exact.  It stops at the first vulnerable net it meets."""
+    A fault in cycle c reaches a data output by cycle k only from a net whose
+    ``data_depth`` is at most k - c, so a vulnerable net reaches one in some
+    cycle iff its depth is below k (cycle 1 has the most cycles left).  If
+    none does, every data output in every cycle is the same function with
+    and without faults, whatever the flag does, so the reduction is exact."""
 
     circuit = unrolled.circuit
     blacklist = check_blacklist(circuit, blacklist)
@@ -153,30 +151,10 @@ def unobservable_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> set:
     if not vulnerable:
         raise NotApplicable("no vulnerable gate or register")
 
-    frontier = [o for o in circuit.outputs if o != circuit.flag]
-    seen = set(frontier)
-    # One pass per cycle, the outputs' own first; the next-state nets the
-    # last pass queues would be one crossing too many and are never walked.
-    for _ in range(unrolled.k):
-        registers = []
-        while frontier:
-            net = frontier.pop()
-            if net in vulnerable:
-                raise NotApplicable(f"{net!r} reaches a data output")
-            g = circuit.gate_map.get(net)
-            if g is None:
-                if net in circuit.next_state:
-                    registers.append(net)
-                continue
-            for op in g.operands:
-                if op not in seen:
-                    seen.add(op)
-                    frontier.append(op)
-        for r in registers:
-            nxt = circuit.next_state[r]
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+    k = unrolled.k
+    observed = min((n for n in vulnerable if circuit.data_depth.get(n, k) < k), default=None)
+    if observed is not None:
+        raise NotApplicable(f"{observed!r} reaches a data output")
     return vulnerable
 
 

@@ -31,7 +31,6 @@ from .fault_encoder import (
     ControlledCircuit,
     decode_fault_vector,
     golden_taps,
-    inputs_only_lowering,
     instrument,
     make_input_vars,
 )
@@ -118,21 +117,18 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
     if set(gold_names) != set(ctrl_names):
         raise ShapeMismatch("golden and controlled circuits expose different outputs")
 
-    # Golden side, over the same input variables.  When it is the protected
-    # circuit itself, it reuses every instrumented node no fault can reach
-    # and lowers only the rest of the data outputs' cones.  A separate golden
-    # circuit shares only the input variables: every gate and register of it
-    # counts as fault-reachable, so the data outputs' cones are lowered whole.
+    # Golden side, over the same input variables: the fault-free lowering of
+    # the data outputs' cones.  When the golden circuit is the protected one,
+    # every cone net no fault reaches is its instrumented node again, so only
+    # the fault-reachable ones add nodes; a separate golden circuit shares
+    # only the input variables and adds its whole cones.
     shared_inputs = controlled.input_vars
     for (cycle, name) in shared_inputs:
         if name not in golden.circuit.inputs:
             raise ShapeMismatch(f"golden circuit lacks input {name!r}")
     if set(golden.circuit.inputs) != {n for (_, n) in shared_inputs}:
         raise ShapeMismatch("golden and controlled circuits have different inputs")
-    lowering, controlled.lowering = controlled.lowering, None
-    if lowering[0] is not golden.circuit:
-        lowering = inputs_only_lowering(golden.circuit, shared_inputs, golden.k)
-    reference = golden_taps(b, lowering)
+    reference = golden_taps(b, golden, shared_inputs)
 
     disjuncts = []
     flag_prefix = b.true
@@ -151,21 +147,18 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
             cardinality.append(CardinalityConstraint(
                 tuple(controls), model.n_e, label=f"ne@{cycle}"))
 
-    if model.n_c < controlled.k:
-        d_names = []
-        for cycle in range(1, controlled.k + 1):
-            controls = controlled.cycle_controls.get(cycle, [])
-            if not controls:
-                continue
+    # d@cycle says some fault is active in that cycle; declared only when the
+    # n_c bound binds, i.e. fewer than the cycles that have controls.
+    active = [cycle for cycle in range(1, controlled.k + 1)
+              if controlled.cycle_controls.get(cycle)]
+    if model.n_c < len(active):
+        for cycle in active:
             d = b.var(f"d@{cycle}", ROLE_AUX_D)
-            any_ctrl = b.or_many([b.var(c, ROLE_CONTROL) for c in controls])
+            any_ctrl = b.or_many([b.var(c, ROLE_CONTROL)
+                                  for c in controlled.cycle_controls[cycle]])
             conjuncts.append(b.iff(d, any_ctrl))
-            d_names.append(f"d@{cycle}")
-        if model.n_c < len(d_names):
-            cardinality.append(CardinalityConstraint(tuple(d_names), model.n_c, label="nc"))
-        else:
-            # The bound cannot bind after all; drop the d definitions too.
-            conjuncts = []
+        cardinality.append(CardinalityConstraint(
+            tuple(f"d@{cycle}" for cycle in active), model.n_c, label="nc"))
 
     root = b.and_many(conjuncts + [root])
     return BoolFormula(builder=b, root=root, cardinality=cardinality,

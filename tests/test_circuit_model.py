@@ -1,3 +1,6 @@
+import itertools
+from collections import deque
+
 import pytest
 
 from conftest import instances
@@ -11,6 +14,7 @@ from faultres.circuit_model import (
     fault_locations,
     unroll,
 )
+from faultres.fixtures import fixture_text
 from faultres.netlist_io import GateStmt, NetlistDoc, parse_netlist
 from faultres.oracle import random_netlist
 
@@ -115,6 +119,44 @@ def test_fault_locations_blacklist_antitone(rect_parity_unrolled):
 def test_fault_locations_unknown_blacklist(rect_parity_unrolled):
     with pytest.raises(UnknownBlacklistGate):
         fault_locations(rect_parity_unrolled, {"ghost"}, "c")
+
+
+def _unrolled_reachers(circuit, k):
+    """Instances (cycle, net) of the explicitly unrolled circuit from which a
+    data output of some cycle is reachable: a backward search from every
+    data output instance over operand edges and, from a register read in
+    cycle c > 1, to its next-state net in cycle c - 1."""
+    data = [o for o in circuit.outputs if o != circuit.flag]
+    seen = {(c, o) for c in range(1, k + 1) for o in data}
+    queue = deque(seen)
+    while queue:
+        c, net = queue.popleft()
+        g = circuit.gate_map.get(net)
+        if g is not None:
+            preds = [(c, op) for op in g.operands]
+        elif net in circuit.next_state and c > 1:
+            preds = [(c - 1, circuit.next_state[net])]
+        else:
+            preds = []
+        for p in preds:
+            if p not in seen:
+                seen.add(p)
+                queue.append(p)
+    return seen
+
+
+def test_data_depth_matches_unrolled_reachability():
+    docs = [parse_netlist(fixture_text(nl)) for nl in ("rect_parity.nl", "rect_revised.nl")]
+    docs += [random_netlist(seed, max_gates=12, max_regs=3, num_inputs=3,
+                            with_flag=seed % 3 != 0).doc for seed in range(30)]
+    assert any(doc.registers for doc in docs)
+    for doc, k in itertools.product(docs, (1, 2, 3, 4)):
+        circuit = build_and_validate(doc)
+        reachers = _unrolled_reachers(circuit, k)
+        nets = list(circuit.inputs) + list(circuit.register_names) + list(circuit.gate_map)
+        for c, net in itertools.product(range(1, k + 1), nets):
+            by_depth = circuit.data_depth.get(net, k) <= k - c
+            assert by_depth == ((c, net) in reachers), (doc.name, k, c, net)
 
 
 def test_instance_labels():

@@ -18,7 +18,6 @@ from faultres.fault_encoder import (
     faulted_kind,
     gadget,
     golden_taps,
-    inputs_only_lowering,
     instrument,
 )
 from faultres.formula import FormulaBuilder, ROLE_INPUT
@@ -242,14 +241,14 @@ def test_instrumented_circuit_simulates_every_fault_vector():
                             seed, vector, rows, cycle, o)
 
 
-def _golden_and_full_taps(u, locations, types=ALL):
-    """The golden taps built from the instrumented lowering and from a
-    separate golden circuit's lowering, and the taps of a full fault-free
+def _golden_and_full_taps(doc, u, locations, types=ALL):
+    """The golden taps of the instrumented circuit and of a separate golden
+    circuit built again from its ``doc``, and the taps of a full fault-free
     lowering made afterwards, all on the instrumented circuit's builder."""
     controlled = instrument(u, locations, types)
     b, input_vars = controlled.builder, controlled.input_vars
-    golden = [golden_taps(b, controlled.lowering),
-              golden_taps(b, inputs_only_lowering(u.circuit, input_vars, u.k))]
+    separate = unroll(build_and_validate(doc), u.k)
+    golden = [golden_taps(b, u, input_vars), golden_taps(b, separate, input_vars)]
     full = instrument(u, set(), types, builder=b, input_vars=input_vars)
     data = [o for o in u.circuit.outputs if o != u.circuit.flag]
     for taps in golden:
@@ -266,7 +265,7 @@ COPY_FIRST = (".inputs a b c\n.outputs p flg\n.flag flg\n"
 
 
 def test_golden_taps_are_the_fault_free_lowering():
-    # The golden side, reused from the instrumented lowering or built for a
+    # The golden side, on the instrumented circuit's builder or built for a
     # separate golden circuit, names exactly the nodes a full fault-free
     # lowering on the same builder yields (hash-consing makes equal lowerings
     # the same node ids), over both fixtures, seeded random netlists, every
@@ -276,15 +275,16 @@ def test_golden_taps_are_the_fault_free_lowering():
                     ("rect_revised.nl", "zeta_1_1_all_c_parity.json")):
         doc = parse_netlist(fixture_text(nl))
         blacklist = parse_config(fixture_text(cfg), doc).blacklist
-        cases += [(build_and_validate(doc), blacklist), (build_and_validate(doc), set())]
+        cases += [(doc, blacklist), (doc, set())]
     for seed in range(10):
         doc = random_netlist(seed, max_gates=10, max_regs=3, num_inputs=3,
                              with_flag=seed % 3 != 0).doc
-        cases.append((build_and_validate(doc), set()))
-    cases.append((build_and_validate(parse_netlist(COPY_FIRST)), {"flg"}))
-    for (circuit, blacklist), loc, k in itertools.product(cases, ("c", "r", "cr"), (1, 2, 3)):
+        cases.append((doc, set()))
+    cases.append((parse_netlist(COPY_FIRST), {"flg"}))
+    for (doc, blacklist), loc, k in itertools.product(cases, ("c", "r", "cr"), (1, 2, 3)):
+        circuit = build_and_validate(doc)
         u = unroll(circuit, k)
-        golden, full = _golden_and_full_taps(u, fault_locations(u, blacklist, loc))
+        golden, full = _golden_and_full_taps(doc, u, fault_locations(u, blacklist, loc))
         for side, taps in zip(("reused", "separate"), golden):
             assert taps == {key: full[key] for key in taps}, (side, circuit.name, loc, k)
 
@@ -333,6 +333,6 @@ def test_golden_taps_of_duplicate_and_compare_add_no_node():
         assert locations
         controlled = instrument(u, locations, ALL)
         before = len(controlled.builder.kinds)
-        reused = golden_taps(controlled.builder, controlled.lowering)
+        reused = golden_taps(controlled.builder, u, controlled.input_vars)
         assert len(controlled.builder.kinds) == before
         assert reused == {key: controlled.taps[key] for key in reused}

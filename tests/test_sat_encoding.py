@@ -17,6 +17,8 @@ from conftest import (
 )
 from faultres.circuit_model import (
     FaultResistanceModel,
+    GateInstance,
+    UnknownLocationClass,
     build_and_validate,
     fault_locations,
     unroll,
@@ -590,15 +592,6 @@ def test_build_fr_formula_cardinality_shape(rect_parity):
     assert formula.cardinality == []
 
 
-def test_encoded_problem_holds_no_lowering(rect_parity, rect_revised, zeta_1_1_all_c_parity):
-    # The per-cycle node maps live only while the formula is built, on the
-    # reuse path and on the full-lowering path of a separate golden circuit.
-    problem = encode_problem(rect_revised, zeta_1_1_all_c_parity)
-    assert problem.controlled.lowering is None
-    problem = encode_problem(rect_revised, zeta_1_1_all_c_parity, golden=rect_parity)
-    assert problem.controlled.lowering is None
-
-
 def test_build_fr_formula_nc_part():
     text = ".inputs i\n.outputs o\n.reg r init=0\ngate o = xor(i, r)\nnext r = o\n"
     circuit = build_and_validate(parse_netlist(text))
@@ -611,6 +604,28 @@ def test_build_fr_formula_nc_part():
     assert "nc" in labels  # n_c = 1 < k = 3 binds
     nc = next(c for c in formula.cardinality if c.label == "nc")
     assert nc.var_names == ("d@1", "d@2", "d@3")
+
+
+def test_build_fr_formula_nc_part_not_binding_declares_no_d():
+    # Controls only in cycle 2 of 3: one fault-active cycle at most, so the
+    # n_c = 1 bound cannot bind and no d@ variable reaches the CNF.
+    text = ".inputs a b\n.outputs o\ngate g = and(a, b)\ngate o = not(g)\n"
+    u = unroll(build_and_validate(parse_netlist(text)), 3)
+    controlled = instrument(u, {GateInstance(2, "g"), GateInstance(2, "o")}, ALL)
+    model = FaultResistanceModel(1, 1, frozenset(ALL), "c")
+    formula = build_fr_formula(u, controlled, model)
+    assert [c.label for c in formula.cardinality] == ["ne@2"]
+    cnf = tseitin_cnf(formula)
+    assert not [name for name in cnf.var_index if name.startswith("d@")]
+
+
+def test_verify_unknown_location_class(rect_parity):
+    # A raised error, not an assert, so `python -O` cannot turn it into a
+    # `resistant` verdict over an empty location set.
+    model = FaultResistanceModel(1, 1, frozenset(ALL), "x")
+    cfg = VerificationConfig(1, model, frozenset(), ReductionFlags(), ("builtin",))
+    with pytest.raises(UnknownLocationClass, match="'x'"):
+        verify(rect_parity, cfg)
 
 
 def test_formula_matches_effectiveness_semantics():
