@@ -29,17 +29,47 @@ class CombinationalCycle(CircuitError):
         self.path = list(path)
 
 
-class ArityMismatch(CircuitError):
-    """A gate with the wrong operand count; ``line``/``col`` locate it in the
-    netlist text when the parser finds it (0 when unknown)."""
+class NetlistError(FaultresError):
+    """A netlist that breaks the grammar or means no circuit: ``name`` is the
+    offending net or gate, ``line``/``col`` its statement (0 when unknown)."""
 
-    def __init__(self, gate, kind, got, line=0, col=0):
+    def __init__(self, msg, line=0, col=0, name=None):
         loc = f"{line}:{col}: " if line else ""
-        super().__init__(f"{loc}gate {gate!r}: {kind.value} takes {KIND_ARITY[kind]} "
-                         f"operands, got {got}")
-        self.gate = gate
+        super().__init__(loc + msg)
+        self.name = name
         self.line = line
         self.col = col
+
+
+class NetlistSyntaxError(NetlistError):
+    pass
+
+
+class UndefinedNet(NetlistError):
+    def __init__(self, name, line=0, col=0):
+        super().__init__(f"undefined net {name!r}", line, col, name)
+
+
+class DuplicateName(NetlistError):
+    def __init__(self, name, line=0, col=0):
+        super().__init__(f"duplicate net name {name!r}", line, col, name)
+
+
+class MissingOutputDriver(NetlistError):
+    def __init__(self, name, line=0, col=0):
+        super().__init__(f"no gate, register or input drives {name!r}", line, col, name)
+
+
+class UnknownGateKind(NetlistError):
+    def __init__(self, gate, token, line=0, col=0):
+        super().__init__(f"unknown gate kind {token!r}", line, col, gate)
+        self.token = token
+
+
+class ArityMismatch(NetlistError):
+    def __init__(self, gate, kind, got, line=0, col=0):
+        super().__init__(f"gate {gate!r}: {kind.value} takes {KIND_ARITY[kind]} "
+                         f"operands, got {got}", line, col, gate)
 
 
 class InvalidK(CircuitError):
@@ -83,6 +113,9 @@ KIND_ARITY = {
     GateKind.CONST0: 0,
     GateKind.CONST1: 0,
 }
+
+# Netlist token -> (kind, arity); the one table that reads a gate kind.
+_KIND_TOKENS = {k.value: (k, arity) for k, arity in KIND_ARITY.items()}
 
 # Output-inverted counterpart of each kind; flipping twice restores the kind.
 BITFLIP_COMPLEMENT = {
@@ -184,30 +217,69 @@ class SequentialCircuit:
 
 
 def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
-    """Turn a parsed netlist into a validated circuit with a cached topological
-    order of the frame.  Raises CombinationalCycle / ArityMismatch."""
+    """Check what a netlist doc means and turn it into a circuit with a
+    cached topological order of the frame.  The one place these checks run,
+    for parsed docs and docs built in code alike: known gate kinds and their
+    arity, each net declared once, operands and next-state nets declared,
+    outputs driven, a next state for every register, the flag among the
+    outputs, no combinational cycle.  Errors carry the doc's source
+    locations, if it has any."""
 
-    gates = []
-    for g in doc.gates:
-        kind = GateKind(g.kind)
-        if len(g.operands) != KIND_ARITY[kind]:
-            raise ArityMismatch(g.name, kind, len(g.operands))
-        gates.append(Frame(g.name, kind, tuple(g.operands)))
+    locs = doc.source_locs
+    regs = [r for r, _ in doc.registers]
+    declared = set()
+    for net in (*doc.inputs, *regs, *(g.name for g in doc.gates)):
+        if net in declared:
+            raise DuplicateName(net, *locs.get(("decl", net), (0, 0)))
+        declared.add(net)
+    reg_set = set(regs)
+    sources = set(doc.inputs) | reg_set
 
-    gate_map = {g.name: g for g in gates}
-    sources = set(doc.inputs) | {r for r, _ in doc.registers}
-
-    # Kahn's algorithm over gate-to-gate edges; inputs and register reads are
-    # sources and never part of a combinational cycle.
-    indeg = {g.name: 0 for g in gates}
+    # One pass over the gates checks each one and counts, for Kahn's
+    # algorithm below, its operands that are gates; inputs and register
+    # reads are sources and never part of a combinational cycle.
+    gate_map = {}
+    indeg = {}
     consumers = {}
-    for g in gates:
-        for op in g.operands:
-            if op in gate_map:
-                indeg[g.name] += 1
+    for g in doc.gates:
+        kind, arity = _KIND_TOKENS.get(g.kind, (None, None))
+        if kind is None:
+            raise UnknownGateKind(g.name, g.kind, g.line, g.col)
+        ops = tuple(g.operands)
+        if len(ops) != arity:
+            raise ArityMismatch(g.name, kind, len(ops), g.line, g.col)
+        n = 0
+        for op in ops:
+            if op not in declared:
+                raise UndefinedNet(op, g.line, g.col)
+            if op not in sources:
+                n += 1
             consumers.setdefault(op, []).append(g.name)
+        indeg[g.name] = n
+        gate_map[g.name] = Frame(g.name, kind, ops)
 
-    ready = [g.name for g in gates if indeg[g.name] == 0]
+    for out in doc.outputs:
+        if out not in declared:
+            raise MissingOutputDriver(out, *locs.get(("output", out), (0, 0)))
+    for reg, net in doc.next_state.items():
+        at = locs.get(("next", reg), (0, 0))
+        if reg not in reg_set:
+            raise UndefinedNet(reg, *at)
+        if net not in declared:
+            raise UndefinedNet(net, *at)
+    for reg in regs:
+        if reg not in doc.next_state:
+            raise MissingOutputDriver(reg, *locs.get(("decl", reg), (0, 0)))
+
+    flag = doc.flag_output
+    if flag is not None:
+        at = locs.get(("flag", flag), (0, 0))
+        if flag not in declared:
+            raise UndefinedNet(flag, *at)
+        if flag not in doc.outputs:
+            raise NetlistSyntaxError(f"flag {flag!r} must be listed in .outputs", *at, flag)
+
+    ready = [name for name, n in indeg.items() if n == 0]
     ready.reverse()
     topo = []
     while ready:
@@ -218,11 +290,11 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
             if indeg[succ] == 0:
                 ready.append(succ)
 
-    if len(topo) != len(gates):
+    if len(topo) != len(gate_map):
         raise CombinationalCycle(_find_cycle(gate_map, sources))
 
     successors = {net: tuple(consumers.get(net, ())) for net in
-                  list(sources) + [g.name for g in gates]}
+                  list(sources) + list(gate_map)}
 
     return SequentialCircuit(
         name=doc.name,
@@ -230,7 +302,7 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
         outputs=tuple(doc.outputs),
         flag=doc.flag_output,
         registers=tuple(doc.registers),
-        gates=tuple(gates),
+        gates=tuple(gate_map.values()),
         next_state=dict(doc.next_state),
         topo_order=tuple(topo),
         gate_map=gate_map,

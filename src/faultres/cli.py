@@ -255,6 +255,10 @@ def cmd_encode(args):
 
 
 def cmd_gen(args):
+    minima = {"ne": 1} if args.kind == "np" else {"gates": 3, "inputs": 1, "regs": 0}
+    for option, least in minima.items():
+        if getattr(args, option) < least:
+            raise CliError(f"--{option} must be at least {least}, got {getattr(args, option)}")
     if args.kind == "np":
         clauses, num_vars = _parse_dimacs_file(args.cnf)
         instance = np_hardness_instance(clauses, num_vars, args.ne)

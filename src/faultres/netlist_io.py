@@ -24,53 +24,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .circuit_model import (
-    ArityMismatch,
-    GateKind,
-    KIND_ARITY,
     FaultResistanceModel,
     LOCATION_CLASSES,
+    NetlistSyntaxError,
     UnknownBlacklistGate,
 )
 from .errors import FaultresError
 from .simulator import FaultType
-
-
-class NetlistError(FaultresError):
-    """Base for netlist text errors; every instance carries a source location."""
-
-    def __init__(self, msg, line=0, col=0):
-        loc = f"{line}:{col}: " if line else ""
-        super().__init__(loc + msg)
-        self.line = line
-        self.col = col
-
-
-class NetlistSyntaxError(NetlistError):
-    pass
-
-
-class UndefinedNet(NetlistError):
-    def __init__(self, name, line=0, col=0):
-        super().__init__(f"undefined net {name!r}", line, col)
-        self.name = name
-
-
-class DuplicateName(NetlistError):
-    def __init__(self, name, line=0, col=0):
-        super().__init__(f"duplicate net name {name!r}", line, col)
-        self.name = name
-
-
-class MissingOutputDriver(NetlistError):
-    def __init__(self, name, line=0, col=0):
-        super().__init__(f"no gate, register or input drives {name!r}", line, col)
-        self.name = name
-
-
-class UnknownGateKind(NetlistError):
-    def __init__(self, token, line=0, col=0):
-        super().__init__(f"unknown gate kind {token!r}", line, col)
-        self.token = token
 
 
 class ConfigError(FaultresError):
@@ -104,6 +64,8 @@ class NetlistDoc:
     gates: list  # of GateStmt, declaration order
     next_state: dict  # register -> driving net
     default_cycles: Optional[int] = None
+    # (statement, net) -> (line, col) in the text: ("decl", net) and
+    # ("output", net) at their first statement, ("next", reg), ("flag", net).
     source_locs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -129,8 +91,6 @@ _GATE_RE = re.compile(
 _NEXT_RE = re.compile(r"next\s+(?P<reg>\S+)\s*=\s*(?P<net>\S+)\s*$")
 _REG_RE = re.compile(r"\.reg\s+(?P<name>\S+)\s+init=(?P<init>\S+)\s*$")
 
-_KIND_TOKENS = {k.value: k for k in GateKind}
-
 
 def _check_ident(tok, line, col):
     if not _IDENT.fullmatch(tok):
@@ -139,19 +99,21 @@ def _check_ident(tok, line, col):
 
 
 def parse_netlist(text: str) -> NetlistDoc:
-    """Parse netlist text into a validated NetlistDoc.
+    """Parse netlist text into a NetlistDoc, checking the grammar only:
+    statement shapes, identifiers, ``init`` bits, at least one ``.inputs``
+    and ``.outputs``, at most one ``.name``, ``.cycles``, ``.flag`` and
+    ``next`` per register.  ``build_and_validate`` checks what the doc means,
+    reporting the source locations recorded here.  Statements may appear in
+    any order.  ``.cycles`` is kept and written back; ``verify`` takes k from
+    the config."""
 
-    Statements may appear in any order; all name resolution happens after the
-    whole text is read, so forward references between gates are fine.
-    """
-
-    name = None
+    name = "circuit"
     cycles = None
     inputs, outputs, registers, gates = [], [], [], []
     flag = None
     next_state = {}
     locs = {}
-    seen_stmt = {}
+    single = set()  # heads of the statements that may appear once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stmt = raw.split("#", 1)[0].rstrip()
@@ -159,36 +121,38 @@ def parse_netlist(text: str) -> NetlistDoc:
             continue
         col = len(stmt) - len(stmt.lstrip()) + 1
         stmt = stmt.strip()
-        head = stmt.split()[0]
+        parts = stmt.split()
+        head = parts[0]
+        if head in (".name", ".cycles", ".flag"):
+            if head in single:
+                raise NetlistSyntaxError(f"duplicate {head} statement", lineno, col)
+            single.add(head)
 
         if head == ".name":
-            parts = stmt.split()
             if len(parts) != 2:
                 raise NetlistSyntaxError(".name takes one identifier", lineno, col)
             name = _check_ident(parts[1], lineno, col)
         elif head == ".cycles":
-            parts = stmt.split()
             if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                 raise NetlistSyntaxError(".cycles takes one positive integer", lineno, col)
             cycles = int(parts[1])
         elif head == ".inputs":
-            for tok in stmt.split()[1:]:
+            for tok in parts[1:]:
                 inputs.append(_check_ident(tok, lineno, col))
-                locs.setdefault(tok, (lineno, col))
-            if len(stmt.split()) == 1:
+                locs.setdefault(("decl", tok), (lineno, col))
+            if len(parts) == 1:
                 raise NetlistSyntaxError(".inputs needs at least one net", lineno, col)
         elif head == ".outputs":
-            for tok in stmt.split()[1:]:
+            for tok in parts[1:]:
                 outputs.append(_check_ident(tok, lineno, col))
-                seen_stmt.setdefault(("output", tok), (lineno, col))
-            if len(stmt.split()) == 1:
+                locs.setdefault(("output", tok), (lineno, col))
+            if len(parts) == 1:
                 raise NetlistSyntaxError(".outputs needs at least one net", lineno, col)
         elif head == ".flag":
-            parts = stmt.split()
             if len(parts) != 2:
                 raise NetlistSyntaxError(".flag takes one identifier", lineno, col)
             flag = _check_ident(parts[1], lineno, col)
-            seen_stmt[("flag",)] = (lineno, col)
+            locs[("flag", flag)] = (lineno, col)
         elif head == ".reg":
             m = _REG_RE.match(stmt)
             if not m:
@@ -197,21 +161,18 @@ def parse_netlist(text: str) -> NetlistDoc:
             if m.group("init") not in ("0", "1"):
                 raise NetlistSyntaxError("init must be 0 or 1", lineno, col)
             registers.append((rname, int(m.group("init"))))
-            locs.setdefault(rname, (lineno, col))
+            locs.setdefault(("decl", rname), (lineno, col))
         elif head == "gate":
             m = _GATE_RE.match(stmt)
             if not m:
                 raise NetlistSyntaxError("gate wants `gate <name> = <kind>(<operands>)`",
                                          lineno, col)
             gname = _check_ident(m.group("name"), lineno, col)
-            kind = m.group("kind")
-            if kind not in _KIND_TOKENS:
-                raise UnknownGateKind(kind, lineno, col)
             ops = tuple(o.strip() for o in m.group("ops").split(",") if o.strip())
             for o in ops:
                 _check_ident(o, lineno, col)
-            gates.append(GateStmt(gname, kind, ops, lineno, col))
-            locs.setdefault(gname, (lineno, col))
+            gates.append(GateStmt(gname, m.group("kind"), ops, lineno, col))
+            locs.setdefault(("decl", gname), (lineno, col))
         elif head == "next":
             m = _NEXT_RE.match(stmt)
             if not m:
@@ -220,59 +181,16 @@ def parse_netlist(text: str) -> NetlistDoc:
             if reg in next_state:
                 raise NetlistSyntaxError(f"duplicate next for register {reg!r}", lineno, col)
             next_state[reg] = _check_ident(m.group("net"), lineno, col)
-            seen_stmt[("next", reg)] = (lineno, col)
+            locs[("next", reg)] = (lineno, col)
         else:
             raise NetlistSyntaxError(f"unrecognized statement {head!r}", lineno, col)
 
-    if name is None:
-        name = "circuit"
+    for head, nets in ((".inputs", inputs), (".outputs", outputs)):
+        if not nets:
+            raise NetlistSyntaxError(f"netlist has no {head} statement")
 
-    doc = NetlistDoc(name, inputs, outputs, flag, registers, gates, next_state,
-                     default_cycles=cycles, source_locs=locs)
-    _validate_doc(doc, seen_stmt)
-    return doc
-
-
-def _validate_doc(doc: NetlistDoc, seen_stmt):
-    declared = set()
-    for net in list(doc.inputs) + [r for r, _ in doc.registers] + [g.name for g in doc.gates]:
-        if net in declared:
-            line, col = doc.source_locs.get(net, (0, 0))
-            raise DuplicateName(net, line, col)
-        declared.add(net)
-
-    for g in doc.gates:
-        kind = _KIND_TOKENS[g.kind]  # the parser has checked the token
-        if len(g.operands) != KIND_ARITY[kind]:
-            raise ArityMismatch(g.name, kind, len(g.operands), g.line, g.col)
-        for op in g.operands:
-            if op not in declared:
-                raise UndefinedNet(op, g.line, g.col)
-
-    for out in doc.outputs:
-        if out not in declared:
-            line, col = seen_stmt.get(("output", out), (0, 0))
-            raise MissingOutputDriver(out, line, col)
-
-    regs = {r for r, _ in doc.registers}
-    for reg, net in doc.next_state.items():
-        line, col = seen_stmt.get(("next", reg), (0, 0))
-        if reg not in regs:
-            raise UndefinedNet(reg, line, col)
-        if net not in declared:
-            raise UndefinedNet(net, line, col)
-    for reg in regs:
-        if reg not in doc.next_state:
-            line, col = doc.source_locs.get(reg, (0, 0))
-            raise MissingOutputDriver(reg, line, col)
-
-    if doc.flag_output is not None:
-        line, col = seen_stmt.get(("flag",), (0, 0))
-        if doc.flag_output not in declared:
-            raise UndefinedNet(doc.flag_output, line, col)
-        if doc.flag_output not in doc.outputs:
-            raise NetlistSyntaxError(
-                f"flag {doc.flag_output!r} must be listed in .outputs", line, col)
+    return NetlistDoc(name, inputs, outputs, flag, registers, gates, next_state,
+                      default_cycles=cycles, source_locs=locs)
 
 
 def write_netlist(doc: NetlistDoc) -> str:
@@ -289,8 +207,8 @@ def write_netlist(doc: NetlistDoc) -> str:
         lines.append(f".reg {r} init={init}")
     for g in doc.gates:
         lines.append(f"gate {g.name} = {g.kind}({', '.join(g.operands)})")
-    for r, _ in doc.registers:
-        lines.append(f"next {r} = {doc.next_state[r]}")
+    for r, net in doc.next_state.items():
+        lines.append(f"next {r} = {net}")
     return "\n".join(lines) + "\n"
 
 

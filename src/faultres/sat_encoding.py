@@ -148,17 +148,19 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
                 tuple(controls), model.n_e, label=f"ne@{cycle}"))
 
     # d@cycle says some fault is active in that cycle; declared only when the
-    # n_c bound binds, i.e. fewer than the cycles that have controls.
+    # n_c bound binds, i.e. fewer than the cycles that have controls.  With
+    # an input named d they are d'@cycle, a name no identifier spells.
     active = [cycle for cycle in range(1, controlled.k + 1)
               if controlled.cycle_controls.get(cycle)]
     if model.n_c < len(active):
-        for cycle in active:
-            d = b.var(f"d@{cycle}", ROLE_AUX_D)
+        prefix = "d'" if (1, "d") in controlled.input_vars else "d"
+        names = tuple(f"{prefix}@{cycle}" for cycle in active)
+        for cycle, name in zip(active, names):
+            d = b.var(name, ROLE_AUX_D)
             any_ctrl = b.or_many([b.var(c, ROLE_CONTROL)
                                   for c in controlled.cycle_controls[cycle]])
             conjuncts.append(b.iff(d, any_ctrl))
-        cardinality.append(CardinalityConstraint(
-            tuple(f"d@{cycle}" for cycle in active), model.n_c, label="nc"))
+        cardinality.append(CardinalityConstraint(names, model.n_c, label="nc"))
 
     root = b.and_many(conjuncts + [root])
     return BoolFormula(builder=b, root=root, cardinality=cardinality,

@@ -7,15 +7,20 @@ from conftest import instances
 from faultres.circuit_model import (
     ArityMismatch,
     CombinationalCycle,
+    DuplicateName,
     GateInstance,
     InvalidK,
+    MissingOutputDriver,
+    NetlistSyntaxError,
+    UndefinedNet,
     UnknownBlacklistGate,
+    UnknownGateKind,
     build_and_validate,
     fault_locations,
     unroll,
 )
 from faultres.fixtures import fixture_text
-from faultres.netlist_io import GateStmt, NetlistDoc, parse_netlist
+from faultres.netlist_io import GateStmt, NetlistDoc, parse_netlist, write_netlist
 from faultres.oracle import random_netlist
 
 SEQ_TEXT = ".inputs i\n.outputs g\n.reg r init=0\ngate g = xor(i, r)\nnext r = g\n"
@@ -48,11 +53,39 @@ def test_combinational_cycle_deep():
 
 
 def test_build_arity_mismatch():
-    # Construct the doc directly; the parser would reject this earlier.
+    # A doc built in code is checked like a parsed one.
     doc = NetlistDoc("t", ["a", "b"], ["g"], None, [],
                      [GateStmt("g", "not", ("a", "b"))], {})
     with pytest.raises(ArityMismatch):
         build_and_validate(doc)
+
+
+def _doc(outputs=("g",), flag=None, registers=(), gates=(("g", "buf", ("a",)),),
+         next_state=None):
+    return NetlistDoc("t", ["a", "b"], list(outputs), flag, list(registers),
+                      [GateStmt(*g) for g in gates], dict(next_state or {}))
+
+
+@pytest.mark.parametrize("doc, error, name", [
+    (_doc(gates=[("g", "nandx", ("a", "b"))]), UnknownGateKind, "g"),
+    (_doc(gates=[("g", "not", ("a", "b"))]), ArityMismatch, "g"),
+    (_doc(gates=[("g", "buf", ("a",)), ("g", "not", ("b",))]), DuplicateName, "g"),
+    (_doc(gates=[("g", "and", ("a", "zz"))]), UndefinedNet, "zz"),
+    (_doc(outputs=("g", "w")), MissingOutputDriver, "w"),
+    (_doc(registers=[("r", 0)], gates=[("g", "buf", ("r",))]), MissingOutputDriver, "r"),
+    (_doc(next_state={"q": "g"}), UndefinedNet, "q"),
+    (_doc(flag="f", gates=[("g", "buf", ("a",)), ("f", "not", ("a",))]),
+     NetlistSyntaxError, "f"),
+], ids=["kind", "arity", "duplicate", "undefined", "undriven", "no-next", "next-not-register",
+        "flag"])
+def test_built_doc_checked_like_its_text(doc, error, name):
+    # The same defect raises the same error whether the doc was built in code
+    # or parsed from its text; only the parsed one knows source locations.
+    for candidate in (doc, parse_netlist(write_netlist(doc))):
+        with pytest.raises(error) as exc:
+            build_and_validate(candidate)
+        assert type(exc.value) is error and exc.value.name == name
+    assert exc.value.line > 0 and exc.value.col == 1
 
 
 def test_unroll_rect(rect_parity):

@@ -272,6 +272,43 @@ def test_gen_np_malformed_dimacs(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cnf}:2: bad DIMACS token 'x'\n"
 
 
+def test_gen_rejects_sizes_it_cannot_build(tmp_path, capsys):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    for argv, option in ((("random", "--gates", "2"), "--gates"),
+                         (("random", "--gates", "0"), "--gates"),
+                         (("random", "--inputs", "0"), "--inputs"),
+                         (("random", "--regs", "-1"), "--regs"),
+                         (("np", "--cnf", cnf, "--ne", "0"), "--ne")):
+        seed = ("--seed", "1") if argv[0] == "random" else ()
+        assert run_cli("gen", *argv, *seed) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {option} must be at least ")
+        assert captured.out == ""
+    assert run_cli("gen", "random", "--seed", "1", "--gates", "3", "--inputs", "1",
+                   "--regs", "0") == 0
+
+
+def test_verify_input_named_d_with_binding_nc(tmp_path, capsys):
+    # At k = 2 with nc = 1 the n_c bound binds, so the encoder declares one
+    # activity variable per cycle; an input named d must not collide with it.
+    config = tmp_path / "zeta.json"
+    config.write_text('{"k": 2, "model": {"ne": 1, "nc": 1, "types": ["bf"], '
+                      '"location": "c"}}')
+    outputs = []
+    for name in ("d", "x"):
+        netlist = tmp_path / f"{name}.nl"
+        netlist.write_text(f".inputs {name} e\n.outputs o\n"
+                           f"gate g = and({name}, e)\ngate o = buf(g)\n")
+        report = tmp_path / f"{name}.json"
+        assert run_cli("verify", netlist, "--config", config, "--json", report) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+        assert json.loads(report.read_text())["verdict"] == "not_resistant"
+    assert outputs[0] == outputs[1]
+
+
 def test_env_var_solver(workdir, monkeypatch, tmp_path, capsys):
     # an env-var solver that always reports unknown surfaces as an error
     script = tmp_path / "weird.py"

@@ -2,16 +2,19 @@ import random
 
 import pytest
 
-from faultres.netlist_io import (
+from faultres.circuit_model import (
     ArityMismatch,
     DuplicateName,
-    InvalidModel,
     MissingOutputDriver,
     NetlistSyntaxError,
-    SchemaError,
     UndefinedNet,
     UnknownBlacklistGate,
     UnknownGateKind,
+    build_and_validate,
+)
+from faultres.netlist_io import (
+    InvalidModel,
+    SchemaError,
     parse_config,
     parse_netlist,
     write_netlist,
@@ -35,7 +38,7 @@ def test_rect_parity_shape(rect_parity_doc):
 def test_missing_output_driver():
     text = ".name t\n.inputs a\n.outputs w\ngate g = not(a)\n"
     with pytest.raises(MissingOutputDriver) as exc:
-        parse_netlist(text)
+        build_and_validate(parse_netlist(text))
     assert exc.value.name == "w"
     assert exc.value.line == 3  # errors carry their source location
 
@@ -43,7 +46,7 @@ def test_missing_output_driver():
 def test_undefined_net():
     text = ".name t\n.inputs a\n.outputs g1\ngate g1 = and(a, zz)\n"
     with pytest.raises(UndefinedNet) as exc:
-        parse_netlist(text)
+        build_and_validate(parse_netlist(text))
     assert exc.value.name == "zz"
     assert exc.value.line == 4
 
@@ -51,18 +54,18 @@ def test_undefined_net():
 def test_duplicate_name():
     text = ".name t\n.inputs a\n.outputs g\ngate g = not(a)\ngate g = buf(a)\n"
     with pytest.raises(DuplicateName):
-        parse_netlist(text)
+        build_and_validate(parse_netlist(text))
 
 
 def test_unknown_gate_kind():
     with pytest.raises(UnknownGateKind) as exc:
-        parse_netlist(".inputs a\n.outputs g\ngate g = nandx(a, a)\n")
+        build_and_validate(parse_netlist(".inputs a\n.outputs g\ngate g = nandx(a, a)\n"))
     assert exc.value.token == "nandx"
 
 
 def test_parse_arity_mismatch():
     with pytest.raises(ArityMismatch) as exc:
-        parse_netlist(".inputs a b\n.outputs g\ngate g = not(a, b)\n")
+        build_and_validate(parse_netlist(".inputs a b\n.outputs g\ngate g = not(a, b)\n"))
     assert (exc.value.line, exc.value.col) == (3, 1)
     assert str(exc.value) == "3:1: gate 'g': not takes 1 operands, got 2"
 
@@ -76,13 +79,30 @@ def test_syntax_error_has_location():
 def test_register_without_next_rejected():
     text = ".inputs a\n.outputs g\n.reg r init=0\ngate g = buf(r)\n"
     with pytest.raises(MissingOutputDriver):
-        parse_netlist(text)
+        build_and_validate(parse_netlist(text))
 
 
 def test_flag_must_be_output():
     text = ".inputs a\n.outputs g\n.flag g2\ngate g = buf(a)\ngate g2 = not(a)\n"
     with pytest.raises(NetlistSyntaxError):
-        parse_netlist(text)
+        build_and_validate(parse_netlist(text))
+
+
+def test_missing_inputs_or_outputs_rejected():
+    for text, head in (("", ".inputs"), (".outputs g\ngate g = const1()\n", ".inputs"),
+                       (".inputs a\ngate g = buf(a)\n", ".outputs")):
+        with pytest.raises(NetlistSyntaxError) as exc:
+            parse_netlist(text)
+        assert str(exc.value) == f"netlist has no {head} statement"
+
+
+def test_repeated_single_statements_rejected():
+    body = ".inputs a\n.outputs g f\ngate g = buf(a)\ngate f = not(a)\n"
+    for stmt in (".name t", ".cycles 2", ".flag f"):
+        with pytest.raises(NetlistSyntaxError) as exc:
+            parse_netlist(f"{stmt}\n{body}{stmt}\n")
+        assert (exc.value.line, exc.value.col) == (6, 1)
+        assert str(exc.value) == f"6:1: duplicate {stmt.split()[0]} statement"
 
 
 def test_parse_is_deterministic(rect_parity_doc):
