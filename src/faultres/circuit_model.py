@@ -117,20 +117,6 @@ KIND_ARITY = {
 # Netlist token -> (kind, arity); the one table that reads a gate kind.
 _KIND_TOKENS = {k.value: (k, arity) for k, arity in KIND_ARITY.items()}
 
-# Output-inverted counterpart of each kind; flipping twice restores the kind.
-BITFLIP_COMPLEMENT = {
-    GateKind.AND: GateKind.NAND,
-    GateKind.NAND: GateKind.AND,
-    GateKind.OR: GateKind.NOR,
-    GateKind.NOR: GateKind.OR,
-    GateKind.XOR: GateKind.XNOR,
-    GateKind.XNOR: GateKind.XOR,
-    GateKind.NOT: GateKind.BUF,
-    GateKind.BUF: GateKind.NOT,
-    GateKind.CONST0: GateKind.CONST1,
-    GateKind.CONST1: GateKind.CONST0,
-}
-
 # Evaluators over machine words: `ones` is the all-ones lane mask, so the same
 # table serves single-bit simulation (ones=1) and bit-parallel sweeps.
 KIND_EVAL = {
@@ -150,16 +136,15 @@ LOCATION_CLASSES = ("c", "r", "cr")
 
 
 class GateInstance(NamedTuple):
-    """One gate of the unrolled circuit: gate ``name`` as seen in ``cycle``.
-
-    For a register the instance denotes the value *consumed* during ``cycle``
-    (the init value when cycle == 1).  A plain tuple, so hashing and
-    comparison are the native tuple operations.
+    """One fault location of the unrolled circuit: gate or register ``name``
+    as seen in ``cycle``.  Gates and registers share one name space, so the
+    pair alone says which; for a register the instance denotes the value
+    *consumed* during ``cycle`` (the init value when cycle == 1).  A plain
+    tuple, so it hashes and compares equal to ``(cycle, name)``.
     """
 
     cycle: int
     name: str
-    is_register: bool = False
 
     @property
     def label(self) -> str:
@@ -219,12 +204,15 @@ class SequentialCircuit:
 def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
     """Check what a netlist doc means and turn it into a circuit with a
     cached topological order of the frame.  The one place these checks run,
-    for parsed docs and docs built in code alike: known gate kinds and their
-    arity, each net declared once, operands and next-state nets declared,
-    outputs driven, a next state for every register, the flag among the
-    outputs, no combinational cycle.  Errors carry the doc's source
+    for parsed docs and docs built in code alike: at least one input and
+    output, known gate kinds and their arity, each net declared once,
+    operands and next-state nets declared, outputs driven, a next state for
+    every register, the flag among the outputs, no combinational cycle.  Errors carry the doc's source
     locations, if it has any."""
 
+    for head, nets in ((".inputs", doc.inputs), (".outputs", doc.outputs)):
+        if not nets:
+            raise NetlistSyntaxError(f"netlist has no {head} statement")
     locs = doc.source_locs
     regs = [r for r, _ in doc.registers]
     declared = set()
@@ -375,11 +363,9 @@ class UnrolledCircuit:
     faults: dict = field(default_factory=dict, hash=False)
 
     def instance_exists(self, inst: GateInstance) -> bool:
-        if not 1 <= inst.cycle <= self.k:
-            return False
-        if inst.is_register:
-            return inst.name in self.circuit.init_bits
-        return inst.name in self.circuit.gate_map
+        # next_state has exactly the registers as keys.
+        return 1 <= inst.cycle <= self.k and (inst.name in self.circuit.gate_map
+                                              or inst.name in self.circuit.next_state)
 
 
 def unroll(circuit: SequentialCircuit, k: int) -> UnrolledCircuit:
@@ -413,5 +399,5 @@ def fault_locations(unrolled: UnrolledCircuit, blacklist, location: str) -> set:
         if location in ("r", "cr"):
             for r in circuit.register_names:
                 if r not in blacklist:
-                    locations.add(GateInstance(cycle, r, is_register=True))
+                    locations.add(GateInstance(cycle, r))
     return locations

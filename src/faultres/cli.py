@@ -240,12 +240,8 @@ def cmd_encode(args):
     if args.dimacs:
         _write_dimacs(problem.cnf, args.dimacs)
     if args.dump_controls:
-        controls = {
-            inst.label: {k: v for k, v in
-                         (("c", cv.c), ("b1", cv.b1), ("b2", cv.b2)) if v is not None}
-            for inst, cv in sorted(problem.controlled.control_map.items(),
-                                   key=lambda kv: (kv[0].cycle, kv[0].name))
-        }
+        controls = {inst.label: dict(zip(("c", "b1", "b2"), names))
+                    for inst, names in sorted(problem.controlled.control_map.items())}
         print(json.dumps(controls, indent=2))
     else:
         print(json.dumps({"vars": problem.cnf.num_vars,

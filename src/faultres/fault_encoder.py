@@ -4,7 +4,10 @@ Every vulnerable gate instance is replaced by a gadget: a formula over the
 gate's data inputs plus a fresh control input c (fault on/off) and, when more
 than one fault type is allowed, selection inputs b1/b2 choosing the type.
 With c = 0 a gadget is equivalent to the original gate, so assignments of the
-control inputs range exactly over the admissible fault vectors.
+control inputs range exactly over the admissible fault vectors.  A fault
+acts on the gate's output: set makes it 1, reset 0, and a bit-flip negates
+it.  The inputs of the instance labelled l (``name@cycle``) are named
+``c[l]``, ``b1[l]`` and ``b2[l]``.
 """
 
 from __future__ import annotations
@@ -12,11 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuit_model import (
-    BITFLIP_COMPLEMENT,
-    GateKind,
-    UnrolledCircuit,
-)
+from .circuit_model import GateKind, UnrolledCircuit
 from .errors import FaultresError
 from .formula import ROLE_CONTROL, ROLE_INPUT, ROLE_SELECTION, FormulaBuilder
 from .simulator import FaultEvent, FaultType, FaultVector
@@ -31,16 +30,6 @@ def _canonical_types(types):
     if not types:
         raise EncoderError("fault-type set must be non-empty")
     return types
-
-
-def faulted_kind(kind: GateKind, fault: FaultType) -> GateKind:
-    """The gate a fault turns ``kind`` into: set and reset are constants,
-    a bit-flip is the output-inverted kind."""
-    if fault is FaultType.SET:
-        return GateKind.CONST1
-    if fault is FaultType.RESET:
-        return GateKind.CONST0
-    return BITFLIP_COMPLEMENT[kind]
 
 
 def decode_type(types, bits) -> FaultType:
@@ -58,17 +47,20 @@ def gadget(b: FormulaBuilder, kind: GateKind, types, ins, c, sels):
     """Formula node of a gate under fault control: c = 0 is the gate itself,
     c = 1 the faulty gate whose type the selection inputs ``sels`` pick."""
     orig = _kind_node(b, kind, ins)
-    return b.ite(c, _fault_tree(b, kind, types, ins, sels), orig)
+    # decode_type's selection tree, built from its innermost choice outward:
+    # sels[0] = 0 picks the last type, 1 the tree over the others.
+    faulty = _faulted(b, orig, types[0])
+    for t, sel in zip(types[1:], reversed(sels)):
+        faulty = b.ite(sel, faulty, _faulted(b, orig, t))
+    return b.ite(c, faulty, orig)
 
 
-def _fault_tree(b, kind, types, ins, sels):
-    # Module-level on purpose: a nested closure that calls itself is a
-    # reference cycle, which keeps the builder alive until the cyclic
-    # collector runs.
-    if len(types) == 1:
-        return _kind_node(b, faulted_kind(kind, types[0]), ins)
-    rest = _fault_tree(b, kind, types[:-1], ins, sels[1:])
-    return b.ite(sels[0], rest, _kind_node(b, faulted_kind(kind, types[-1]), ins))
+def _faulted(b, orig, fault):
+    if fault is FaultType.SET:
+        return b.true
+    if fault is FaultType.RESET:
+        return b.false
+    return b.not_(orig)
 
 
 def _kind_node(b: FormulaBuilder, kind: GateKind, ins):
@@ -93,17 +85,6 @@ def _kind_node(b: FormulaBuilder, kind: GateKind, ins):
     return b.true
 
 
-@dataclass(frozen=True)
-class ControlVars:
-    c: str
-    b1: Optional[str] = None
-    b2: Optional[str] = None
-
-    @property
-    def selections(self):
-        return tuple(n for n in (self.b1, self.b2) if n is not None)
-
-
 @dataclass
 class ControlledCircuit:
     """The instrumented unrolled circuit as a formula DAG, plus the mapping
@@ -117,7 +98,7 @@ class ControlledCircuit:
     input_vars: dict       # (cycle, input name) -> node
     taps: dict             # (cycle, output name) -> node
     flag_taps: dict        # cycle -> node (constant false when no flag)
-    control_map: dict      # GateInstance -> ControlVars
+    control_map: dict      # GateInstance -> (c, b1, b2) names, one per type
     cycle_controls: dict   # cycle -> list of control var names
 
 
@@ -132,66 +113,42 @@ def make_input_vars(builder: FormulaBuilder, circuit, k) -> dict:
 
 
 def instrument(unrolled: UnrolledCircuit, locations, types,
-               builder: Optional[FormulaBuilder] = None,
-               input_vars: Optional[dict] = None) -> ControlledCircuit:
-    """Replace every instance in ``locations`` by its gadget.  With an empty
-    location set this is simply the circuit-to-formula lowering.  Every net no
-    fault reaches gets its fault-free node, so ``golden_taps`` on the same
-    builder finds those nodes again instead of making new ones."""
+               builder: FormulaBuilder, input_vars: dict) -> ControlledCircuit:
+    """Replace every instance in ``locations`` by its gadget, on ``builder``
+    over the primary-input variables ``input_vars``.  With an empty location
+    set this is simply the circuit-to-formula lowering.  Every net no fault
+    reaches gets its fault-free node, so ``golden_taps`` on the same builder
+    finds those nodes again instead of making new ones."""
 
     types = _canonical_types(types)
-    b = builder if builder is not None else FormulaBuilder()
+    b = builder
     circuit = unrolled.circuit
-    if input_vars is None:
-        input_vars = make_input_vars(b, circuit, unrolled.k)
-
     for inst in locations:
         if not unrolled.instance_exists(inst):
             raise EncoderError(f"location {inst.label} is not an instance of the circuit")
 
-    order = {g.name: i for i, g in enumerate(circuit.gates)}
-    reg_order = {r: i for i, r in enumerate(circuit.register_names)}
-    loc_sorted = sorted(locations,
-                        key=lambda i: (i.cycle, i.is_register,
-                                       reg_order[i.name] if i.is_register else order[i.name]))
-
+    # Controls are numbered cycle-major, then gates before registers, each
+    # in declaration order; the selections follow in the same order.
+    rank = {name: i for i, name in
+            enumerate((*(g.name for g in circuit.gates), *circuit.register_names))}
     control_map = {}
     cycle_controls = {}
-    by_cycle = {}  # cycle -> net name -> ControlVars
-    sel_names = ("b1", "b2")[:len(types) - 1]
-    for inst in loc_sorted:
-        cv = ControlVars(f"c[{inst.label}]",
-                         *(f"{s}[{inst.label}]" for s in sel_names))
-        b.var(cv.c, ROLE_CONTROL)
-        control_map[inst] = cv
-        cycle_controls.setdefault(inst.cycle, []).append(cv.c)
-        by_cycle.setdefault(inst.cycle, {})[inst.name] = cv
-    for cv in control_map.values():
-        for sel in cv.selections:
-            b.var(sel, ROLE_SELECTION)
-
-    def faulty(cv, kind, ins):
-        return gadget(b, kind, types, ins, b.var(cv.c, ROLE_CONTROL),
-                      [b.var(s, ROLE_SELECTION) for s in cv.selections])
+    for inst in sorted(locations, key=lambda i: (i.cycle, rank[i.name])):
+        names = tuple(f"{v}[{inst.label}]" for v in ("c", "b1", "b2")[:len(types)])
+        b.var(names[0], ROLE_CONTROL)
+        control_map[inst] = names
+        cycle_controls.setdefault(inst.cycle, []).append(names[0])
+    gadgets = {}  # cycle -> net name -> (control node, selection nodes)
+    for (cycle, name), names in control_map.items():
+        gadgets.setdefault(cycle, {})[name] = (
+            b.var(names[0], ROLE_CONTROL), [b.var(s, ROLE_SELECTION) for s in names[1:]])
 
     taps = {}
     flag_taps = {}
-    state = {r: b.const(init) for r, init in circuit.registers}
-    for cycle in range(1, unrolled.k + 1):
-        here = by_cycle.get(cycle, {})
-        env = {name: input_vars[(cycle, name)] for name in circuit.inputs}
-        for r in circuit.register_names:
-            cv = here.get(r)
-            env[r] = state[r] if cv is None else faulty(cv, GateKind.BUF, (state[r],))
-        for name in circuit.topo_order:
-            g = circuit.gate_map[name]
-            ins = tuple(env[op] for op in g.operands)
-            cv = here.get(name)
-            env[name] = _kind_node(b, g.kind, ins) if cv is None else faulty(cv, g.kind, ins)
+    for cycle, env in _lower(b, unrolled, input_vars, None, gadgets, types):
         for o in circuit.outputs:
             taps[(cycle, o)] = env[o]
         flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
-        state = {r: env[circuit.next_state[r]] for r in circuit.register_names}
 
     return ControlledCircuit(
         builder=b, k=unrolled.k, outputs=circuit.outputs, flag=circuit.flag,
@@ -203,48 +160,58 @@ def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict) 
     """Fault-free taps of the data outputs, (cycle, name) -> node, built on
     ``b`` over the primary-input variables ``input_vars``.
 
-    Only each cycle's data cone is lowered: in cycle c the nets with
-    ``data_depth <= k - c``, the only ones that reach a data output within
-    the k cycles.  They are lowered in the order a full lowering visits them
-    (cycle-major, registers, then topological order).  On the builder of an
-    ``instrument`` pass over the same circuit, a net no fault reaches lowers
-    to its instrumented node, which hash-consing returns without adding a
-    node, so only the fault-reachable nets a data output reads add nodes.
-    The taps are the nodes a full lowering yields.  Their creation order, and
-    with it the CNF numbering, differs from a full lowering's only when a
-    skipped cone (one only the flag reads) equals a data cone in structure
-    and comes first in topological order."""
+    Only each cycle's data cone is lowered, in the walk order of
+    ``instrument``.  On the builder of an ``instrument`` pass over the same
+    circuit, a net no fault reaches lowers to its instrumented node, which
+    hash-consing returns without adding a node, so only the fault-reachable
+    nets a data output reads add nodes.  The taps are the nodes a full
+    lowering yields.  Their creation order, and with it the CNF numbering,
+    differs from a full lowering's only when a skipped cone (one only the
+    flag reads) equals a data cone in structure and comes first in
+    topological order."""
+
+    circuit = unrolled.circuit
+    data = [o for o in circuit.outputs if o != circuit.flag]
+    taps = {}
+    for cycle, env in _lower(b, unrolled, input_vars, circuit.data_depth, {}, ()):
+        for o in data:
+            taps[(cycle, o)] = env[o]
+    return taps
+
+
+def _lower(b, unrolled, input_vars, depth, gadgets, types):
+    """The one circuit-to-formula walk, which fixes the node creation order
+    and with it the CNF numbering: cycle-major, registers in declaration
+    order, then gates in topological order.  Yields each cycle with its
+    net -> node map.  A net in ``gadgets[cycle]`` lowers to its gadget over
+    ``types``.  With ``depth`` (a circuit's ``data_depth``) only the data
+    cone is lowered: in cycle c the nets with depth <= k - c, the only ones
+    that reach a data output within the k cycles."""
 
     circuit, k = unrolled.circuit, unrolled.k
-    depth = circuit.data_depth
-    data = [o for o in circuit.outputs if o != circuit.flag]
-    init = circuit.init_bits
-    taps = {}
-    before = {}
-    for c in range(1, k + 1):
-        reach = k - c
-        env = {name: input_vars[(c, name)] for name in circuit.inputs}
-        for r in circuit.register_names:
-            if depth.get(r, k) <= reach:
-                env[r] = b.const(init[r]) if c == 1 else before[circuit.next_state[r]]
-        for name in circuit.topo_order:
-            if depth.get(name, k) <= reach:
-                g = circuit.gate_map[name]
-                env[name] = _kind_node(b, g.kind, tuple(env[op] for op in g.operands))
-        for o in data:
-            taps[(c, o)] = env[o]
-        before = env
-    return taps
+    gate_map, next_state, init = circuit.gate_map, circuit.next_state, circuit.init_bits
+    order = (*circuit.register_names, *circuit.topo_order)
+    env = {}
+    for cycle in range(1, k + 1):
+        before, env = env, {name: input_vars[(cycle, name)] for name in circuit.inputs}
+        here = gadgets.get(cycle, {})
+        nets = order if depth is None else [n for n in order if depth.get(n, k) <= k - cycle]
+        for name in nets:
+            g = gate_map.get(name)
+            if g is None:  # a register reads its next-state net of the cycle before
+                kind = GateKind.BUF
+                ins = (b.const(init[name]) if cycle == 1 else before[next_state[name]],)
+            else:
+                kind, ins = g.kind, tuple(env[op] for op in g.operands)
+            ctrl = here.get(name)
+            env[name] = _kind_node(b, kind, ins) if ctrl is None else gadget(
+                b, kind, types, ins, *ctrl)
+        yield cycle, env
 
 
 def decode_fault_vector(assignment, controlled: ControlledCircuit) -> FaultVector:
     """Unique fault vector compatible with a total control-input assignment."""
 
-    events = []
-    for inst, cv in sorted(controlled.control_map.items(),
-                           key=lambda kv: (kv[0].cycle, kv[0].name)):
-        if not assignment[cv.c]:
-            continue
-        bits = [assignment[s] for s in cv.selections]
-        events.append(FaultEvent(inst, decode_type(controlled.types, bits)))
-    return FaultVector(events)
+    return FaultVector(
+        FaultEvent(inst, decode_type(controlled.types, [assignment[s] for s in names[1:]]))
+        for inst, names in controlled.control_map.items() if assignment[names[0]])

@@ -100,10 +100,9 @@ def _check_ident(tok, line, col):
 
 def parse_netlist(text: str) -> NetlistDoc:
     """Parse netlist text into a NetlistDoc, checking the grammar only:
-    statement shapes, identifiers, ``init`` bits, at least one ``.inputs``
-    and ``.outputs``, at most one ``.name``, ``.cycles``, ``.flag`` and
-    ``next`` per register.  ``build_and_validate`` checks what the doc means,
-    reporting the source locations recorded here.  Statements may appear in
+    statement shapes, identifiers, ``init`` bits, at most one ``.name``,
+    ``.cycles``, ``.flag`` and ``next`` per register.  ``build_and_validate``
+    checks what the doc means, reporting the source locations recorded here.  Statements may appear in
     any order.  ``.cycles`` is kept and written back; ``verify`` takes k from
     the config."""
 
@@ -184,10 +183,6 @@ def parse_netlist(text: str) -> NetlistDoc:
             locs[("next", reg)] = (lineno, col)
         else:
             raise NetlistSyntaxError(f"unrecognized statement {head!r}", lineno, col)
-
-    for head, nets in ((".inputs", inputs), (".outputs", outputs)):
-        if not nets:
-            raise NetlistSyntaxError(f"netlist has no {head} statement")
 
     return NetlistDoc(name, inputs, outputs, flag, registers, gates, next_state,
                       default_cycles=cycles, source_locs=locs)

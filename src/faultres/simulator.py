@@ -153,19 +153,18 @@ def _run_masked(unrolled: UnrolledCircuit, input_values, ones):
     (plain 0/1 when ones == 1).  Returns per-cycle net environments."""
 
     circuit = unrolled.circuit
-    faults = unrolled.faults
+    faults = unrolled.faults  # GateInstance keys; equal to (cycle, name)
     state = {r: init * ones for r, init in circuit.registers}
     envs = []
     for cycle in range(1, unrolled.k + 1):
         env = dict(input_values[cycle - 1])
         for r in circuit.register_names:
-            f = faults.get(GateInstance(cycle, r, is_register=True))
-            env[r] = _apply_value_fault(state[r], f, ones)
+            env[r] = _apply_value_fault(state[r], faults.get((cycle, r)), ones)
         for name in circuit.topo_order:
             g = circuit.gate_map[name]
             a = env[g.operands[0]] if g.operands else 0
             b = env[g.operands[1]] if len(g.operands) > 1 else 0
-            f = faults.get(GateInstance(cycle, name))
+            f = faults.get((cycle, name))
             env[name] = _apply_value_fault(KIND_EVAL[g.kind](a, b, ones), f, ones)
         state = {r: env[circuit.next_state[r]] for r in circuit.register_names}
         envs.append(env)

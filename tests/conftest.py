@@ -2,8 +2,9 @@ import pytest
 
 from faultres import build_and_validate, parse_config, parse_netlist, unroll
 from faultres.circuit_model import GateInstance
+from faultres.fault_encoder import make_input_vars
 from faultres.fixtures import fixture_text
-from faultres.formula import AND, CONST, IFF, ITE, NOT, OR, VAR, XOR
+from faultres.formula import AND, CONST, IFF, ITE, NOT, OR, VAR, XOR, FormulaBuilder
 
 # Golden truth table of the 4-bit S-box, input value 0..15 (a msb), output wxyz.
 SBOX = [
@@ -99,15 +100,22 @@ def selection_bits(types, fault):
 def canonical_assignment(controlled, vector):
     """The control-input assignment compatible with a fault vector: c = 1 at
     its instances with selection bits per type, everything else 0."""
-    assignment = {name: False for cv in controlled.control_map.values()
-                  for name in (cv.c,) + cv.selections}
+    assignment = {name: False for names in controlled.control_map.values()
+                  for name in names}
     for event in vector:
-        cv = controlled.control_map[event.instance]
+        c, *selections = controlled.control_map[event.instance]
         assert event.fault_type in controlled.types, event
-        assignment[cv.c] = True
-        assignment.update(zip(cv.selections,
+        assignment[c] = True
+        assignment.update(zip(selections,
                               selection_bits(controlled.types, event.fault_type)))
     return assignment
+
+
+def fresh_inputs(unrolled):
+    """A new formula builder and the primary-input variables made on it: the
+    builder and input_vars arguments of ``instrument``."""
+    b = FormulaBuilder()
+    return b, make_input_vars(b, unrolled.circuit, unrolled.k)
 
 
 def exit_groups(exit_of):
@@ -137,8 +145,7 @@ def instances(unrolled):
     out = []
     for cycle in range(1, unrolled.k + 1):
         out += [GateInstance(cycle, g.name) for g in unrolled.circuit.gates]
-        out += [GateInstance(cycle, r, is_register=True)
-                for r in unrolled.circuit.register_names]
+        out += [GateInstance(cycle, r) for r in unrolled.circuit.register_names]
     return out
 
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import SBOX, SBOX_FAULTY, exit_groups, input_bits, instances
+from conftest import SBOX, SBOX_FAULTY, exit_groups, fresh_inputs, input_bits, instances
 from faultres.circuit_model import (
     FaultResistanceModel,
     GateInstance,
@@ -209,7 +209,7 @@ def test_criterion_7_size_bound(rect_parity_unrolled, rect_revised):
     for unrolled in circuits:
         for types in type_sets:
             locations = fault_locations(unrolled, set(), "cr")
-            controlled = instrument(unrolled, locations, types)
+            controlled = instrument(unrolled, locations, types, *fresh_inputs(unrolled))
             # every node of the formula DAG against 6|T| x k x (gates + registers)
             bound = 6 * len(types) * len(instances(unrolled))
             nodes = len(controlled.builder.kinds)

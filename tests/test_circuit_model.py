@@ -76,14 +76,17 @@ def _doc(outputs=("g",), flag=None, registers=(), gates=(("g", "buf", ("a",)),),
     (_doc(next_state={"q": "g"}), UndefinedNet, "q"),
     (_doc(flag="f", gates=[("g", "buf", ("a",)), ("f", "not", ("a",))]),
      NetlistSyntaxError, "f"),
+    (_doc(outputs=()), NetlistSyntaxError, None),
 ], ids=["kind", "arity", "duplicate", "undefined", "undriven", "no-next", "next-not-register",
-        "flag"])
+        "flag", "no-outputs"])
 def test_built_doc_checked_like_its_text(doc, error, name):
     # The same defect raises the same error whether the doc was built in code
     # or parsed from its text; only the parsed one knows source locations.
-    for candidate in (doc, parse_netlist(write_netlist(doc))):
+    # The text of a doc with no outputs has an empty .outputs line, which
+    # parsing already rejects.
+    for candidate in (lambda: doc, lambda: parse_netlist(write_netlist(doc))):
         with pytest.raises(error) as exc:
-            build_and_validate(candidate)
+            build_and_validate(candidate())
         assert type(exc.value) is error and exc.value.name == name
     assert exc.value.line > 0 and exc.value.col == 1
 
@@ -91,14 +94,14 @@ def test_built_doc_checked_like_its_text(doc, error, name):
 def test_unroll_rect(rect_parity):
     u = unroll(rect_parity, 1)
     assert len(instances(u)) == 22
-    assert all(not inst.is_register for inst in instances(u))
+    assert all(inst.name in rect_parity.gate_map for inst in instances(u))
 
 
 def test_unroll_sequential():
     c = build_and_validate(parse_netlist(SEQ_TEXT))
     u = unroll(c, 3)
-    logic = [i for i in instances(u) if not i.is_register]
-    regs = [i for i in instances(u) if i.is_register]
+    logic = [i for i in instances(u) if i.name in c.gate_map]
+    regs = [i for i in instances(u) if i.name in c.register_names]
     assert [i.label for i in logic] == ["g@1", "g@2", "g@3"]
     assert [i.label for i in regs] == ["r@1", "r@2", "r@3"]
 
@@ -127,7 +130,7 @@ def test_fault_locations_cr_with_register():
     u = unroll(c, 2)
     locs = fault_locations(u, set(), "cr")
     assert {i.label for i in locs} == {"g@1", "g@2", "r@1", "r@2"}
-    assert {i.label for i in locs if i.is_register} == {"r@1", "r@2"}
+    assert {i.label for i in locs if i.name in c.register_names} == {"r@1", "r@2"}
 
 
 def test_fault_locations_class_partition():
@@ -195,4 +198,4 @@ def test_data_depth_matches_unrolled_reachability():
 def test_instance_labels():
     inst = GateInstance(3, "s7")
     assert inst.label == "s7@3"
-    assert GateInstance(1, "r", is_register=True).label == "r@1"
+    assert GateInstance(1, "r").label == "r@1"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import shutil
 import sys
@@ -6,8 +7,13 @@ import jsonschema
 import pytest
 
 from conftest import DUP_COMPARE, DUP_COMPARE_CONFIG
+from faultres import build_and_validate, parse_netlist, unroll
+from faultres.circuit_model import GateInstance
 from faultres.cli import main
 from faultres.fixtures import fixture_path, fixture_text
+from faultres.netlist_io import write_netlist
+from faultres.oracle import random_netlist
+from faultres.simulator import FaultEvent, FaultType, FaultVector, check_effectiveness
 
 
 @pytest.fixture()
@@ -400,3 +406,63 @@ def test_json_reports_validate_on_all_fixtures(workdir, tmp_path):
         jsonschema.validate(data, schema)
         assert code in (0, 1)
         assert (code == 0) == (data["verdict"] == "resistant")
+
+
+def test_report_labels_replay_as_fault_vectors(workdir, tmp_path):
+    # A report's "instance" labels (name@cycle) name the fault locations
+    # alone: parsed back, every not_resistant counterexample replays on the
+    # simulator, register faults included.
+    cases = [(workdir / "rect_parity.nl", workdir / "zeta_1_1_all_c.json"),
+             (workdir / "rect_revised.nl", workdir / "zeta_1_1_all_c_parity.json")]
+    for nl, cfg in list(cases):
+        config = json.loads(cfg.read_text())
+        config["model"]["ne"] = 2
+        (tmp_path / cfg.name).write_text(json.dumps(config))
+        cases.append((nl, tmp_path / cfg.name))
+    # Seeds whose circuits have a counterexample under one of the classes.
+    for seed, location in itertools.product((0, 2, 5, 6, 7), ("r", "cr")):
+        nl, cfg = tmp_path / f"rand{seed}.nl", tmp_path / f"rand{seed}{location}.json"
+        nl.write_text(write_netlist(random_netlist(seed, max_gates=10, max_regs=2,
+                                                   num_inputs=3).doc))
+        cfg.write_text(json.dumps({"k": 2, "model": {
+            "ne": 1, "nc": 2, "types": ["s", "r", "bf"], "location": location}}))
+        cases.append((nl, cfg))
+    tokens = {t.token: t for t in FaultType}
+    replayed = set()
+    for nl, cfg in cases:
+        report = tmp_path / "rep.json"
+        code = run_cli("verify", nl, "--config", cfg, "--json", report)
+        data = json.loads(report.read_text())
+        if code == 0:
+            continue
+        cx = data["counterexample"]
+        events = []
+        for e in cx["events"]:
+            name, cycle = e["instance"].rsplit("@", 1)
+            events.append(FaultEvent(GateInstance(int(cycle), name), tokens[e["type"]]))
+        inputs = [tuple(int(b) for b in row) for row in cx["inputs"]]
+        circuit = build_and_validate(parse_netlist(nl.read_text()))
+        replay = check_effectiveness(unroll(circuit, data["k"]), FaultVector(events), inputs)
+        assert replay.effective, (nl.name, cfg.name, cx)
+        assert replay.divergence_cycle == cx["divergence_cycle"]
+        replayed.add("rand" if nl.name.startswith("rand") else nl.name)
+        replayed.update("register" for e in events if e.instance.name in circuit.next_state)
+    assert replayed == {"rect_parity.nl", "rect_revised.nl", "rand", "register"}
+
+
+def test_bench_shims_resolve(monkeypatch):
+    # perfbench/spans.py times the layers by replacing these module
+    # attributes; each must exist once the CLI is imported, or --trace 1
+    # breaks.
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    import faultres.cli  # noqa: F401
+
+    for module, attr in spans.SHIMMED:
+        assert callable(getattr(sys.modules[module], attr, None)), (module, attr)

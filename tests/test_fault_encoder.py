@@ -1,9 +1,8 @@
 import itertools
 import random
 
-from conftest import canonical_assignment, evaluate, instances, selection_bits
+from conftest import canonical_assignment, evaluate, fresh_inputs, instances, selection_bits
 from faultres.circuit_model import (
-    BITFLIP_COMPLEMENT,
     KIND_ARITY,
     KIND_EVAL,
     GateInstance,
@@ -15,7 +14,6 @@ from faultres.circuit_model import (
 from faultres.fault_encoder import (
     decode_fault_vector,
     decode_type,
-    faulted_kind,
     gadget,
     golden_taps,
     instrument,
@@ -54,7 +52,7 @@ def reference_gate(kind, fault, ins):
         return 1
     if fault is FaultType.RESET:
         return 0
-    return KIND_EVAL[BITFLIP_COMPLEMENT[kind]](a, b, 1)
+    return KIND_EVAL[kind](a, b, 1) ^ 1
 
 
 def eval_gadget(kind, types, data, c, b1=0, b2=0):
@@ -70,19 +68,13 @@ def eval_gadget(kind, types, data, c, b1=0, b2=0):
 
 def test_gadget_truth_tables_exhaustive():
     # Every kind x type-set x control/selection setting must equal the original
-    # gate (c=0) or the selected faulty gate (c=1), on all data inputs; checked
-    # both on the faulted kind's evaluator and on the built formula.
+    # gate (c=0) or the selected faulty gate (c=1), on all data inputs.
     for kind in GateKind:
-        arity = KIND_ARITY[kind]
         for types in TYPE_SETS:
-            for data in itertools.product((0, 1), repeat=arity):
-                a = data[0] if data else 0
-                b = data[1] if arity > 1 else 0
+            for data in itertools.product((0, 1), repeat=KIND_ARITY[kind]):
                 for c, b1, b2 in itertools.product((0, 1), repeat=3):
                     fault = decode_type(types, (b1, b2)) if c else None
                     want = reference_gate(kind, fault, data)
-                    if fault is not None:
-                        assert KIND_EVAL[faulted_kind(kind, fault)](a, b, 1) == want
                     assert eval_gadget(kind, types, data, c, b1, b2) == want
 
 
@@ -90,9 +82,6 @@ def test_gadget_examples():
     assert eval_gadget(GateKind.XOR, ALL, (0, 1), c=1, b1=1, b2=1) == 1  # set branch
     assert eval_gadget(GateKind.XOR, ALL, (0, 1), c=0) == 1              # original xor
     assert eval_gadget(GateKind.NOT, (FaultType.BITFLIP,), (1,), c=1) == 1  # not flipped to buf
-    assert faulted_kind(GateKind.AND, FaultType.SET) == GateKind.CONST1
-    assert faulted_kind(GateKind.AND, FaultType.RESET) == GateKind.CONST0
-    assert faulted_kind(GateKind.CONST0, FaultType.BITFLIP) == GateKind.CONST1
 
 
 def test_gadget_selection_decoding():
@@ -116,23 +105,21 @@ def test_gadget_selection_decoding():
 def test_instrument_rect_control_vars(rect_parity_unrolled):
     blacklist = {"p1", "p2", "p3", "p4", "p5", "p6", "c1", "c2", "c3", "flag"}
     locations = fault_locations(rect_parity_unrolled, blacklist, "c")
-    controlled = instrument(rect_parity_unrolled, locations, ALL)
+    controlled = instrument(rect_parity_unrolled, locations, ALL,
+                            *fresh_inputs(rect_parity_unrolled))
     assert len(controlled.control_map) == 12
     controls = [c for cycle in sorted(controlled.cycle_controls)
                 for c in controlled.cycle_controls[cycle]]
     assert len(controls) == 12
-    selections = [n for cv in controlled.control_map.values()
-                  for n in (cv.b1, cv.b2) if n]
+    selections = [n for names in controlled.control_map.values() for n in names[1:]]
     assert len(selections) == 24
+    assert controlled.control_map[GateInstance(1, "s3")] == ("c[s3@1]", "b1[s3@1]", "b2[s3@1]")
 
 
 def test_instrument_empty_locations_is_golden(rect_parity_unrolled):
-    fb = FormulaBuilder()
-    from faultres.fault_encoder import make_input_vars
-
-    iv = make_input_vars(fb, rect_parity_unrolled.circuit, 1)
-    a = instrument(rect_parity_unrolled, set(), ALL, builder=fb, input_vars=iv)
-    b = instrument(rect_parity_unrolled, set(), ALL, builder=fb, input_vars=iv)
+    fb, iv = fresh_inputs(rect_parity_unrolled)
+    a = instrument(rect_parity_unrolled, set(), ALL, fb, iv)
+    b = instrument(rect_parity_unrolled, set(), ALL, fb, iv)
     # hash-consing makes the two lowerings literally the same nodes
     assert a.taps == b.taps
     assert a.control_map == {}
@@ -141,7 +128,8 @@ def test_instrument_empty_locations_is_golden(rect_parity_unrolled):
 def test_instrument_size_bound(rect_parity_unrolled):
     for types in TYPE_SETS:
         locations = fault_locations(rect_parity_unrolled, set(), "c")
-        controlled = instrument(rect_parity_unrolled, locations, types)
+        controlled = instrument(rect_parity_unrolled, locations, types,
+                                *fresh_inputs(rect_parity_unrolled))
         # every node of the formula DAG, inputs and constants included
         nodes = len(controlled.builder.kinds)
         assert nodes <= 6 * len(types) * len(instances(rect_parity_unrolled))
@@ -151,20 +139,20 @@ def test_decode_examples(rect_parity_unrolled):
     locations = fault_locations(rect_parity_unrolled,
                                 {"p1", "p2", "p3", "p4", "p5", "p6",
                                  "c1", "c2", "c3", "flag"}, "c")
-    controlled = instrument(rect_parity_unrolled, locations, ALL)
-    base = {name: False for cv in controlled.control_map.values()
-            for name in (cv.c,) + cv.selections}
+    controlled = instrument(rect_parity_unrolled, locations, ALL,
+                            *fresh_inputs(rect_parity_unrolled))
+    base = {name: False for names in controlled.control_map.values() for name in names}
 
     inst = GateInstance(1, "s3")
-    cv = controlled.control_map[inst]
+    c, b1, b2 = controlled.control_map[inst]
 
-    a = dict(base, **{cv.c: True, cv.b1: False, cv.b2: True})
+    a = dict(base, **{c: True, b1: False, b2: True})
     assert decode_fault_vector(a, controlled) == FaultVector(
         [FaultEvent(inst, FaultType.BITFLIP)])
-    a = dict(base, **{cv.c: True, cv.b1: False, cv.b2: False})
+    a = dict(base, **{c: True, b1: False, b2: False})
     assert decode_fault_vector(a, controlled) == FaultVector(
         [FaultEvent(inst, FaultType.BITFLIP)])  # same vector, b2 is a don't-care
-    a = dict(base, **{cv.c: True, cv.b1: True, cv.b2: False})
+    a = dict(base, **{c: True, b1: True, b2: False})
     assert decode_fault_vector(a, controlled) == FaultVector(
         [FaultEvent(inst, FaultType.RESET)])
     assert decode_fault_vector(base, controlled) == FaultVector([])
@@ -174,7 +162,8 @@ def test_roundtrip_vectors(rect_parity_unrolled):
     locations = fault_locations(rect_parity_unrolled, set(), "c")
     rng = random.Random(3)
     for types in TYPE_SETS:
-        controlled = instrument(rect_parity_unrolled, locations, types)
+        controlled = instrument(rect_parity_unrolled, locations, types,
+                                *fresh_inputs(rect_parity_unrolled))
         vectors = []
         for _ in range(40):
             insts = rng.sample(sorted(locations), rng.randint(1, 2))
@@ -193,7 +182,7 @@ def test_unrolled_formula_matches_sequential_run():
         circuit = build_and_validate(doc)
         k = 3
         u = unroll(circuit, k)
-        lowered = instrument(u, set(), ALL)
+        lowered = instrument(u, set(), ALL, *fresh_inputs(u))
         rng = random.Random(seed)
         for _ in range(20):
             rows = [tuple(rng.randint(0, 1) for _ in circuit.inputs)
@@ -220,7 +209,7 @@ def test_instrumented_circuit_simulates_every_fault_vector():
         u = unroll(circuit, k)
         locations = fault_locations(u, set(), "cr")
         model = FaultResistanceModel(1, 1, frozenset(types), "cr")
-        controlled = instrument(u, locations, types)
+        controlled = instrument(u, locations, types, *fresh_inputs(u))
         for vector in enumerate_fault_vectors(locations, model):
             assignment = canonical_assignment(controlled, vector)
             env_assignment = {n: bool(v) for n, v in assignment.items()}
@@ -245,11 +234,11 @@ def _golden_and_full_taps(doc, u, locations, types=ALL):
     """The golden taps of the instrumented circuit and of a separate golden
     circuit built again from its ``doc``, and the taps of a full fault-free
     lowering made afterwards, all on the instrumented circuit's builder."""
-    controlled = instrument(u, locations, types)
+    controlled = instrument(u, locations, types, *fresh_inputs(u))
     b, input_vars = controlled.builder, controlled.input_vars
     separate = unroll(build_and_validate(doc), u.k)
     golden = [golden_taps(b, u, input_vars), golden_taps(b, separate, input_vars)]
-    full = instrument(u, set(), types, builder=b, input_vars=input_vars)
+    full = instrument(u, set(), types, b, input_vars)
     data = [o for o in u.circuit.outputs if o != u.circuit.flag]
     for taps in golden:
         assert sorted(taps) == sorted((c, o) for c in range(1, u.k + 1) for o in data)
@@ -331,7 +320,7 @@ def test_golden_taps_of_duplicate_and_compare_add_no_node():
         u = unroll(build_and_validate(parse_netlist(text)), 3)
         locations = fault_locations(u, blacklist, "cr")
         assert locations
-        controlled = instrument(u, locations, ALL)
+        controlled = instrument(u, locations, ALL, *fresh_inputs(u))
         before = len(controlled.builder.kinds)
         reused = golden_taps(controlled.builder, u, controlled.input_vars)
         assert len(controlled.builder.kinds) == before

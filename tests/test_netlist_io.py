@@ -92,7 +92,7 @@ def test_missing_inputs_or_outputs_rejected():
     for text, head in (("", ".inputs"), (".outputs g\ngate g = const1()\n", ".inputs"),
                        (".inputs a\ngate g = buf(a)\n", ".outputs")):
         with pytest.raises(NetlistSyntaxError) as exc:
-            parse_netlist(text)
+            build_and_validate(parse_netlist(text))
         assert str(exc.value) == f"netlist has no {head} statement"
 
 

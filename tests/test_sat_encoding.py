@@ -14,6 +14,7 @@ from conftest import (
     canonical_assignment,
     evaluate,
     formula_holds,
+    fresh_inputs,
 )
 from faultres.circuit_model import (
     FaultResistanceModel,
@@ -23,7 +24,7 @@ from faultres.circuit_model import (
     fault_locations,
     unroll,
 )
-from faultres.fault_encoder import instrument, make_input_vars
+from faultres.fault_encoder import instrument
 from faultres.formula import (
     ROLE_CONTROL,
     ROLE_INPUT,
@@ -572,7 +573,7 @@ def test_external_solver_on_fixture(rect_parity, zeta_1_1_all_c, stub_solver):
 def _fr_parts(circuit, blacklist, model, types=ALL):
     u = unroll(circuit, 1)
     locations = fault_locations(u, blacklist, model.location)
-    controlled = instrument(u, locations, types)
+    controlled = instrument(u, locations, types, *fresh_inputs(u))
     formula = build_fr_formula(u, controlled, model)
     return u, locations, controlled, formula
 
@@ -597,7 +598,7 @@ def test_build_fr_formula_nc_part():
     circuit = build_and_validate(parse_netlist(text))
     u = unroll(circuit, 3)
     locations = fault_locations(u, set(), "c")
-    controlled = instrument(u, locations, ALL)
+    controlled = instrument(u, locations, ALL, *fresh_inputs(u))
     model = FaultResistanceModel(1, 1, frozenset(ALL), "c")
     formula = build_fr_formula(u, controlled, model)
     labels = {c.label for c in formula.cardinality}
@@ -611,7 +612,8 @@ def test_build_fr_formula_nc_part_not_binding_declares_no_d():
     # n_c = 1 bound cannot bind and no d@ variable reaches the CNF.
     text = ".inputs a b\n.outputs o\ngate g = and(a, b)\ngate o = not(g)\n"
     u = unroll(build_and_validate(parse_netlist(text)), 3)
-    controlled = instrument(u, {GateInstance(2, "g"), GateInstance(2, "o")}, ALL)
+    controlled = instrument(u, {GateInstance(2, "g"), GateInstance(2, "o")}, ALL,
+                            *fresh_inputs(u))
     model = FaultResistanceModel(1, 1, frozenset(ALL), "c")
     formula = build_fr_formula(u, controlled, model)
     assert [c.label for c in formula.cardinality] == ["ne@2"]
@@ -638,7 +640,7 @@ def test_formula_matches_effectiveness_semantics():
         u = unroll(circuit, k)
         model = FaultResistanceModel(1, 1, frozenset(ALL), "cr")
         locations = fault_locations(u, set(), "cr")
-        controlled = instrument(u, locations, ALL)
+        controlled = instrument(u, locations, ALL, *fresh_inputs(u))
         formula = build_fr_formula(u, controlled, model)
         n_in = len(circuit.inputs)
         for vector in enumerate_fault_vectors(locations, model):
@@ -810,9 +812,7 @@ def test_unobservable_encodes_the_folded_miter_without_instrumenting(monkeypatch
 
     circuit, cfg = _dup_compare()
     u = unroll(circuit, cfg.unroll_k)
-    b = FormulaBuilder()
-    controlled = instrument(u, set(), ALL, builder=b,
-                            input_vars=make_input_vars(b, circuit, cfg.unroll_k))
+    controlled = instrument(u, set(), ALL, *fresh_inputs(u))
     folded = tseitin_cnf(build_fr_formula(u, controlled, cfg.model))
 
     def fail(*args, **kwargs):
@@ -985,7 +985,17 @@ PINNED_ENCODINGS = {
     ("rect_revised.nl", ("r", "bf")): "891bb76e4d93ad8058c1807d9e2421308076c5500e4458e38c06fa6d1aebc9da",
     ("rect_revised.nl", ("s", "r", "bf")): "6bacd6b8dd7c5118edf6a26e02e99d4e9d9db4151d14d38de850b9519e2e9091",
     ("random_netlist(5)", ("s", "r", "bf")): "09cb16a0ad87f6da73ced15ffebfb0cf40ad05ea51377b220970de537668477d",
+    ("REVERSED_NEXT", ("s", "r", "bf")): "e04cd59701cf7db94490c13959fd49d1b294d72126a265c0a0ba88cf74bb9829",
 }
+
+# Three registers whose next-state lines come in reverse declaration order:
+# control variables are numbered gates first, then registers, both in
+# declaration order, never in next-statement order.
+REVERSED_NEXT = (".inputs a b\n.outputs o flag\n.flag flag\n"
+                 ".reg r1 init=0\n.reg r2 init=1\n.reg r3 init=0\n"
+                 "gate g1 = and(a, r1)\ngate g2 = xor(b, r2)\ngate o = or(g1, r3)\n"
+                 "gate h = xor(g2, r3)\ngate flag = and(h, g1)\n"
+                 "next r3 = g2\nnext r2 = g1\nnext r1 = o\n")
 
 
 def _encoding_digest(circuit, config):
@@ -999,7 +1009,7 @@ def test_encoding_pinned():
     # Both fixtures with their configs over every type set, the fault-type
     # reduction off so each set reaches the gadgets; then a sequential random
     # netlist (2 registers, k = 2, location cr) where both cardinality
-    # counters bind.
+    # counters bind, and REVERSED_NEXT under the same config.
     tokens = {t.token: t for t in ALL}
     got = {}
     no_type_reduction = ReductionFlags(fault_type=False)
@@ -1023,4 +1033,6 @@ def test_encoding_pinned():
                                 frozenset(), no_type_reduction, ("builtin",))
     got[("random_netlist(5)", ("s", "r", "bf"))] = _encoding_digest(
         build_and_validate(doc), config)
+    got[("REVERSED_NEXT", ("s", "r", "bf"))] = _encoding_digest(
+        build_and_validate(parse_netlist(REVERSED_NEXT)), config)
     assert got == PINNED_ENCODINGS

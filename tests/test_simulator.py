@@ -4,11 +4,12 @@ import random
 import pytest
 
 from conftest import SBOX, SBOX_FAULTY, input_bits, max_epc, sharp_clk
-from faultres.circuit_model import BITFLIP_COMPLEMENT, GateInstance, GateKind, build_and_validate, unroll
+from faultres.circuit_model import GateInstance, build_and_validate, fault_locations, unroll
 from faultres.netlist_io import parse_netlist
 from faultres.oracle import random_netlist
 from faultres.simulator import (
     DuplicateInstance,
+    EffectivenessResult,
     EmptyVector,
     FaultEvent,
     FaultType,
@@ -184,9 +185,15 @@ def test_fault_locality():
         assert golden.outputs[1] != faulty.outputs[1]  # bf on the output gate
 
 
-def test_bitflip_kind_involution():
-    for kind in GateKind:
-        assert BITFLIP_COMPLEMENT[BITFLIP_COMPLEMENT[kind]] == kind
+def test_register_fault_replays_by_name():
+    # A location is (cycle, name): a register fault needs nothing but the
+    # register's name, and it is the instance fault_locations yields.
+    text = ".inputs i\n.outputs o\n.reg r init=0\ngate o = buf(r)\nnext r = i\n"
+    u = unroll(build_and_validate(parse_netlist(text)), 2)
+    inst = GateInstance(2, "r")
+    assert inst in fault_locations(u, set(), "r")
+    v = FaultVector([FaultEvent(inst, FaultType.SET)])
+    assert check_effectiveness(u, v, [(0,), (0,)]) == EffectivenessResult(True, 2, "o")
 
 
 def test_register_fault_is_transient():
@@ -194,8 +201,7 @@ def test_register_fault_is_transient():
     # is rebuilt from the faulted read through the next-state logic.
     text = ".inputs i\n.outputs o\n.reg r init=0\ngate o = buf(r)\nnext r = i\n"
     u = unroll(build_and_validate(parse_netlist(text)), 3)
-    v = FaultVector([FaultEvent(GateInstance(2, "r", is_register=True),
-                                FaultType.BITFLIP)])
+    v = FaultVector([FaultEvent(GateInstance(2, "r"), FaultType.BITFLIP)])
     golden = run_trace(u, [(0,), (0,), (0,)])
     faulty = run_trace(apply_fault_vector(u, v), [(0,), (0,), (0,)])
     assert [o["o"] for o in golden.outputs] == [0, 0, 0]
@@ -213,7 +219,7 @@ def test_sweep_agrees_with_per_input_check():
         u = unroll(c, k)
         candidates = ([GateInstance(cy, g.name) for cy in range(1, k + 1)
                        for g in c.gates]
-                      + [GateInstance(cy, r, is_register=True)
+                      + [GateInstance(cy, r)
                          for cy in range(1, k + 1) for r in c.register_names])
         for _ in range(6):
             size = rng.randint(1, min(3, len(candidates)))
