@@ -8,6 +8,7 @@ not.
 
 from .circuit_model import (
     FaultResistanceModel,
+    FaultType,
     GateInstance,
     GateKind,
     SequentialCircuit,
@@ -26,7 +27,6 @@ from .netlist_io import (
 from .sat_encoding import Counterexample, Verdict, verify
 from .simulator import (
     FaultEvent,
-    FaultType,
     FaultVector,
     apply_fault_vector,
     check_effectiveness,

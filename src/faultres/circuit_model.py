@@ -16,7 +16,6 @@ from .errors import FaultresError
 
 if TYPE_CHECKING:
     from .netlist_io import NetlistDoc
-    from .simulator import FaultType
 
 
 class CircuitError(FaultresError):
@@ -76,10 +75,12 @@ class InvalidK(CircuitError):
     pass
 
 
-class UnknownLocationClass(CircuitError):
-    def __init__(self, location):
-        super().__init__(f"location class must be one of {LOCATION_CLASSES}, got {location!r}")
-        self.location = location
+class ConfigError(FaultresError):
+    pass
+
+
+class InvalidModel(ConfigError):
+    pass
 
 
 class UnknownBlacklistGate(CircuitError):
@@ -135,6 +136,20 @@ KIND_EVAL = {
 LOCATION_CLASSES = ("c", "r", "cr")
 
 
+class FaultType(Enum):
+    SET = "s"       # output stuck at 1
+    RESET = "r"     # output stuck at 0
+    BITFLIP = "bf"  # output inverted
+
+    @property
+    def token(self):
+        return self.value
+
+    @property
+    def order(self):
+        return ("s", "r", "bf").index(self.value)
+
+
 class GateInstance(NamedTuple):
     """One fault location of the unrolled circuit: gate or register ``name``
     as seen in ``cycle``.  Gates and registers share one name space, so the
@@ -155,12 +170,38 @@ class GateInstance(NamedTuple):
 class FaultResistanceModel:
     """Adversary budget: at most n_e events per cycle, events in at most n_c
     cycles, fault types drawn from ``fault_types``, locations limited by
-    ``location`` ('c' logic gates, 'r' registers, 'cr' both)."""
+    ``location`` ('c' logic gates, 'r' registers, 'cr' both).
+
+    The one place a model is checked, for parsed configs and models built in
+    code alike: n_e and n_c are integers >= 1 and not booleans,
+    ``fault_types`` is a non-empty frozenset of FaultType members, and
+    ``location`` is one of LOCATION_CLASSES, in that order; a defect raises
+    InvalidModel."""
 
     n_e: int
     n_c: int
     fault_types: "frozenset[FaultType]"
     location: str
+
+    def __post_init__(self):
+        for name, count in (("ne", self.n_e), ("nc", self.n_c)):
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise InvalidModel(f"{name} must be an integer >= 1")
+        types = self.fault_types
+        if not isinstance(types, frozenset):
+            raise InvalidModel(f"types must be a frozenset, got {type(types).__name__}")
+        if not types:
+            raise InvalidModel("types must not be empty")
+        unknown = sorted(repr(t) for t in types if not isinstance(t, FaultType))
+        if unknown:
+            raise InvalidModel(f"unknown fault type {unknown[0]} (expected subset of "
+                               f"{tuple(t.token for t in FaultType)})")
+        self.check_location(self.location)
+
+    @staticmethod
+    def check_location(location):
+        if location not in LOCATION_CLASSES:
+            raise InvalidModel(f"location must be one of {LOCATION_CLASSES}, got {location!r}")
 
     def type_tokens(self):
         return tuple(t.token for t in sorted(self.fault_types, key=lambda t: t.order))
@@ -386,8 +427,7 @@ def fault_locations(unrolled: UnrolledCircuit, blacklist, location: str) -> set:
     """All fault-injectable instances: internal gates and register reads not
     protected by the blacklist, with whole classes removed per ``location``."""
 
-    if location not in LOCATION_CLASSES:
-        raise UnknownLocationClass(location)
+    FaultResistanceModel.check_location(location)
     blacklist = check_blacklist(unrolled.circuit, blacklist)
     circuit = unrolled.circuit
     locations = set()

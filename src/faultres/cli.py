@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import __version__
@@ -33,7 +32,6 @@ from .sat_encoding import encode_problem, verify
 from .formula import emit_dimacs
 from .simulator import run_trace
 
-SOLVER_ENV = "FAULTRES_SOLVER"
 REPORT_FORMAT_VERSION = 2
 
 EXIT_RESISTANT = 0
@@ -67,12 +65,7 @@ def _load_config(path, doc, args):
         reductions = ReductionFlags(reductions.fault_type, reductions.single_successor, True)
     if args.no_reduce_gates:  # overrides --aggressive
         reductions = ReductionFlags(reductions.fault_type, False, False)
-    solver = config.solver
-    if getattr(args, "solver", None):
-        solver = tuple(args.solver.split())
-    elif solver == ("builtin",) and os.environ.get(SOLVER_ENV):
-        solver = tuple(os.environ[SOLVER_ENV].split())
-    return dataclasses.replace(config, reductions=reductions, solver=solver)
+    return dataclasses.replace(config, reductions=reductions)
 
 
 def _model_json(model):
@@ -170,6 +163,11 @@ def _verdict_exit(verdict):
 def cmd_verify(args):
     doc, circuit = _load_circuit(args.netlist)
     config = _load_config(args.config, doc, args)
+    if args.solver is not None:
+        solver = tuple(args.solver.split())
+        if not solver:
+            raise CliError(f"--solver must be \"builtin\" or a command, got {args.solver!r}")
+        config = dataclasses.replace(config, solver=solver)
     golden = None
     if args.golden:
         _, golden = _load_circuit(args.golden)
@@ -184,7 +182,7 @@ def cmd_verify(args):
 
 def cmd_oracle(args):
     doc, circuit = _load_circuit(args.netlist)
-    config = _load_config(args.config, doc, args)
+    config = parse_config(_read(args.config), doc)
     budget = OracleBudget(max_input_bits=args.max_input_bits,
                           max_vectors=args.max_vectors)
     unrolled = unroll(circuit, config.unroll_k)
@@ -313,9 +311,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
+    def add_common(p):
         p.add_argument("netlist", help="netlist file")
-        p.add_argument("--config", required=config_required, help="JSON verification config")
+        p.add_argument("--config", required=True, help="JSON verification config")
         p.add_argument("--no-reduce-types", action="store_true",
                        help="disable the fault-type reduction")
         p.add_argument("--no-reduce-gates", action="store_true",
@@ -332,7 +330,8 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="decide fault-resistance by exhaustive simulation")
-    add_common(p)
+    p.add_argument("netlist", help="netlist file")
+    p.add_argument("--config", required=True, help="JSON verification config")
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--max-input-bits", type=int, default=16)
     p.add_argument("--max-vectors", type=int, default=10 ** 6)

@@ -15,21 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuit_model import GateKind, UnrolledCircuit
-from .errors import FaultresError
+from .circuit_model import FaultType, GateKind, UnrolledCircuit
 from .formula import ROLE_CONTROL, ROLE_INPUT, ROLE_SELECTION, FormulaBuilder
-from .simulator import FaultEvent, FaultType, FaultVector
-
-
-class EncoderError(FaultresError):
-    pass
-
-
-def _canonical_types(types):
-    types = tuple(sorted(types, key=lambda t: t.order))
-    if not types:
-        raise EncoderError("fault-type set must be non-empty")
-    return types
+from .simulator import FaultEvent, FaultVector, UnknownInstance
 
 
 def decode_type(types, bits) -> FaultType:
@@ -120,12 +108,12 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
     reaches gets its fault-free node, so ``golden_taps`` on the same builder
     finds those nodes again instead of making new ones."""
 
-    types = _canonical_types(types)
+    types = tuple(sorted(types, key=lambda t: t.order))
     b = builder
     circuit = unrolled.circuit
     for inst in locations:
         if not unrolled.instance_exists(inst):
-            raise EncoderError(f"location {inst.label} is not an instance of the circuit")
+            raise UnknownInstance(inst)
 
     # Controls are numbered cycle-major, then gates before registers, each
     # in declaration order; the selections follow in the same order.

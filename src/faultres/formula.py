@@ -51,6 +51,8 @@ class FormulaBuilder:
         return nid
 
     def var(self, name, role):
+        if role not in ROLE_ORDER:
+            raise EncodingError(f"variable {name!r} has unknown role {role!r}")
         nid = self._var_ids.get(name)
         if nid is not None:
             if self.var_roles[name] != role:
@@ -267,11 +269,6 @@ def tseitin_cnf(formula: BoolFormula) -> CNF:
                 var_index[name] = next_var
                 roles[name] = role
                 next_var += 1
-    for name in b.var_names:
-        if name not in var_index:  # any role outside the standard groups
-            var_index[name] = next_var
-            roles[name] = b.var_roles[name]
-            next_var += 1
 
     clauses = []
     lit_of = {}

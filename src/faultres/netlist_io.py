@@ -20,28 +20,20 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .circuit_model import (
+    ConfigError,
     FaultResistanceModel,
-    LOCATION_CLASSES,
+    FaultType,
+    InvalidK,
     NetlistSyntaxError,
     UnknownBlacklistGate,
 )
-from .errors import FaultresError
-from .simulator import FaultType
-
-
-class ConfigError(FaultresError):
-    pass
 
 
 class SchemaError(ConfigError):
-    pass
-
-
-class InvalidModel(ConfigError):
     pass
 
 
@@ -211,7 +203,12 @@ _TYPE_TOKENS = {t.token: t for t in FaultType}
 
 
 def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
-    """Parse and validate the JSON verification config against a parsed doc."""
+    """Parse the JSON verification config against a parsed doc.  Checked
+    here: the JSON's shape (SchemaError), ``k`` (InvalidK) and the blacklist
+    against the doc (UnknownBlacklistGate).  Type tokens map to FaultType, an
+    unknown token passing through as it is, and the model's own constructor
+    checks ``ne``, ``nc``, the types and the location (InvalidModel); an
+    ``nc`` above ``k`` is then capped at ``k``."""
 
     try:
         raw = json.loads(text)
@@ -226,7 +223,7 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
     except KeyError as e:
         raise SchemaError(f"config missing key {e.args[0]!r}") from None
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidModel("k must be an integer >= 1")
+        raise InvalidK("k must be an integer >= 1")
     if not isinstance(model_raw, dict):
         raise SchemaError("model must be an object")
 
@@ -235,26 +232,12 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
         types, location = model_raw["types"], model_raw["location"]
     except KeyError as e:
         raise SchemaError(f"model missing key {e.args[0]!r}") from None
-    if not isinstance(ne, int) or isinstance(ne, bool) or ne < 1:
-        raise InvalidModel("ne must be an integer >= 1")
-    if not isinstance(nc, int) or isinstance(nc, bool) or nc < 1:
-        raise InvalidModel("nc must be an integer >= 1")
-    if not isinstance(types, list) or not types:
-        raise InvalidModel("types must be a non-empty list")
-    for t in types:
-        if not isinstance(t, str) or t not in _TYPE_TOKENS:
-            raise InvalidModel(
-                f"unknown fault type {t!r} (expected subset of {tuple(_TYPE_TOKENS)})")
-    if location not in LOCATION_CLASSES:
-        raise InvalidModel(f"location must be one of {LOCATION_CLASSES}")
-
+    if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+        raise SchemaError("types must be a list of strings")
+    model = FaultResistanceModel(ne, nc, frozenset(_TYPE_TOKENS.get(t, t) for t in types),
+                                 location)
     # Only k cycles exist, so a larger nc budget changes nothing: cap it.
-    model = FaultResistanceModel(
-        n_e=ne,
-        n_c=min(nc, k),
-        fault_types=frozenset(_TYPE_TOKENS[t] for t in types),
-        location=location,
-    )
+    model = replace(model, n_c=min(nc, k))
 
     blacklist = raw.get("blacklist", [])
     if not isinstance(blacklist, list) or not all(isinstance(b, str) for b in blacklist):

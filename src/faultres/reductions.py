@@ -13,10 +13,15 @@ without a miter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .circuit_model import FaultResistanceModel, SequentialCircuit, UnrolledCircuit, check_blacklist
-from .simulator import FaultType
+from .circuit_model import (
+    FaultResistanceModel,
+    FaultType,
+    SequentialCircuit,
+    UnrolledCircuit,
+    check_blacklist,
+)
 
 
 class NotApplicable(Exception):
@@ -56,10 +61,7 @@ def reduce_fault_types(model: FaultResistanceModel) -> FaultResistanceModel:
             "bf not in the allowed types; reduction would not preserve counterexamples")
     if model.fault_types == frozenset({FaultType.BITFLIP}):
         raise NotApplicable("type set already {bf}")
-    return FaultResistanceModel(
-        n_e=model.n_e, n_c=model.n_c,
-        fault_types=frozenset({FaultType.BITFLIP}),
-        location=model.location)
+    return replace(model, fault_types=frozenset({FaultType.BITFLIP}))
 
 
 def _sink_nets(circuit: SequentialCircuit) -> set:
@@ -80,7 +82,6 @@ def single_successor_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> s
         raise NotApplicable("needs location c or cr")
 
     circuit = unrolled.circuit
-    blacklist = check_blacklist(circuit, blacklist)
     sinks = _sink_nets(circuit)
     extra = set()
     for net in circuit.gate_map:
@@ -101,7 +102,6 @@ def single_exit_map(unrolled: UnrolledCircuit, blacklist) -> dict:
     are always their own exits and never merge downstream."""
 
     circuit = unrolled.circuit
-    blacklist = check_blacklist(circuit, blacklist)
     sinks = _sink_nets(circuit)
     exit_of = {}
     for net in reversed(circuit.topo_order):
@@ -141,13 +141,12 @@ def unobservable_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> set:
     and without faults, whatever the flag does, so the reduction is exact."""
 
     circuit = unrolled.circuit
-    blacklist = check_blacklist(circuit, blacklist)
     vulnerable = set()
     if model.location in ("c", "cr"):
         vulnerable.update(circuit.gate_map)
     if model.location in ("r", "cr"):
         vulnerable.update(circuit.register_names)
-    vulnerable -= blacklist
+    vulnerable.difference_update(blacklist)
     if not vulnerable:
         raise NotApplicable("no vulnerable gate or register")
 

@@ -245,21 +245,19 @@ def _check_golden_agrees(golden: UnrolledCircuit, protected: UnrolledCircuit, in
 
 
 def verify(circuit: SequentialCircuit, config: VerificationConfig,
-           golden: Optional[SequentialCircuit] = None,
-           solver=None) -> Verdict:
+           golden: Optional[SequentialCircuit] = None) -> Verdict:
     """Decide fault-resistance of ``circuit`` under ``config``.  Unsat means
     resistant; a model is decoded and replay-confirmed on the simulator before
     being reported.  With ``golden``, every model is first checked for a
     golden circuit that differs from ``circuit`` without faults on the
     decoded inputs, which raises GoldenDisagrees.  A failed replay raises
-    InternalEncodingError.  A solver that decides neither way raises
-    SolverUndecided."""
+    InternalEncodingError.  The config's ``solver`` decides the CNF; one that
+    decides neither way raises SolverUndecided."""
 
     problem = encode_problem(circuit, config, golden)
-    backend = solver if solver is not None else config.solver
 
     start = time.perf_counter()
-    result = solve_cnf(problem.cnf, backend)
+    result = solve_cnf(problem.cnf, config.solver)
     solve_time = time.perf_counter() - start
 
     stats = VerifyStats(

@@ -10,10 +10,9 @@ in the divergence cycle counts as detection).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Optional
 
-from .circuit_model import KIND_EVAL, GateInstance, UnrolledCircuit
+from .circuit_model import KIND_EVAL, FaultType, GateInstance, UnrolledCircuit
 from .errors import FaultresError
 
 
@@ -43,20 +42,6 @@ class EmptyVector(SimulationError):
 
 class TooLargeForExhaustive(SimulationError):
     pass
-
-
-class FaultType(Enum):
-    SET = "s"       # output stuck at 1
-    RESET = "r"     # output stuck at 0
-    BITFLIP = "bf"  # output inverted
-
-    @property
-    def token(self):
-        return self.value
-
-    @property
-    def order(self):
-        return ("s", "r", "bf").index(self.value)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import deque
 
 import pytest
@@ -8,8 +9,11 @@ from faultres.circuit_model import (
     ArityMismatch,
     CombinationalCycle,
     DuplicateName,
+    FaultResistanceModel,
+    FaultType,
     GateInstance,
     InvalidK,
+    InvalidModel,
     MissingOutputDriver,
     NetlistSyntaxError,
     UndefinedNet,
@@ -20,7 +24,7 @@ from faultres.circuit_model import (
     unroll,
 )
 from faultres.fixtures import fixture_text
-from faultres.netlist_io import GateStmt, NetlistDoc, parse_netlist, write_netlist
+from faultres.netlist_io import GateStmt, NetlistDoc, parse_config, parse_netlist, write_netlist
 from faultres.oracle import random_netlist
 
 SEQ_TEXT = ".inputs i\n.outputs g\n.reg r init=0\ngate g = xor(i, r)\nnext r = g\n"
@@ -89,6 +93,26 @@ def test_built_doc_checked_like_its_text(doc, error, name):
             build_and_validate(candidate())
         assert type(exc.value) is error and exc.value.name == name
     assert exc.value.line > 0 and exc.value.col == 1
+
+
+@pytest.mark.parametrize("config_fields, fields", [
+    ({"types": []}, {"fault_types": frozenset()}),
+    ({"types": ["s", "q"]}, {"fault_types": frozenset({"s", "q"})}),
+    ({"ne": 0}, {"n_e": 0}),
+    ({"nc": 0}, {"n_c": 0}),
+    ({"ne": True}, {"n_e": True}),
+    ({"location": "x"}, {"location": "x"}),
+], ids=["empty-types", "string-types", "ne-zero", "nc-zero", "ne-bool", "location"])
+def test_built_model_checked_like_its_config(rect_parity_doc, config_fields, fields):
+    # The same defect raises the same error whether the model was built in
+    # code or parsed from a config.
+    model = {"ne": 1, "nc": 1, "types": ["bf"], "location": "c", **config_fields}
+    with pytest.raises(InvalidModel) as parsed:
+        parse_config(json.dumps({"k": 1, "model": model}), rect_parity_doc)
+    with pytest.raises(InvalidModel) as built:
+        FaultResistanceModel(**{"n_e": 1, "n_c": 1, "fault_types": frozenset({FaultType.BITFLIP}),
+                                "location": "c", **fields})
+    assert str(built.value) == str(parsed.value)
 
 
 def test_unroll_rect(rect_parity):

@@ -315,16 +315,6 @@ def test_verify_input_named_d_with_binding_nc(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_env_var_solver(workdir, monkeypatch, tmp_path, capsys):
-    # an env-var solver that always reports unknown surfaces as an error
-    script = tmp_path / "weird.py"
-    script.write_text("import sys; sys.exit(7)\n")
-    monkeypatch.setenv("FAULTRES_SOLVER", f"{sys.executable} {script}")
-    code = run_cli("verify", workdir / "rect_parity.nl",
-                   "--config", workdir / "zeta_1_1_all_c.json")
-    assert code == 2
-
-
 def test_verify_undecided_solver_clean_error(workdir, tmp_path, capsys):
     script = tmp_path / "giveup.py"
     script.write_text("import sys; print('gave up', file=sys.stderr); sys.exit(1)\n")
@@ -334,6 +324,28 @@ def test_verify_undecided_solver_clean_error(workdir, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: solver could not decide: solver exited with 1: gave up\n"
+
+
+def test_verify_blank_solver_rejected(workdir, capsys):
+    # Like "solver": [] in a config, a --solver that names no command is an
+    # error, not the built-in solver and not an attempt to run the CNF file.
+    for solver in ("", "   "):
+        code = run_cli("verify", workdir / "rect_parity.nl",
+                       "--config", workdir / "zeta_1_1_all_c.json", "--solver", solver)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f'error: --solver must be "builtin" or a command, got {solver!r}\n'
+        assert captured.out == ""
+
+
+def test_oracle_rejects_reduction_options(workdir, capsys):
+    # The oracle enumerates every fault vector; no reduction applies to it.
+    for option in ("--aggressive", "--no-reduce-types", "--no-reduce-gates"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("oracle", workdir / "rect_parity.nl",
+                    "--config", workdir / "zeta_1_1_all_c.json", option)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_verify_reports_solver_counters(workdir, capsys):

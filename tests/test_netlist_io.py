@@ -5,6 +5,8 @@ import pytest
 from faultres.circuit_model import (
     ArityMismatch,
     DuplicateName,
+    InvalidK,
+    InvalidModel,
     MissingOutputDriver,
     NetlistSyntaxError,
     UndefinedNet,
@@ -13,7 +15,6 @@ from faultres.circuit_model import (
     build_and_validate,
 )
 from faultres.netlist_io import (
-    InvalidModel,
     SchemaError,
     parse_config,
     parse_netlist,
@@ -183,18 +184,24 @@ def test_config_schema_errors(rect_parity_doc):
         parse_config("not json", rect_parity_doc)
     with pytest.raises(SchemaError):
         parse_config('{"model": {}}', rect_parity_doc)
+    with pytest.raises(InvalidK):
+        parse_config('{"k":0,"model":{"ne":1,"nc":1,"types":["bf"],"location":"c"}}',
+                     rect_parity_doc)
     with pytest.raises(InvalidModel):
         parse_config('{"k":1,"model":{"ne":1,"nc":1,"types":[],"location":"c"}}',
                      rect_parity_doc)
     with pytest.raises(InvalidModel):
         parse_config('{"k":1,"model":{"ne":1,"nc":1,"types":["bf"],"location":"q"}}',
                      rect_parity_doc)
-    # Unhashable entries, and booleans where counts belong.
-    for model_raw in ('"ne":1,"nc":1,"types":[["bf"]]', '"ne":true,"nc":1,"types":["bf"]',
-                      '"ne":1,"nc":true,"types":["bf"]'):
+    # Booleans where counts belong.
+    for model_raw in ('"ne":true,"nc":1,"types":["bf"]', '"ne":1,"nc":true,"types":["bf"]'):
         with pytest.raises(InvalidModel):
             parse_config('{"k":1,"model":{%s,"location":"c"}}' % model_raw,
                          rect_parity_doc)
+    # Type entries that are not strings, such as unhashable lists.
+    with pytest.raises(SchemaError, match="types must be a list of strings"):
+        parse_config('{"k":1,"model":{"ne":1,"nc":1,"types":[["bf"]],"location":"c"}}',
+                     rect_parity_doc)
     for blacklist in ('[["s1"]]', '[{"s1":1}]'):
         with pytest.raises(SchemaError):
             parse_config('{"k":1,"model":{"ne":1,"nc":1,"types":["bf"],"location":"c"},'

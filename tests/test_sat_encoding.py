@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -19,7 +20,7 @@ from conftest import (
 from faultres.circuit_model import (
     FaultResistanceModel,
     GateInstance,
-    UnknownLocationClass,
+    InvalidModel,
     build_and_validate,
     fault_locations,
     unroll,
@@ -29,6 +30,7 @@ from faultres.formula import (
     ROLE_CONTROL,
     ROLE_INPUT,
     BoolFormula,
+    EncodingError,
     FormulaBuilder,
     at_most_k,
     emit_dimacs,
@@ -146,6 +148,11 @@ def test_at_most_k_canonical_counter_extension():
                     return b == (lit > 0)
 
                 assert all(any(sat(l) for l in clause) for clause in clauses), (n, k, bits)
+
+
+def test_formula_var_unknown_role():
+    with pytest.raises(EncodingError, match="unknown role 'aux'"):
+        FormulaBuilder().var("a", "aux")
 
 
 def test_tseitin_and_root_clause_count():
@@ -553,7 +560,8 @@ def test_verify_undecided_solver(rect_parity, zeta_1_1_all_c, tmp_path):
     script = tmp_path / "giveup.py"
     script.write_text("import sys; print('out of memory', file=sys.stderr); sys.exit(1)\n")
     with pytest.raises(SolverUndecided, match="out of memory") as exc:
-        verify(rect_parity, zeta_1_1_all_c, solver=(sys.executable, str(script)))
+        verify(rect_parity, dataclasses.replace(zeta_1_1_all_c,
+                                                solver=(sys.executable, str(script))))
     assert "exited with 1" in exc.value.reason
 
 
@@ -565,7 +573,7 @@ def test_external_solver_spawn_failure():
 
 
 def test_external_solver_on_fixture(rect_parity, zeta_1_1_all_c, stub_solver):
-    verdict = verify(rect_parity, zeta_1_1_all_c, solver=stub_solver)
+    verdict = verify(rect_parity, dataclasses.replace(zeta_1_1_all_c, solver=stub_solver))
     assert verdict.status == "not_resistant"
     assert verdict.stats.conflicts is None  # counters come from the built-in solver only
 
@@ -621,13 +629,11 @@ def test_build_fr_formula_nc_part_not_binding_declares_no_d():
     assert not [name for name in cnf.var_index if name.startswith("d@")]
 
 
-def test_verify_unknown_location_class(rect_parity):
+def test_verify_unknown_location_class():
     # A raised error, not an assert, so `python -O` cannot turn it into a
     # `resistant` verdict over an empty location set.
-    model = FaultResistanceModel(1, 1, frozenset(ALL), "x")
-    cfg = VerificationConfig(1, model, frozenset(), ReductionFlags(), ("builtin",))
-    with pytest.raises(UnknownLocationClass, match="'x'"):
-        verify(rect_parity, cfg)
+    with pytest.raises(InvalidModel, match="'x'"):
+        FaultResistanceModel(1, 1, frozenset(ALL), "x")
 
 
 def test_formula_matches_effectiveness_semantics():
@@ -941,7 +947,7 @@ def test_split_solve_agrees_with_plain_solve(monkeypatch):
             replay = check_effectiveness(unroll(circuit, cfg.unroll_k),
                                          cx.fault_vector, cx.inputs)
             assert replay.effective
-        external = verify(circuit, cfg, solver=("stub-solver",))
+        external = verify(circuit, dataclasses.replace(cfg, solver=("stub-solver",)))
         assert external.status == verdict.status
         assert received.pop() == emit_dimacs(cnf)[0].encode()
         split += bool(cnf.disjuncts)
