@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import FaultresError
@@ -233,6 +234,13 @@ class SequentialCircuit:
     # reaches a data output by cycle k iff data_depth[net] <= k - c.
     data_depth: dict = field(default_factory=dict)
 
+    @cached_property
+    def output_depth(self) -> dict:
+        """As ``data_depth``, to any output, the flag included.  Only the
+        reach step's per-cycle cut reads it, so it is walked on first use:
+        a circuit that is unobservable under its config never pays for it."""
+        return _data_depths(self.outputs, self.gate_map, self.next_state)
+
     @property
     def register_names(self):
         return tuple(r for r, _ in self.registers)
@@ -336,16 +344,17 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
         topo_order=tuple(topo),
         gate_map=gate_map,
         successors=successors,
-        data_depth=_data_depths(doc.outputs, doc.flag_output, gate_map, doc.next_state),
+        data_depth=_data_depths([o for o in doc.outputs if o != flag], gate_map,
+                                doc.next_state),
     )
 
 
-def _data_depths(outputs, flag, gate_map, next_state) -> dict:
-    """Breadth-first over register crossings, backward from the data outputs:
+def _data_depths(outputs, gate_map, next_state) -> dict:
+    """Breadth-first over register crossings, backward from ``outputs``:
     each level follows gate operands at the same depth, and a register read
     leads to its next-state net one level deeper."""
     depth = {}
-    frontier = [o for o in outputs if o != flag]
+    frontier = list(outputs)
     level = 0
     while frontier:
         stack = [net for net in frontier if net not in depth]

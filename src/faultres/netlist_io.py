@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .circuit_model import (
@@ -70,11 +70,31 @@ class ReductionFlags:
 
 @dataclass(frozen=True)
 class VerificationConfig:
+    """What ``verify`` decides, checked here for parsed configs and configs
+    built in code alike, with the classes and messages ``parse_config``
+    gives for the same JSON: ``unroll_k`` (InvalidK), then ``reductions``
+    and ``solver`` (SchemaError)."""
+
     unroll_k: int
     model: FaultResistanceModel
     blacklist: frozenset
     reductions: ReductionFlags
     solver: tuple  # ("builtin",) or external argv
+
+    def __post_init__(self):
+        self.check_k(self.unroll_k)
+        if not isinstance(self.reductions, ReductionFlags):
+            raise SchemaError("reductions must be an object")
+        solver = self.solver
+        if not (isinstance(solver, tuple) and solver
+                and all(isinstance(s, str) and s for s in solver)):
+            raise SchemaError(
+                'solver must be "builtin" or a command argv list of non-empty strings')
+
+    @staticmethod
+    def check_k(k):
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise InvalidK("k must be an integer >= 1")
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.\[\]]*")
@@ -200,15 +220,26 @@ def write_netlist(doc: NetlistDoc) -> str:
 
 
 _TYPE_TOKENS = {t.token: t for t in FaultType}
+_CONFIG_KEYS = frozenset({"k", "model", "blacklist", "reductions", "solver"})
+_MODEL_KEYS = frozenset({"ne", "nc", "types", "location"})
+_FLAG_KEYS = frozenset(f.name for f in fields(ReductionFlags))
+
+
+def _check_keys(obj: dict, known, what):
+    unknown = set(obj) - known
+    if unknown:
+        raise SchemaError(f"unknown {what}: {sorted(unknown)}")
 
 
 def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
     """Parse the JSON verification config against a parsed doc.  Checked
-    here: the JSON's shape (SchemaError), ``k`` (InvalidK) and the blacklist
-    against the doc (UnknownBlacklistGate).  Type tokens map to FaultType, an
-    unknown token passing through as it is, and the model's own constructor
-    checks ``ne``, ``nc``, the types and the location (InvalidModel); an
-    ``nc`` above ``k`` is then capped at ``k``."""
+    here: the JSON's shape, unknown keys at every level included
+    (SchemaError), ``k`` (InvalidK) and the blacklist against the doc
+    (UnknownBlacklistGate).  Type tokens map to FaultType, an unknown token
+    passing through as it is, and the model's own constructor checks ``ne``,
+    ``nc``, the types and the location (InvalidModel); an ``nc`` above ``k``
+    is then capped at ``k``.  The VerificationConfig constructor checks the
+    ``reductions`` value and the solver."""
 
     try:
         raw = json.loads(text)
@@ -216,16 +247,17 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
         raise SchemaError(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise SchemaError("config must be a JSON object")
+    _check_keys(raw, _CONFIG_KEYS, "config keys")
 
     try:
         k = raw["k"]
         model_raw = raw["model"]
     except KeyError as e:
         raise SchemaError(f"config missing key {e.args[0]!r}") from None
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidK("k must be an integer >= 1")
+    VerificationConfig.check_k(k)
     if not isinstance(model_raw, dict):
         raise SchemaError("model must be an object")
+    _check_keys(model_raw, _MODEL_KEYS, "model keys")
 
     try:
         ne, nc = model_raw["ne"], model_raw["nc"]
@@ -247,29 +279,26 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
         if b not in known:
             raise UnknownBlacklistGate(b)
 
-    red_raw = raw.get("reductions", {})
-    if not isinstance(red_raw, dict):
-        raise SchemaError("reductions must be an object")
-    unknown = set(red_raw) - {"fault_type", "single_successor", "single_exit"}
-    if unknown:
-        raise SchemaError(f"unknown reduction flags: {sorted(unknown)}")
-    for name, value in red_raw.items():
-        if not isinstance(value, bool):
-            raise SchemaError(f"reduction flag {name!r} must be true or false")
-    reductions = ReductionFlags(**red_raw)
+    # A reductions value that is not an object, and any solver value, pass
+    # to the VerificationConfig constructor, which checks them.
+    reductions = raw.get("reductions", {})
+    if isinstance(reductions, dict):
+        _check_keys(reductions, _FLAG_KEYS, "reduction flags")
+        for name, value in reductions.items():
+            if not isinstance(value, bool):
+                raise SchemaError(f"reduction flag {name!r} must be true or false")
+        reductions = ReductionFlags(**reductions)
 
     solver = raw.get("solver", "builtin")
     if solver == "builtin":
-        solver_desc = ("builtin",)
-    elif isinstance(solver, list) and solver and all(isinstance(s, str) for s in solver):
-        solver_desc = tuple(solver)
-    else:
-        raise SchemaError("solver must be \"builtin\" or a command argv list")
+        solver = ("builtin",)
+    elif isinstance(solver, list):
+        solver = tuple(solver)
 
     return VerificationConfig(
         unroll_k=k,
         model=model,
         blacklist=frozenset(blacklist),
         reductions=reductions,
-        solver=solver_desc,
+        solver=solver,
     )

@@ -5,10 +5,11 @@ Both optional gate reductions rest on the same observation: if every path
 out of a gate (or a whole sub-circuit) is funneled through a single
 downstream logic gate, a fault inside is either absorbed or
 indistinguishable from one fault on that exit gate, so the inner gates need
-no control variables of their own.  The unobservable reduction always runs
-last: when no vulnerable gate can reach a data output at all, every
-vulnerable gate and register is dropped and the circuit is resistant
-without a miter.
+no control variables of their own.  The reach step always runs last: it
+drops the fault locations, per cycle, from which no fault can be part of an
+effective vector, and when no vulnerable gate can reach a data output at
+all (``unobservable``) every vulnerable gate and register is dropped and the
+circuit is resistant without a miter.
 """
 
 from __future__ import annotations
@@ -49,6 +50,18 @@ class ReductionPlan:
     effective_blacklist: frozenset
     applied: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
+    # name -> the last cycle in which a fault on it is kept, for the names the
+    # reach step keeps in some cycles but not in all.
+    _last_cycle: dict = field(default_factory=dict, init=False, repr=False)
+
+    def prune(self, locations) -> set:
+        """The instances of ``locations`` (drawn outside the effective
+        blacklist) that the plan keeps: all but the later instances of each
+        name the reach step keeps only up to some cycle before k."""
+        last = self._last_cycle
+        if not last:
+            return locations
+        return {i for i in locations if i.cycle <= last.get(i.name, i.cycle)}
 
 
 def reduce_fault_types(model: FaultResistanceModel) -> FaultResistanceModel:
@@ -130,40 +143,81 @@ def aggressive_blacklist(exit_of: dict, blacklist, model) -> set:
     return {g for g, exit_ in exit_of.items() if g != exit_} - set(blacklist)
 
 
-def unobservable_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> set:
-    """Every vulnerable gate and register, when no fault on one can reach a
-    data output (any output but the flag) within the unrolled cycles.
+def _vulnerable(circuit: SequentialCircuit, blacklist, location) -> set:
+    names = set()
+    if location in ("c", "cr"):
+        names.update(circuit.gate_map)
+    if location in ("r", "cr"):
+        names.update(circuit.register_names)
+    return names - set(blacklist)
 
-    A fault in cycle c reaches a data output by cycle k only from a net whose
-    ``data_depth`` is at most k - c, so a vulnerable net reaches one in some
-    cycle iff its depth is below k (cycle 1 has the most cycles left).  If
-    none does, every data output in every cycle is the same function with
-    and without faults, whatever the flag does, so the reduction is exact."""
 
-    circuit = unrolled.circuit
-    vulnerable = set()
-    if model.location in ("c", "cr"):
-        vulnerable.update(circuit.gate_map)
-    if model.location in ("r", "cr"):
-        vulnerable.update(circuit.register_names)
-    vulnerable.difference_update(blacklist)
+def _last_cycles(depth: dict, names, k) -> dict:
+    """name -> the last cycle from which a fault on it reaches an output of
+    ``depth`` by cycle k, 0 when there is none: a net in cycle c reaches one
+    iff its depth is at most k - c."""
+    return {n: max(0, k - depth.get(n, k)) for n in names}
+
+
+def _reach(plan: ReductionPlan, unrolled: UnrolledCircuit, separate_golden: bool) -> None:
+    """The reach step.  A fault that reaches no output by cycle k (dead)
+    changes nothing any output or the flag shows, whatever else is faulted,
+    so dropping it from an effective vector leaves one.  When a vector holds
+    one event (n_e * min(n_c, k) = 1), the fault must itself change a data
+    output, so one that reaches only the flag (flag-only) goes too.  It
+    stays with two events or more, where a second fault in the detection
+    logic can mask the first, and with a separate golden circuit, where
+    lowering a raised flag shows the data outputs' disagreement with the
+    golden ones.  Both rules are exact.
+
+    Without a separate golden circuit and with no vulnerable name reaching a
+    data output, every vulnerable name is blacklisted as ``unobservable``;
+    otherwise ``_cut`` drops the dead and flag-only instances."""
+
+    circuit, k, model = unrolled.circuit, unrolled.k, plan.effective_model
+    vulnerable = _vulnerable(circuit, plan.effective_blacklist, model.location)
     if not vulnerable:
-        raise NotApplicable("no vulnerable gate or register")
+        plan.skipped.append(SkippedReduction("reach", "no vulnerable gate or register"))
+        return
+    if not separate_golden and all(circuit.data_depth.get(n, k) >= k for n in vulnerable):
+        plan.effective_blacklist |= frozenset(vulnerable)
+        plan.applied.append(AppliedReduction("unobservable", len(vulnerable)))
+        return
+    _cut(plan, circuit, vulnerable, k,
+         flag_only_goes=not separate_golden and model.n_e * min(model.n_c, k) == 1)
 
-    k = unrolled.k
-    observed = min((n for n in vulnerable if circuit.data_depth.get(n, k) < k), default=None)
-    if observed is not None:
-        raise NotApplicable(f"{observed!r} reaches a data output")
-    return vulnerable
+
+def _cut(plan: ReductionPlan, circuit: SequentialCircuit, names, k, flag_only_goes) -> None:
+    """Keep (c, n) only when c <= k - depth(n), depth being ``data_depth``
+    when flag-only instances go and ``output_depth`` otherwise: the names
+    kept in no cycle join the blacklist, and those kept up to some cycle
+    before k keep it for ``ReductionPlan.prune``."""
+
+    to_output = _last_cycles(circuit.output_depth, names, k)
+    last = _last_cycles(circuit.data_depth, names, k) if flag_only_goes else to_output
+    dead = sum(k - c for c in to_output.values())
+    flag_only = sum(to_output[n] - last[n] for n in names)
+    if not dead + flag_only:
+        plan.skipped.append(SkippedReduction("reach", "no instance is dead or flag-only"))
+        return
+    dropped = frozenset(n for n, c in last.items() if not c)
+    plan.effective_blacklist |= dropped
+    plan._last_cycle = {n: c for n, c in last.items() if 0 < c < k}
+    plan.applied.append(AppliedReduction(
+        "reach", len(dropped), detail=f"instances dropped: {dead} dead, {flag_only} flag-only"))
 
 
 def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistanceModel,
-                    flags) -> ReductionPlan:
+                    flags, separate_golden: bool = False) -> ReductionPlan:
     """Compose the requested reductions.  Fault types shrink first; then the
     single-exit reduction runs if the model is now pure bit-flip, otherwise
     the single-successor one.  Inapplicable requests are recorded, never
-    silently dropped.  The unobservable reduction runs last whatever the
-    flags say, because it is exact, and is recorded only when it fires."""
+    silently dropped.  The reach step runs last whatever the flags say,
+    because it is exact (see ``_reach``; ``separate_golden`` tells it the
+    miter's golden side is another circuit): its ``unobservable`` case is
+    recorded only when it fires, and its per-cycle cut as ``reach``, with
+    the names it blacklisted and, in ``detail``, the instances it dropped as
+    dead and as flag-only.  ``prune`` applies the cut to a location set."""
 
     blacklist = check_blacklist(unrolled.circuit, blacklist)
     plan = ReductionPlan(effective_model=model, effective_blacklist=blacklist)
@@ -200,12 +254,5 @@ def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistance
         plan.skipped.append(SkippedReduction(
             "single_successor", "subsumed by single_exit"))
 
-    try:
-        extra = unobservable_blacklist(unrolled, plan.effective_blacklist,
-                                       plan.effective_model)
-        plan.effective_blacklist = plan.effective_blacklist | frozenset(extra)
-        plan.applied.append(AppliedReduction("unobservable", len(extra)))
-    except NotApplicable:
-        pass
-
+    _reach(plan, unrolled, separate_golden)
     return plan

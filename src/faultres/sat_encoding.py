@@ -180,9 +180,9 @@ class EncodedProblem:
 
 def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
                    golden: Optional[SequentialCircuit] = None) -> EncodedProblem:
-    """unroll -> plan reductions -> fault locations -> instrument -> formula
-    -> CNF.  ``golden`` optionally supplies a separate unprotected reference
-    circuit for the miter's golden side.
+    """unroll -> plan reductions -> fault locations, pruned by the plan ->
+    instrument -> formula -> CNF.  ``golden`` optionally supplies a
+    separate unprotected reference circuit for the miter's golden side.
 
     With no fault location and no separate golden circuit, the faulty and
     the fault-free outputs are one function, so the formula is constant
@@ -193,9 +193,10 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
     unrolled = unroll(circuit, config.unroll_k)
     golden_unrolled = unroll(golden, config.unroll_k) if golden is not None else unrolled
 
-    plan = plan_reductions(unrolled, config.blacklist, config.model, config.reductions)
+    plan = plan_reductions(unrolled, config.blacklist, config.model, config.reductions,
+                           separate_golden=golden is not None)
     model = plan.effective_model
-    locations = fault_locations(unrolled, plan.effective_blacklist, model.location)
+    locations = plan.prune(fault_locations(unrolled, plan.effective_blacklist, model.location))
     builder = FormulaBuilder()
     input_vars = make_input_vars(builder, circuit, config.unroll_k)
     if locations or golden is not None:

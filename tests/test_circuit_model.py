@@ -181,13 +181,12 @@ def test_fault_locations_unknown_blacklist(rect_parity_unrolled):
         fault_locations(rect_parity_unrolled, {"ghost"}, "c")
 
 
-def _unrolled_reachers(circuit, k):
-    """Instances (cycle, net) of the explicitly unrolled circuit from which a
-    data output of some cycle is reachable: a backward search from every
-    data output instance over operand edges and, from a register read in
-    cycle c > 1, to its next-state net in cycle c - 1."""
-    data = [o for o in circuit.outputs if o != circuit.flag]
-    seen = {(c, o) for c in range(1, k + 1) for o in data}
+def _unrolled_reachers(circuit, k, outputs):
+    """Instances (cycle, net) of the explicitly unrolled circuit from which
+    one of ``outputs`` of some cycle is reachable: a backward search from
+    every such output instance over operand edges and, from a register read
+    in cycle c > 1, to its next-state net in cycle c - 1."""
+    seen = {(c, o) for c in range(1, k + 1) for o in outputs}
     queue = deque(seen)
     while queue:
         c, net = queue.popleft()
@@ -206,17 +205,24 @@ def _unrolled_reachers(circuit, k):
 
 
 def test_data_depth_matches_unrolled_reachability():
+    # data_depth against the data outputs, output_depth against every
+    # output, the flag included.
     docs = [parse_netlist(fixture_text(nl)) for nl in ("rect_parity.nl", "rect_revised.nl")]
     docs += [random_netlist(seed, max_gates=12, max_regs=3, num_inputs=3,
                             with_flag=seed % 3 != 0).doc for seed in range(30)]
     assert any(doc.registers for doc in docs)
     for doc, k in itertools.product(docs, (1, 2, 3, 4)):
         circuit = build_and_validate(doc)
-        reachers = _unrolled_reachers(circuit, k)
+        data = [o for o in circuit.outputs if o != circuit.flag]
         nets = list(circuit.inputs) + list(circuit.register_names) + list(circuit.gate_map)
-        for c, net in itertools.product(range(1, k + 1), nets):
-            by_depth = circuit.data_depth.get(net, k) <= k - c
-            assert by_depth == ((c, net) in reachers), (doc.name, k, c, net)
+        for depth, outputs in ((circuit.data_depth, data),
+                               (circuit.output_depth, circuit.outputs)):
+            reachers = _unrolled_reachers(circuit, k, outputs)
+            for c, net in itertools.product(range(1, k + 1), nets):
+                by_depth = depth.get(net, k) <= k - c
+                assert by_depth == ((c, net) in reachers), (doc.name, k, c, net)
+        if circuit.flag:
+            assert circuit.output_depth[circuit.flag] == 0
 
 
 def test_instance_labels():

@@ -109,7 +109,11 @@ def test_encode_golden_same_netlist_is_byte_identical(workdir, monkeypatch):
     # --golden with the protected netlist's own file lowers that separate
     # circuit's data cones whole; without it the golden side reuses the
     # instrumented nodes.  Each encode calls instrument once, and both give the
-    # same DIMACS and sidecar bytes.
+    # same DIMACS and sidecar bytes.  The reach step's flag-only rule holds
+    # only against the circuit's own golden side, so it would drop the
+    # parity gates of rect_revised.nl from the first encode alone; it is
+    # held off here so that both encodes fault the same locations.
+    import faultres.reductions
     import faultres.sat_encoding
 
     from faultres.netlist_io import write_netlist
@@ -121,7 +125,11 @@ def test_encode_golden_same_netlist_is_byte_identical(workdir, monkeypatch):
         calls.append(1)
         return _instrument(*args, **kwargs)
 
+    def cut_keeping_flag_only(*args, flag_only_goes, _cut=faultres.reductions._cut):
+        return _cut(*args, flag_only_goes=False)
+
     monkeypatch.setattr(faultres.sat_encoding, "instrument", counted)
+    monkeypatch.setattr(faultres.reductions, "_cut", cut_keeping_flag_only)
     doc = random_netlist(5, max_gates=10, max_regs=2, num_inputs=3).doc
     assert doc.registers
     (workdir / "rand.nl").write_text(write_netlist(doc))

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,7 +16,9 @@ from faultres.circuit_model import (
     build_and_validate,
 )
 from faultres.netlist_io import (
+    ReductionFlags,
     SchemaError,
+    VerificationConfig,
     parse_config,
     parse_netlist,
     write_netlist,
@@ -211,6 +214,48 @@ def test_config_schema_errors(rect_parity_doc):
         with pytest.raises(SchemaError, match="single_exit"):
             parse_config('{"k":1,"model":{"ne":1,"nc":1,"types":["bf"],"location":"c"},'
                          '"reductions":{"single_exit":%s}}' % flag, rect_parity_doc)
+
+
+MODEL = {"ne": 1, "nc": 1, "types": ["bf"], "location": "c"}
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"k": 1, "model": MODEL, "blacklst": ["c1"]}, "unknown config keys: ['blacklst']"),
+    ({"k": 1, "model": MODEL, "reduction": {"single_exit": True}, "z": 0},
+     "unknown config keys: ['reduction', 'z']"),
+    ({"k": 1, "model": {**MODEL, "n_e": 5}}, "unknown model keys: ['n_e']"),
+    ({"k": 1, "model": MODEL, "reductions": {"single_exit": False, "single_exti": False}},
+     "unknown reduction flags: ['single_exti']"),
+], ids=["top", "top-two", "model", "reductions"])
+def test_config_unknown_keys(rect_parity_doc, raw, message):
+    # A misspelled key must not silently leave its default in force.
+    with pytest.raises(SchemaError) as info:
+        parse_config(json.dumps(raw), rect_parity_doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("config_fields,fields,error", [
+    ({"k": 0}, {"unroll_k": 0}, InvalidK),
+    ({"k": True}, {"unroll_k": True}, InvalidK),
+    ({"k": 1.5}, {"unroll_k": 1.5}, InvalidK),
+    ({"reductions": [True]}, {"reductions": {"fault_type": True}}, SchemaError),
+    ({"solver": []}, {"solver": ()}, SchemaError),
+    ({"solver": [""]}, {"solver": ("",)}, SchemaError),
+    ({"solver": ["minisat", 3]}, {"solver": ("minisat", 3)}, SchemaError),
+    ({"solver": "minisat"}, {"solver": "builtin"}, SchemaError),
+], ids=["k-zero", "k-bool", "k-float", "reductions", "solver-empty", "solver-blank-word",
+        "solver-non-string", "solver-bare-string"])
+def test_built_config_checked_like_its_json(rect_parity_doc, config_fields, fields, error):
+    # The same defect raises the same error whether the config was built in
+    # code or parsed from JSON.
+    with pytest.raises(error) as parsed:
+        parse_config(json.dumps({"k": 1, "model": MODEL, **config_fields}), rect_parity_doc)
+    model = parse_config(json.dumps({"k": 1, "model": MODEL}), rect_parity_doc).model
+    with pytest.raises(error) as built:
+        VerificationConfig(**{"unroll_k": 1, "model": model, "blacklist": frozenset(),
+                              "reductions": ReductionFlags(), "solver": ("builtin",),
+                              **fields})
+    assert str(built.value) == str(parsed.value)
 
 
 def test_config_external_solver(rect_parity_doc):

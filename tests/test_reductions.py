@@ -1,10 +1,13 @@
+import itertools
 import random
+import re
 
 import pytest
 
 from conftest import exit_groups
 from faultres.circuit_model import (
     FaultResistanceModel,
+    GateInstance,
     build_and_validate,
     fault_locations,
     unroll,
@@ -13,12 +16,12 @@ from faultres.netlist_io import ReductionFlags, VerificationConfig, parse_netlis
 from faultres.oracle import brute_force_verdict, random_netlist
 from faultres.reductions import (
     NotApplicable,
+    SkippedReduction,
     aggressive_blacklist,
     plan_reductions,
     reduce_fault_types,
     single_exit_map,
     single_successor_blacklist,
-    unobservable_blacklist,
 )
 from faultres.sat_encoding import verify
 from faultres.simulator import FaultType
@@ -152,18 +155,23 @@ def test_plan_full_pipeline(rect_parity_unrolled):
     flags = ReductionFlags(fault_type=True, single_successor=True, single_exit=True)
     plan = plan_reductions(rect_parity_unrolled, PARITY_CHECK, model(types=ALL), flags)
     assert plan.effective_model.fault_types == BF
+    # p6 feeds only the protected flag: with one event, the reach step drops it.
     assert plan.effective_blacklist == frozenset(PARITY_CHECK) | {
-        "p1", "p2", "p3", "p4", "p5", "s4", "s5", "s7", "s8"}
-    assert [r.name for r in plan.applied] == ["fault_type", "single_exit"]
+        "p1", "p2", "p3", "p4", "p5", "s4", "s5", "s7", "s8", "p6"}
+    assert [r.name for r in plan.applied] == ["fault_type", "single_exit", "reach"]
+    assert plan.applied[-1].detail == "instances dropped: 0 dead, 1 flag-only"
     assert any(s.name == "single_successor" for s in plan.skipped)
 
 
 def test_plan_identity_when_flags_off(rect_parity_unrolled):
+    # Only the exact reach step runs: with one event it drops the parity
+    # gates p1..p6, which feed only the protected flag.
     flags = ReductionFlags(False, False, False)
     plan = plan_reductions(rect_parity_unrolled, PARITY_CHECK, model(types=ALL), flags)
     assert plan.effective_model.fault_types == ALL
-    assert plan.effective_blacklist == frozenset(PARITY_CHECK)
-    assert plan.applied == []
+    assert plan.effective_blacklist == frozenset(PARITY_CHECK) | {
+        "p1", "p2", "p3", "p4", "p5", "p6"}
+    assert [r.name for r in plan.applied] == ["reach"]
 
 
 def test_plan_single_exit_skipped_without_bf(rect_parity_unrolled):
@@ -173,7 +181,7 @@ def test_plan_single_exit_skipped_without_bf(rect_parity_unrolled):
     applied = [r.name for r in plan.applied]
     assert "single_exit" in skipped  # T stayed {s, r}
     assert "fault_type" in skipped
-    assert applied == ["single_successor"]
+    assert applied == ["single_successor", "reach"]
 
 
 def test_single_exit_map_linear_visits(rect_parity):
@@ -215,13 +223,23 @@ def test_unobservable_reach_is_per_cycle():
         cfg = VerificationConfig(k, m, frozenset({"o"}), ReductionFlags(), ("builtin",))
         assert verify(circuit, cfg).status == status
         assert brute_force_verdict(u, {"o"}, m).status == status
-    assert unobservable_blacklist(unroll(circuit, 1), {"o"}, m) == {"g"}
-    with pytest.raises(NotApplicable, match="'g' reaches a data output"):
-        unobservable_blacklist(unroll(circuit, 2), {"o"}, m)
-    # With registers vulnerable too, a fault on r@1 shows on o@1.
+    gates_off = ReductionFlags(False, False, False)
+    plan = plan_reductions(unroll(circuit, 1), {"o"}, m, gates_off)
+    assert plan.effective_blacklist == {"o", "g"}
+    # At k = 2 the reach step keeps g@1 and drops g@2, which reaches no
+    # output by k = 2.
+    u = unroll(circuit, 2)
+    plan = plan_reductions(u, {"o"}, m, gates_off)
+    assert plan.effective_blacklist == {"o"}
+    assert plan.prune(fault_locations(u, {"o"}, "c")) == {GateInstance(1, "g")}
+    assert plan.applied[-1].detail == "instances dropped: 1 dead, 0 flag-only"
+    plan = plan_reductions(u, {"o", "g"}, m, gates_off)
+    assert plan.skipped == [SkippedReduction("reach", "no vulnerable gate or register")]
+    # With registers vulnerable too, a fault on r@1 shows on o@1; g@1 is dead.
     m = model(types=ALL, loc="cr")
-    with pytest.raises(NotApplicable, match="'r' reaches a data output"):
-        unobservable_blacklist(unroll(circuit, 1), {"o"}, m)
+    plan = plan_reductions(unroll(circuit, 1), {"o"}, m, gates_off)
+    assert plan.effective_blacklist == {"o", "g"}
+    assert [r.name for r in plan.applied] == ["reach"]
     cfg = VerificationConfig(1, m, frozenset({"o"}), ReductionFlags(), ("builtin",))
     assert verify(circuit, cfg).status == "not_resistant"
 
@@ -229,19 +247,21 @@ def test_unobservable_reach_is_per_cycle():
 def test_unobservable_keeps_flag_only_locations():
     # o reaches the data output; f1, f2 and flag reach only the flag, which
     # is raised whenever o alone is faulted.  A second fault on the flag
-    # logic masks the first, so no location may go while one of them reaches
-    # a data output.
+    # logic masks the first, so with two events no location may go while one
+    # of them reaches a data output; with one event the flag-only ones go.
     text = (".inputs a b\n.outputs o flag\n.flag flag\ngate o = and(a, b)\n"
             "gate f1 = and(b, a)\ngate f2 = not(f1)\ngate flag = xnor(o, f2)\n")
     circuit = build_and_validate(parse_netlist(text))
     u = unroll(circuit, 1)
-    for ne, status in ((1, "resistant"), (2, "not_resistant")):
+    flags = ReductionFlags(False, False, False)
+    for ne, dropped, status in ((1, {"f1", "f2", "flag"}, "resistant"),
+                                (2, set(), "not_resistant")):
         m = model(ne=ne, types=BF, loc="c")
-        plan = plan_reductions(u, set(), m, ReductionFlags(False, False, False))
-        assert plan.applied == [] and plan.effective_blacklist == frozenset()
-        assert len(fault_locations(u, plan.effective_blacklist, "c")) == 4
-        cfg = VerificationConfig(1, m, frozenset(), ReductionFlags(False, False, False),
-                                 ("builtin",))
+        plan = plan_reductions(u, set(), m, flags)
+        assert plan.effective_blacklist == dropped
+        assert [r.name for r in plan.applied] == (["reach"] if dropped else [])
+        assert len(fault_locations(u, plan.effective_blacklist, "c")) == 4 - len(dropped)
+        cfg = VerificationConfig(1, m, frozenset(), flags, ("builtin",))
         assert verify(circuit, cfg).status == status
         assert brute_force_verdict(u, set(), m).status == status
 
@@ -284,3 +304,42 @@ def test_unobservable_agrees_with_oracle():
                     fired += any(r.name == "unobservable"
                                  for r in verdict.stats.reductions_applied)
     assert 3 * fired >= cases, (fired, cases)
+
+
+_DROPPED = re.compile(r"instances dropped: (\d+) dead, (\d+) flag-only")
+
+# A flip of g in cycle 1 shows on o in cycle 2, where the flag sees it; a
+# second flip, of f in cycle 2, masks the flag.  With one event per cycle in
+# two cycles the circuit is not resistant, although f reaches only the flag.
+MASKED_LATER = (".name masked_later\n.inputs a\n.outputs o flag\n.flag flag\n.reg r init=0\n.reg s init=0\n"
+                "gate g = buf(a)\ngate h = buf(a)\ngate o = buf(r)\ngate f = xor(o, s)\n"
+                "gate flag = buf(f)\nnext r = g\nnext s = h\n")
+
+
+def test_reach_agrees_with_oracle():
+    # Every location class, k = 1..3, one event and two (in one cycle or
+    # over two cycles), bit-flips and set/reset, the flag faultable and
+    # blacklisted: the verdict with the reach step's cut equals the
+    # oracle's, both verdicts occur, and both of its rules drop instances
+    # somewhere.
+    docs = [random_netlist(seed, max_gates=6, max_regs=2, num_inputs=2).doc
+            for seed in range(5)]
+    cases = dead = flag_only = resistant = 0
+    for doc in docs + [parse_netlist(MASKED_LATER)]:
+        circuit = build_and_validate(doc)
+        for blacklist, loc, k, (ne, nc), types in itertools.product(
+                (frozenset(), frozenset({circuit.flag})), ("c", "r", "cr"), (1, 2, 3),
+                ((1, 1), (2, 1), (1, 2)), (BF, SR)):
+            m = model(ne, nc, types, loc)
+            cfg = VerificationConfig(k, m, blacklist, ReductionFlags(), ("builtin",))
+            verdict = verify(circuit, cfg)
+            brute = brute_force_verdict(unroll(circuit, k), blacklist, m)
+            assert verdict.status == brute.status, (doc.name, sorted(blacklist), loc, k, ne, nc)
+            cases += 1
+            resistant += verdict.status == "resistant"
+            for r in verdict.stats.reductions_applied:
+                if r.name == "reach":
+                    d, f = map(int, _DROPPED.fullmatch(r.detail).groups())
+                    dead += d > 0
+                    flag_only += f > 0
+    assert 0 < resistant < cases and dead and flag_only, (cases, resistant, dead, flag_only)

@@ -36,6 +36,7 @@ from faultres.formula import (
     emit_dimacs,
     tseitin_cnf,
 )
+from faultres import reductions
 from faultres.fixtures import fixture_text
 from faultres.netlist_io import (
     ReductionFlags,
@@ -348,12 +349,41 @@ PINNED_RANDOM_SEARCH = [
 ]
 
 
-@pytest.mark.parametrize("netlist,config", sorted(PINNED_FIXTURE_SEARCH))
-def test_builtin_solver_search_pinned_on_fixtures(netlist, config):
+# The same with the reach step's cut, for the cases where it drops an
+# instance: the parity configs leave p6, which
+# feeds only the flag, vulnerable, and without it each search is the one
+# under the other config.
+PINNED_FIXTURE_SEARCH_REACH = {
+    ("rect_parity.nl", "zeta_1_1_all_c_parity.json"): ("sat", 3, 11, "d45c0eb02e4a"),
+    ("rect_revised.nl", "zeta_1_1_all_c_parity.json"): ("unsat", 75, 79, None),
+}
+
+
+@pytest.fixture
+def without_cut(monkeypatch):
+    """The program without the reach step's cut, which the older pins
+    predate; the reach step's ``unobservable`` case still runs."""
+    monkeypatch.setattr(reductions, "_cut", lambda *args, **kwargs: None)
+
+
+def _fixture_cnf(netlist, config):
     doc = parse_netlist(fixture_text(netlist))
-    cnf = encode_problem(build_and_validate(doc),
-                         parse_config(fixture_text(config), doc)).cnf
+    return encode_problem(build_and_validate(doc),
+                          parse_config(fixture_text(config), doc)).cnf
+
+
+@pytest.mark.parametrize("netlist,config", sorted(PINNED_FIXTURE_SEARCH))
+def test_builtin_solver_search_pinned_on_fixtures(netlist, config, without_cut):
+    cnf = _fixture_cnf(netlist, config)
     assert _search(cnf.num_vars, cnf.clauses) == PINNED_FIXTURE_SEARCH[(netlist, config)]
+
+
+@pytest.mark.parametrize("netlist,config", sorted(PINNED_FIXTURE_SEARCH))
+def test_builtin_solver_search_pinned_with_reach(netlist, config):
+    cnf = _fixture_cnf(netlist, config)
+    expected = PINNED_FIXTURE_SEARCH_REACH.get((netlist, config),
+                                               PINNED_FIXTURE_SEARCH[(netlist, config)])
+    assert _search(cnf.num_vars, cnf.clauses) == expected
 
 
 def test_builtin_solver_search_pinned_on_random_3sat():
@@ -849,6 +879,35 @@ def test_unobservable_with_disagreeing_golden_raises():
         verify(circuit, cfg, golden=golden)
 
 
+# x's flips raise the flag through d; the flag is also raised on input 11,
+# the only input on which the golden circuit's o differs from this one's.
+FLAG_HIDES_GOLDEN = (".inputs a b\n.outputs o flag\n.flag flag\ngate x = buf(a)\n"
+                     "gate o = buf(x)\ngate d = xor(x, a)\ngate t = and(a, b)\n"
+                     "gate flag = or(d, t)\n")
+
+
+def test_flag_only_faults_kept_with_a_separate_golden():
+    # Under one event the gate flag reaches only the flag, so the reach step
+    # drops it when the miter's golden side is the circuit itself (by the
+    # flag-only rule, or as unobservable with x blacklisted too).  Against a
+    # separate golden circuit a flip of flag on input 11 shows the golden
+    # circuit's disagreement, so the flip must stay.
+    circuit = build_and_validate(parse_netlist(FLAG_HIDES_GOLDEN))
+    golden = build_and_validate(parse_netlist(
+        ".inputs a b\n.outputs o\ngate t = and(a, b)\ngate o = xor(a, t)\n"))
+    m = FaultResistanceModel(1, 1, frozenset({FaultType.BITFLIP}), "c")
+    for blacklist, dropped_as in (({"o", "d", "t"}, "reach"),
+                                  ({"o", "d", "t", "x"}, "unobservable")):
+        cfg = VerificationConfig(1, m, frozenset(blacklist), ReductionFlags(False, False, False),
+                                 ("builtin",))
+        verdict = verify(circuit, cfg)
+        assert verdict.status == "resistant"
+        assert [r.name for r in verdict.stats.reductions_applied] == [dropped_as]
+        assert GateInstance(1, "flag") in encode_problem(circuit, cfg, golden).locations
+        with pytest.raises(GoldenDisagrees, match="inputs 11, cycle 1, output 'o'"):
+            verify(circuit, cfg, golden=golden)
+
+
 def test_verify_empty_vector_with_agreeing_golden_is_internal(
         rect_parity, zeta_1_1_all_c, monkeypatch):
     # A golden circuit that agrees without faults leaves an empty decoded
@@ -994,6 +1053,22 @@ PINNED_ENCODINGS = {
     ("REVERSED_NEXT", ("s", "r", "bf")): "e04cd59701cf7db94490c13959fd49d1b294d72126a265c0a0ba88cf74bb9829",
 }
 
+# The same with the reach step's cut, for the encodings it changes:
+# rect_revised.nl's parity config leaves the parity gates p1..p6, which feed
+# only the flag, vulnerable under one event (p1..p5 only while the
+# single-successor reduction does not apply); random_netlist(5) has gates
+# that reach no output, and n1, whose cycle-2 instance reaches none by k = 2.
+PINNED_ENCODINGS_REACH = {
+    ("rect_revised.nl", ("s",)): "2d4cc3faff8fb7c570f048feb5efc4a91f521295ae408dcc66c41edb14601d70",
+    ("rect_revised.nl", ("r",)): "b3e709a7ae2a806f19dd7c61e0d9d2cec5d80c6231bb102741e7038a4a413061",
+    ("rect_revised.nl", ("bf",)): "691da20d6ff07a91bf02edc73f95c3544cd2dd35ca266ad2f4ae57d933707b12",
+    ("rect_revised.nl", ("s", "r")): "7bc88f2c1fa99e22144cb0e601d82f00395b57e4ee5501f3defc7460de573fad",
+    ("rect_revised.nl", ("s", "bf")): "480b2b486e42de73d3781a54081f7eb99963e3c77a906bdb9ab859be3b2ea1ac",
+    ("rect_revised.nl", ("r", "bf")): "109c8bb4a1a5aa3914fa4b91f42f144d9596103610785aecf5d19480620cf153",
+    ("rect_revised.nl", ("s", "r", "bf")): "c7a7f19e7858cfaf93fe86c729c9d62645162b492e5f1fc1e261239cd3b845c7",
+    ("random_netlist(5)", ("s", "r", "bf")): "aefa45a09e9e0fd21e7d7e6460a293edd92d91a13ba3fb555a89b9b6091a9f37",
+}
+
 # Three registers whose next-state lines come in reverse declaration order:
 # control variables are numbered gates first, then registers, both in
 # declaration order, never in next-statement order.
@@ -1011,7 +1086,7 @@ def _encoding_digest(circuit, config):
     return h.hexdigest()
 
 
-def test_encoding_pinned():
+def _pinned_digests():
     # Both fixtures with their configs over every type set, the fault-type
     # reduction off so each set reaches the gadgets; then a sequential random
     # netlist (2 registers, k = 2, location cr) where both cardinality
@@ -1041,4 +1116,12 @@ def test_encoding_pinned():
         build_and_validate(doc), config)
     got[("REVERSED_NEXT", ("s", "r", "bf"))] = _encoding_digest(
         build_and_validate(parse_netlist(REVERSED_NEXT)), config)
-    assert got == PINNED_ENCODINGS
+    return got
+
+
+def test_encoding_pinned(without_cut):
+    assert _pinned_digests() == PINNED_ENCODINGS
+
+
+def test_encoding_pinned_with_reach():
+    assert _pinned_digests() == {**PINNED_ENCODINGS, **PINNED_ENCODINGS_REACH}
