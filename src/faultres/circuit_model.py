@@ -146,10 +146,6 @@ class FaultType(Enum):
     def token(self):
         return self.value
 
-    @property
-    def order(self):
-        return ("s", "r", "bf").index(self.value)
-
 
 class GateInstance(NamedTuple):
     """One fault location of the unrolled circuit: gate or register ``name``
@@ -204,8 +200,13 @@ class FaultResistanceModel:
         if location not in LOCATION_CLASSES:
             raise InvalidModel(f"location must be one of {LOCATION_CLASSES}, got {location!r}")
 
+    @property
+    def types(self) -> tuple:
+        """The allowed fault types in declaration order: s, r, bf."""
+        return tuple(t for t in FaultType if t in self.fault_types)
+
     def type_tokens(self):
-        return tuple(t.token for t in sorted(self.fault_types, key=lambda t: t.order))
+        return tuple(t.token for t in self.types)
 
 
 @dataclass(frozen=True)
@@ -223,16 +224,20 @@ class SequentialCircuit:
     inputs: tuple
     outputs: tuple
     flag: Optional[str]
+    data_outputs: tuple  # the outputs but the flag, in output order
     registers: tuple  # of (name, init_bit)
     gates: tuple  # of Frame, declaration order
     next_state: dict  # register name -> driving net name
     topo_order: tuple = ()
     gate_map: dict = field(default_factory=dict)
     successors: dict = field(default_factory=dict)  # net -> tuple of consumer gate names
-    # net -> fewest register crossings on a path to a data output (any output
-    # but the flag); nets with no such path are absent.  A net in cycle c
-    # reaches a data output by cycle k iff data_depth[net] <= k - c.
-    data_depth: dict = field(default_factory=dict)
+
+    @cached_property
+    def data_depth(self) -> dict:
+        """net -> fewest register crossings on a path to a data output; nets
+        with no such path are absent.  A net in cycle c reaches a data
+        output by cycle k iff data_depth[net] <= k - c."""
+        return _data_depths(self.data_outputs, self.gate_map, self.next_state)
 
     @cached_property
     def output_depth(self) -> dict:
@@ -337,15 +342,14 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
         name=doc.name,
         inputs=tuple(doc.inputs),
         outputs=tuple(doc.outputs),
-        flag=doc.flag_output,
+        flag=flag,
+        data_outputs=tuple(o for o in doc.outputs if o != flag),
         registers=tuple(doc.registers),
         gates=tuple(gate_map.values()),
         next_state=dict(doc.next_state),
         topo_order=tuple(topo),
         gate_map=gate_map,
         successors=successors,
-        data_depth=_data_depths([o for o in doc.outputs if o != flag], gate_map,
-                                doc.next_state),
     )
 
 
@@ -432,21 +436,22 @@ def check_blacklist(circuit: SequentialCircuit, blacklist) -> frozenset:
     return frozenset(blacklist)
 
 
+def faultable_names(circuit: SequentialCircuit, blacklist, location: str) -> set:
+    """The gates ('c'), registers ('r') or both ('cr') of ``location`` that
+    ``blacklist`` leaves open to faults."""
+    names = set()
+    if location in ("c", "cr"):
+        names.update(circuit.gate_map)
+    if location in ("r", "cr"):
+        names.update(circuit.register_names)
+    return names - set(blacklist)
+
+
 def fault_locations(unrolled: UnrolledCircuit, blacklist, location: str) -> set:
-    """All fault-injectable instances: internal gates and register reads not
-    protected by the blacklist, with whole classes removed per ``location``."""
+    """All fault-injectable instances: every cycle's instance of each
+    ``faultable_names`` name."""
 
     FaultResistanceModel.check_location(location)
-    blacklist = check_blacklist(unrolled.circuit, blacklist)
-    circuit = unrolled.circuit
-    locations = set()
-    for cycle in range(1, unrolled.k + 1):
-        if location in ("c", "cr"):
-            for g in circuit.gates:
-                if g.name not in blacklist:
-                    locations.add(GateInstance(cycle, g.name))
-        if location in ("r", "cr"):
-            for r in circuit.register_names:
-                if r not in blacklist:
-                    locations.add(GateInstance(cycle, r))
-    return locations
+    names = faultable_names(unrolled.circuit, check_blacklist(unrolled.circuit, blacklist),
+                            location)
+    return {GateInstance(cycle, n) for cycle in range(1, unrolled.k + 1) for n in names}

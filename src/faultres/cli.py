@@ -15,12 +15,7 @@ import sys
 from . import __version__
 from .circuit_model import build_and_validate, unroll
 from .errors import FaultresError
-from .netlist_io import (
-    ReductionFlags,
-    parse_config,
-    parse_netlist,
-    write_netlist,
-)
+from .netlist_io import parse_config, parse_netlist, write_netlist
 from .oracle import (
     OracleBudget,
     brute_force_verdict,
@@ -54,18 +49,6 @@ def _read(path):
 def _load_circuit(path):
     doc = parse_netlist(_read(path))
     return doc, build_and_validate(doc)
-
-
-def _load_config(path, doc, args):
-    config = parse_config(_read(path), doc)
-    reductions = config.reductions
-    if args.no_reduce_types:
-        reductions = ReductionFlags(False, reductions.single_successor, reductions.single_exit)
-    if args.aggressive:
-        reductions = ReductionFlags(reductions.fault_type, reductions.single_successor, True)
-    if args.no_reduce_gates:  # overrides --aggressive
-        reductions = ReductionFlags(reductions.fault_type, False, False)
-    return dataclasses.replace(config, reductions=reductions)
 
 
 def _model_json(model):
@@ -162,7 +145,7 @@ def _verdict_exit(verdict):
 
 def cmd_verify(args):
     doc, circuit = _load_circuit(args.netlist)
-    config = _load_config(args.config, doc, args)
+    config = parse_config(_read(args.config), doc)
     if args.solver is not None:
         solver = tuple(args.solver.split())
         if not solver:
@@ -214,7 +197,7 @@ def cmd_simulate(args):
 
 def cmd_reduce(args):
     doc, circuit = _load_circuit(args.netlist)
-    config = _load_config(args.config, doc, args)
+    config = parse_config(_read(args.config), doc)
     unrolled = unroll(circuit, config.unroll_k)
     plan = plan_reductions(unrolled, config.blacklist, config.model, config.reductions)
     removed = sorted(plan.effective_blacklist - config.blacklist)
@@ -230,7 +213,7 @@ def cmd_reduce(args):
 
 def cmd_encode(args):
     doc, circuit = _load_circuit(args.netlist)
-    config = _load_config(args.config, doc, args)
+    config = parse_config(_read(args.config), doc)
     golden = None
     if args.golden:
         _, golden = _load_circuit(args.golden)
@@ -314,12 +297,6 @@ def build_parser():
     def add_common(p):
         p.add_argument("netlist", help="netlist file")
         p.add_argument("--config", required=True, help="JSON verification config")
-        p.add_argument("--no-reduce-types", action="store_true",
-                       help="disable the fault-type reduction")
-        p.add_argument("--no-reduce-gates", action="store_true",
-                       help="disable vulnerable-gate reductions")
-        p.add_argument("--aggressive", action="store_true",
-                       help="enable the single-exit gate reduction")
 
     p = sub.add_parser("verify", help="decide fault-resistance via SAT")
     add_common(p)
@@ -330,8 +307,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="decide fault-resistance by exhaustive simulation")
-    p.add_argument("netlist", help="netlist file")
-    p.add_argument("--config", required=True, help="JSON verification config")
+    add_common(p)
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--max-input-bits", type=int, default=16)
     p.add_argument("--max-vectors", type=int, default=10 ** 6)

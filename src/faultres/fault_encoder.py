@@ -13,7 +13,6 @@ it.  The inputs of the instance labelled l (``name@cycle``) are named
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .circuit_model import FaultType, GateKind, UnrolledCircuit
 from .formula import ROLE_CONTROL, ROLE_INPUT, ROLE_SELECTION, FormulaBuilder
@@ -80,8 +79,7 @@ class ControlledCircuit:
 
     builder: FormulaBuilder
     k: int
-    outputs: tuple
-    flag: Optional[str]
+    data_outputs: tuple
     types: tuple
     input_vars: dict       # (cycle, input name) -> node
     taps: dict             # (cycle, output name) -> node
@@ -100,15 +98,16 @@ def make_input_vars(builder: FormulaBuilder, circuit, k) -> dict:
     return out
 
 
-def instrument(unrolled: UnrolledCircuit, locations, types,
+def instrument(unrolled: UnrolledCircuit, locations, types: tuple,
                builder: FormulaBuilder, input_vars: dict) -> ControlledCircuit:
-    """Replace every instance in ``locations`` by its gadget, on ``builder``
-    over the primary-input variables ``input_vars``.  With an empty location
-    set this is simply the circuit-to-formula lowering.  Every net no fault
-    reaches gets its fault-free node, so ``golden_taps`` on the same builder
-    finds those nodes again instead of making new ones."""
+    """Replace every instance in ``locations`` by its gadget over the fault
+    types ``types``, a tuple in s, r, bf order such as
+    ``FaultResistanceModel.types``, on ``builder`` over the primary-input
+    variables ``input_vars``.  With an empty location set this is simply
+    the circuit-to-formula lowering.  Every net no fault reaches gets its
+    fault-free node, so ``golden_taps`` on the same builder finds those
+    nodes again instead of making new ones."""
 
-    types = tuple(sorted(types, key=lambda t: t.order))
     b = builder
     circuit = unrolled.circuit
     for inst in locations:
@@ -139,9 +138,9 @@ def instrument(unrolled: UnrolledCircuit, locations, types,
         flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
 
     return ControlledCircuit(
-        builder=b, k=unrolled.k, outputs=circuit.outputs, flag=circuit.flag,
-        types=types, input_vars=input_vars, taps=taps, flag_taps=flag_taps,
-        control_map=control_map, cycle_controls=cycle_controls)
+        builder=b, k=unrolled.k, data_outputs=circuit.data_outputs, types=types,
+        input_vars=input_vars, taps=taps, flag_taps=flag_taps, control_map=control_map,
+        cycle_controls=cycle_controls)
 
 
 def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict) -> dict:
@@ -159,10 +158,9 @@ def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict) 
     topological order."""
 
     circuit = unrolled.circuit
-    data = [o for o in circuit.outputs if o != circuit.flag]
     taps = {}
     for cycle, env in _lower(b, unrolled, input_vars, circuit.data_depth, {}, ()):
-        for o in data:
+        for o in circuit.data_outputs:
             taps[(cycle, o)] = env[o]
     return taps
 

@@ -52,7 +52,7 @@ def enumerate_fault_vectors(locations, model: FaultResistanceModel,
     fault types in s < r < bf order with the last event varying fastest."""
 
     locs = sorted(locations, key=lambda i: (i.cycle, i.name))
-    types = sorted(model.fault_types, key=lambda t: t.order)
+    types = model.types
     produced = 0
     for size in range(1, len(locs) + 1):
         if size > model.n_e * model.n_c:

@@ -22,6 +22,7 @@ from .circuit_model import (
     SequentialCircuit,
     UnrolledCircuit,
     check_blacklist,
+    faultable_names,
 )
 
 
@@ -143,15 +144,6 @@ def aggressive_blacklist(exit_of: dict, blacklist, model) -> set:
     return {g for g, exit_ in exit_of.items() if g != exit_} - set(blacklist)
 
 
-def _vulnerable(circuit: SequentialCircuit, blacklist, location) -> set:
-    names = set()
-    if location in ("c", "cr"):
-        names.update(circuit.gate_map)
-    if location in ("r", "cr"):
-        names.update(circuit.register_names)
-    return names - set(blacklist)
-
-
 def _last_cycles(depth: dict, names, k) -> dict:
     """name -> the last cycle from which a fault on it reaches an output of
     ``depth`` by cycle k, 0 when there is none: a net in cycle c reaches one
@@ -175,7 +167,7 @@ def _reach(plan: ReductionPlan, unrolled: UnrolledCircuit, separate_golden: bool
     otherwise ``_cut`` drops the dead and flag-only instances."""
 
     circuit, k, model = unrolled.circuit, unrolled.k, plan.effective_model
-    vulnerable = _vulnerable(circuit, plan.effective_blacklist, model.location)
+    vulnerable = faultable_names(circuit, plan.effective_blacklist, model.location)
     if not vulnerable:
         plan.skipped.append(SkippedReduction("reach", "no vulnerable gate or register"))
         return

@@ -40,16 +40,13 @@ from .formula import (
     BoolFormula,
     CardinalityConstraint,
     CNF,
-    EncodingError,
     FormulaBuilder,
-    at_most_k,
-    emit_dimacs,
     tseitin_cnf,
 )
 from .netlist_io import VerificationConfig
 from .reductions import ReductionPlan, plan_reductions
 from .simulator import FaultVector, ShapeMismatch, check_effectiveness, run_trace
-from .solvers import SatResult, SolverUndecided, solve_cnf
+from .solvers import SolverUndecided, solve_cnf
 
 
 class InternalEncodingError(FaultresError):
@@ -112,9 +109,7 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
     b = controlled.builder
     if golden.k != controlled.k:
         raise ShapeMismatch("golden and controlled circuits have different cycle counts")
-    gold_names = [o for o in golden.circuit.outputs if o != golden.circuit.flag]
-    ctrl_names = [o for o in controlled.outputs if o != controlled.flag]
-    if set(gold_names) != set(ctrl_names):
+    if set(golden.circuit.data_outputs) != set(controlled.data_outputs):
         raise ShapeMismatch("golden and controlled circuits expose different outputs")
 
     # Golden side, over the same input variables: the fault-free lowering of
@@ -134,7 +129,7 @@ def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
     flag_prefix = b.true
     for cycle in range(1, controlled.k + 1):
         flag_prefix = b.and_(flag_prefix, b.not_(controlled.flag_taps[cycle]))
-        for o in ctrl_names:
+        for o in controlled.data_outputs:
             differs = b.xor(reference[(cycle, o)], controlled.taps[(cycle, o)])
             disjuncts.append(b.and_(differs, flag_prefix))
     root = b.or_many(disjuncts)
@@ -200,15 +195,14 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
     builder = FormulaBuilder()
     input_vars = make_input_vars(builder, circuit, config.unroll_k)
     if locations or golden is not None:
-        controlled = instrument(unrolled, locations, model.fault_types,
+        controlled = instrument(unrolled, locations, model.types,
                                 builder=builder, input_vars=input_vars)
         formula = build_fr_formula(golden_unrolled, controlled, model)
     else:
         controlled = ControlledCircuit(
-            builder=builder, k=config.unroll_k, outputs=circuit.outputs,
-            flag=circuit.flag, input_vars=input_vars,
-            types=tuple(sorted(model.fault_types, key=lambda t: t.order)),
-            taps={}, flag_taps={}, control_map={}, cycle_controls={})
+            builder=builder, k=config.unroll_k, data_outputs=circuit.data_outputs,
+            types=model.types, input_vars=input_vars, taps={}, flag_taps={}, control_map={},
+            cycle_controls={})
         formula = BoolFormula(builder, builder.false)
     cnf = tseitin_cnf(formula)
     encode_time = time.perf_counter() - start
@@ -234,10 +228,9 @@ def _check_golden_agrees(golden: UnrolledCircuit, protected: UnrolledCircuit, in
     pos = [protected.circuit.inputs.index(n) for n in golden.circuit.inputs]
     gold = run_trace(golden, [tuple(row[i] for i in pos) for row in inputs])
     prot = run_trace(protected, inputs)
-    flag = protected.circuit.flag
     for cycle, (g, p) in enumerate(zip(gold.outputs, prot.outputs), start=1):
-        for o in protected.circuit.outputs:
-            if o != flag and g[o] != p[o]:
+        for o in protected.circuit.data_outputs:
+            if g[o] != p[o]:
                 shown = " ".join("".join(str(b) for b in row) for row in inputs)
                 raise GoldenDisagrees(
                     f"golden circuit disagrees with the protected circuit without "
@@ -303,8 +296,6 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
 
 
 __all__ = [
-    "BoolFormula", "CardinalityConstraint", "CNF", "Counterexample",
-    "EncodedProblem", "EncodingError", "GoldenDisagrees", "InternalEncodingError",
-    "SatResult", "Verdict", "VerifyStats", "at_most_k", "build_fr_formula", "emit_dimacs",
-    "encode_problem", "solve_cnf", "tseitin_cnf", "verify",
+    "Counterexample", "EncodedProblem", "GoldenDisagrees", "InternalEncodingError",
+    "Verdict", "VerifyStats", "build_fr_formula", "encode_problem", "verify",
 ]

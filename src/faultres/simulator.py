@@ -65,7 +65,7 @@ class FaultVector:
         keys = {e.instance for e in events}
         if len(keys) != len(events):
             seen = set()
-            for e in sorted(events, key=lambda e: (e.instance, e.fault_type.order)):
+            for e in sorted(events, key=lambda e: e.instance):
                 if e.instance in seen:
                     raise DuplicateInstance(e.instance.label)
                 seen.add(e.instance)
@@ -88,8 +88,7 @@ class FaultVector:
 
     @property
     def sorted_events(self):
-        return sorted(self.events,
-                      key=lambda e: (e.instance.cycle, e.instance.name, e.fault_type.order))
+        return sorted(self.events, key=lambda e: e.instance)
 
 
 @dataclass
@@ -187,12 +186,10 @@ def check_effectiveness(golden: UnrolledCircuit, vector: FaultVector,
     gold = run_trace(golden, inputs)
     faulty = run_trace(apply_fault_vector(golden, vector), inputs)
 
-    flag_name = golden.circuit.flag
-    data_outputs = [o for o in golden.circuit.outputs if o != flag_name]
     for i in range(1, golden.k + 1):
         if faulty.flags[i - 1] != 0:
             break  # detected at cycle i; no later cycle can qualify
-        for o in data_outputs:
+        for o in golden.circuit.data_outputs:
             if gold.outputs[i - 1][o] != faulty.outputs[i - 1][o]:
                 return EffectivenessResult(True, i, o)
     return EffectivenessResult(False)
@@ -244,7 +241,6 @@ def _lane_to_inputs(lane, circuit, k):
 
 def _effective_lanes(golden_envs, faulty_envs, circuit, k, ones):
     flag = circuit.flag
-    data_outputs = [o for o in circuit.outputs if o != flag]
     eff = 0
     flag_ok = ones
     for i in range(k):
@@ -253,7 +249,7 @@ def _effective_lanes(golden_envs, faulty_envs, circuit, k, ones):
         if flag is not None:
             flag_ok &= fenv[flag] ^ ones
         diff = 0
-        for o in data_outputs:
+        for o in circuit.data_outputs:
             diff |= genv[o] ^ fenv[o]
         eff |= diff & flag_ok
     return eff

@@ -206,16 +206,22 @@ def _unrolled_reachers(circuit, k, outputs):
 
 def test_data_depth_matches_unrolled_reachability():
     # data_depth against the data outputs, output_depth against every
-    # output, the flag included.
+    # output, the flag included; docs with and without a flag.
     docs = [parse_netlist(fixture_text(nl)) for nl in ("rect_parity.nl", "rect_revised.nl")]
     docs += [random_netlist(seed, max_gates=12, max_regs=3, num_inputs=3,
                             with_flag=seed % 3 != 0).doc for seed in range(30)]
     assert any(doc.registers for doc in docs)
+    assert any(doc.flag_output is None for doc in docs)
     for doc, k in itertools.product(docs, (1, 2, 3, 4)):
         circuit = build_and_validate(doc)
-        data = [o for o in circuit.outputs if o != circuit.flag]
+        # data_outputs: the outputs in their order, the flag left out.
+        if circuit.flag is None:
+            assert circuit.data_outputs == circuit.outputs
+        else:
+            i = circuit.outputs.index(circuit.flag)
+            assert circuit.data_outputs == circuit.outputs[:i] + circuit.outputs[i + 1:]
         nets = list(circuit.inputs) + list(circuit.register_names) + list(circuit.gate_map)
-        for depth, outputs in ((circuit.data_depth, data),
+        for depth, outputs in ((circuit.data_depth, circuit.data_outputs),
                                (circuit.output_depth, circuit.outputs)):
             reachers = _unrolled_reachers(circuit, k, outputs)
             for c, net in itertools.product(range(1, k + 1), nets):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import shutil
 import sys
 
@@ -182,17 +183,26 @@ def test_verify_golden_disagreeing_clean_error(workdir, capsys):
         "and 1 in the protected one\n")
 
 
+def with_reductions(path, config_text, **reductions):
+    """Write ``config_text`` to ``path`` with ``reductions`` as its reductions
+    object; returns ``path``."""
+    path.write_text(json.dumps({**json.loads(config_text), "reductions": reductions}))
+    return path
+
+
 def test_verify_flags_change_reductions(workdir, capsys):
     report = workdir / "r.json"
+    config = fixture_text("zeta_1_1_all_c.json")
     run_cli("verify", workdir / "rect_parity.nl",
-            "--config", workdir / "zeta_1_1_all_c.json",
-            "--no-reduce-types", "--no-reduce-gates", "--json", report)
+            "--config", with_reductions(workdir / "none.json", config, fault_type=False,
+                                        single_successor=False, single_exit=False),
+            "--json", report)
     data = json.loads(report.read_text())
     assert data["reductions"]["applied"] == []
 
     run_cli("verify", workdir / "rect_parity.nl",
-            "--config", workdir / "zeta_1_1_all_c.json",
-            "--aggressive", "--json", report)
+            "--config", with_reductions(workdir / "single_exit.json", config, single_exit=True),
+            "--json", report)
     data = json.loads(report.read_text())
     assert [r["name"] for r in data["reductions"]["applied"]] == [
         "fault_type", "single_exit"]
@@ -223,20 +233,13 @@ def test_reduce_json(workdir, capsys):
     assert data["model"]["types"] == ["bf"]
     assert set(data["removed_gates"]) == {"s4", "s5", "s7", "s8"}
 
-    # --no-reduce-gates overrides --aggressive
-    code = run_cli("reduce", workdir / "rect_parity.nl",
-                   "--config", workdir / "zeta_1_1_all_c.json",
-                   "--no-reduce-gates", "--aggressive")
-    assert code == 0
-    data = json.loads(capsys.readouterr().out)
-    assert [r["name"] for r in data["applied"]] == ["fault_type"]
-    assert data["removed_gates"] == []
-
 
 def test_encode_dump_controls(workdir, capsys):
     code = run_cli("encode", workdir / "rect_parity.nl",
-                   "--config", workdir / "zeta_1_1_all_c.json",
-                   "--no-reduce-types", "--no-reduce-gates",
+                   "--config", with_reductions(workdir / "none.json",
+                                               fixture_text("zeta_1_1_all_c.json"),
+                                               fault_type=False, single_successor=False,
+                                               single_exit=False),
                    "--dump-controls")
     assert code == 0
     controls = json.loads(capsys.readouterr().out)
@@ -318,7 +321,8 @@ def test_verify_input_named_d_with_binding_nc(tmp_path, capsys):
         assert run_cli("verify", netlist, "--config", config, "--json", report) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        outputs.append(captured.out)
+        # Every byte but the encode and solve wall times.
+        outputs.append(re.sub(r"\d+\.\d{3}s", "<t>s", captured.out))
         assert json.loads(report.read_text())["verdict"] == "not_resistant"
     assert outputs[0] == outputs[1]
 
@@ -348,9 +352,12 @@ def test_verify_blank_solver_rejected(workdir, capsys):
 
 def test_oracle_rejects_reduction_options(workdir, capsys):
     # The oracle enumerates every fault vector; no reduction applies to it.
-    for option in ("--aggressive", "--no-reduce-types", "--no-reduce-gates"):
+    # The other commands take their reductions from the config alone.
+    for command, option in itertools.product(
+            ("oracle", "verify", "reduce", "encode"),
+            ("--aggressive", "--no-reduce-types", "--no-reduce-gates")):
         with pytest.raises(SystemExit) as exc:
-            run_cli("oracle", workdir / "rect_parity.nl",
+            run_cli(command, workdir / "rect_parity.nl",
                     "--config", workdir / "zeta_1_1_all_c.json", option)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
@@ -380,8 +387,10 @@ def test_structurally_resistant_circuit(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["removed_gates"] == ["b_n", "b_o", "b_r"]
     assert {"name": "unobservable", "gates_removed": 3, "detail": ""} in data["applied"]
-    # exact, so --no-reduce-gates leaves it on
-    assert run_cli("reduce", nl, "--config", cfg, "--no-reduce-gates") == 0
+    # exact, so turning the gate reductions off leaves it on
+    no_gates = with_reductions(tmp_path / "no_gates.json", DUP_COMPARE_CONFIG,
+                               single_successor=False, single_exit=False)
+    assert run_cli("reduce", nl, "--config", no_gates) == 0
     data = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in data["applied"]] == ["fault_type", "unobservable"]
 

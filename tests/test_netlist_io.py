@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -160,6 +161,18 @@ def test_parse_config_example(rect_parity_doc):
     assert config.reductions.fault_type and config.reductions.single_successor
     assert not config.reductions.single_exit
     assert config.solver == ("builtin",)
+
+    # model.types lists the allowed types in s, r, bf order, whatever order
+    # the config names them in.
+    tokens = ("s", "r", "bf")
+    for size in (1, 2, 3):
+        for subset in itertools.permutations(tokens, size):
+            raw = {**json.loads(CONFIG), "model": {
+                "ne": 1, "nc": 1, "types": list(subset), "location": "c"}}
+            model = parse_config(json.dumps(raw), rect_parity_doc).model
+            expected = tuple(t for t in tokens if t in subset)
+            assert model.types == tuple(FaultType(t) for t in expected)
+            assert model.type_tokens() == expected
 
 
 def test_config_ne_zero(rect_parity_doc):
