@@ -209,8 +209,7 @@ class FaultResistanceModel:
         return tuple(t.token for t in self.types)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One combinational frame gate (shared across cycles)."""
 
     name: str
@@ -261,19 +260,23 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
     for parsed docs and docs built in code alike: at least one input and
     output, known gate kinds and their arity, each net declared once,
     operands and next-state nets declared, outputs driven, a next state for
-    every register, the flag among the outputs, no combinational cycle.  Errors carry the doc's source
-    locations, if it has any."""
+    every register, the flag among the outputs and not the only one, no
+    combinational cycle.  Errors carry the doc's source locations, if it has
+    any."""
 
     for head, nets in ((".inputs", doc.inputs), (".outputs", doc.outputs)):
         if not nets:
             raise NetlistSyntaxError(f"netlist has no {head} statement")
     locs = doc.source_locs
     regs = [r for r, _ in doc.registers]
-    declared = set()
-    for net in (*doc.inputs, *regs, *(g.name for g in doc.gates)):
-        if net in declared:
-            raise DuplicateName(net, *locs.get(("decl", net), (0, 0)))
-        declared.add(net)
+    names = [*doc.inputs, *regs, *[g.name for g in doc.gates]]
+    declared = set(names)
+    if len(declared) < len(names):
+        seen = set()
+        for net in names:
+            if net in seen:
+                raise DuplicateName(net, *locs.get(("decl", net), (0, 0)))
+            seen.add(net)
     reg_set = set(regs)
     sources = set(doc.inputs) | reg_set
 
@@ -282,23 +285,24 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
     # reads are sources and never part of a combinational cycle.
     gate_map = {}
     indeg = {}
-    consumers = {}
+    consumers = {net: [] for net in names}
     for g in doc.gates:
+        name = g.name
         kind, arity = _KIND_TOKENS.get(g.kind, (None, None))
         if kind is None:
-            raise UnknownGateKind(g.name, g.kind, g.line, g.col)
+            raise UnknownGateKind(name, g.kind, g.line, g.col)
         ops = tuple(g.operands)
         if len(ops) != arity:
-            raise ArityMismatch(g.name, kind, len(ops), g.line, g.col)
+            raise ArityMismatch(name, kind, len(ops), g.line, g.col)
         n = 0
         for op in ops:
             if op not in declared:
                 raise UndefinedNet(op, g.line, g.col)
             if op not in sources:
                 n += 1
-            consumers.setdefault(op, []).append(g.name)
-        indeg[g.name] = n
-        gate_map[g.name] = Frame(g.name, kind, ops)
+            consumers[op].append(name)
+        indeg[name] = n
+        gate_map[name] = Frame(name, kind, ops)
 
     for out in doc.outputs:
         if out not in declared:
@@ -314,12 +318,16 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
             raise MissingOutputDriver(reg, *locs.get(("decl", reg), (0, 0)))
 
     flag = doc.flag_output
+    data_outputs = tuple(o for o in doc.outputs if o != flag)
     if flag is not None:
         at = locs.get(("flag", flag), (0, 0))
         if flag not in declared:
             raise UndefinedNet(flag, *at)
         if flag not in doc.outputs:
             raise NetlistSyntaxError(f"flag {flag!r} must be listed in .outputs", *at, flag)
+        if not data_outputs:
+            raise NetlistSyntaxError(f"flag {flag!r} is the only output: no data output "
+                                     "to check", *at, flag)
 
     ready = [name for name, n in indeg.items() if n == 0]
     ready.reverse()
@@ -327,7 +335,7 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
     while ready:
         n = ready.pop()
         topo.append(n)
-        for succ in consumers.get(n, ()):
+        for succ in consumers[n]:
             indeg[succ] -= 1
             if indeg[succ] == 0:
                 ready.append(succ)
@@ -335,21 +343,18 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
     if len(topo) != len(gate_map):
         raise CombinationalCycle(_find_cycle(gate_map, sources))
 
-    successors = {net: tuple(consumers.get(net, ())) for net in
-                  list(sources) + list(gate_map)}
-
     return SequentialCircuit(
         name=doc.name,
         inputs=tuple(doc.inputs),
         outputs=tuple(doc.outputs),
         flag=flag,
-        data_outputs=tuple(o for o in doc.outputs if o != flag),
+        data_outputs=data_outputs,
         registers=tuple(doc.registers),
         gates=tuple(gate_map.values()),
         next_state=dict(doc.next_state),
         topo_order=tuple(topo),
         gate_map=gate_map,
-        successors=successors,
+        successors={net: tuple(c) for net, c in consumers.items()},
     )
 
 

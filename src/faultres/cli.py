@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -287,7 +288,10 @@ def _parse_dimacs_file(path):
     return clauses, num_vars
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: ``parse_args`` leaves
+    it as it is, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="faultres",
         description="SAT-based fault-resistance verification of gate-level circuits")
@@ -351,8 +355,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FaultresError as e:

@@ -37,8 +37,10 @@ class SchemaError(ConfigError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GateStmt:
+    """One ``gate`` statement; equality ignores where it stands."""
+
     name: str
     kind: str
     operands: tuple
@@ -98,6 +100,10 @@ class VerificationConfig:
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.\[\]]*")
+# A gate's operand list: comma-separated, each operand blank or one
+# identifier, with whitespace around it.  Each choice the pattern makes is
+# forced, so a failed match takes linear time.
+_OPERANDS = re.compile(rf"\s*(?:{_IDENT.pattern}\s*)?(?:,\s*(?:{_IDENT.pattern}\s*)?)*")
 _GATE_RE = re.compile(
     r"gate\s+(?P<name>\S+)\s*=\s*(?P<kind>[A-Za-z0-9_]+)\s*\((?P<ops>[^)]*)\)\s*$")
 _NEXT_RE = re.compile(r"next\s+(?P<reg>\S+)\s*=\s*(?P<net>\S+)\s*$")
@@ -112,9 +118,10 @@ def _check_ident(tok, line, col):
 
 def parse_netlist(text: str) -> NetlistDoc:
     """Parse netlist text into a NetlistDoc, checking the grammar only:
-    statement shapes, identifiers, ``init`` bits, at most one ``.name``,
-    ``.cycles``, ``.flag`` and ``next`` per register.  ``build_and_validate``
-    checks what the doc means, reporting the source locations recorded here.  Statements may appear in
+    statement shapes, identifiers, ``init`` bits, a ``.cycles`` count of
+    ASCII digits, at most one ``.name``, ``.cycles``, ``.flag`` and ``next``
+    per register.  ``build_and_validate`` checks what the doc means,
+    reporting the source locations recorded here.  Statements may appear in
     any order.  ``.cycles`` is kept and written back; ``verify`` takes k from
     the config."""
 
@@ -126,27 +133,44 @@ def parse_netlist(text: str) -> NetlistDoc:
     locs = {}
     single = set()  # heads of the statements that may appear once
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stmt = raw.split("#", 1)[0].rstrip()
-        if not stmt.strip():
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        words = line.split(None, 1)
+        if not words:
             continue
-        col = len(stmt) - len(stmt.lstrip()) + 1
-        stmt = stmt.strip()
-        parts = stmt.split()
-        head = parts[0]
+        head = words[0]
+        start = line.find(head)
+        col = start + 1
+        if head == "gate":  # most lines of a large netlist
+            m = _GATE_RE.match(line, start)
+            if not m:
+                raise NetlistSyntaxError("gate wants `gate <name> = <kind>(<operands>)`",
+                                         lineno, col)
+            gname, kind, ops = m.groups()
+            if not (_IDENT.fullmatch(gname) and _OPERANDS.fullmatch(ops)):
+                # Find the first bad identifier, to name it in the error.
+                for tok in (gname, *ops.split(",")):
+                    if tok.strip():
+                        _check_ident(tok.strip(), lineno, col)
+            gates.append(GateStmt(gname, kind, tuple(_IDENT.findall(ops)), lineno, col))
+            locs.setdefault(("decl", gname), (lineno, col))
+            continue
         if head in (".name", ".cycles", ".flag"):
             if head in single:
                 raise NetlistSyntaxError(f"duplicate {head} statement", lineno, col)
             single.add(head)
 
+        parts = line.split()
         if head == ".name":
             if len(parts) != 2:
                 raise NetlistSyntaxError(".name takes one identifier", lineno, col)
             name = _check_ident(parts[1], lineno, col)
         elif head == ".cycles":
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            n = parts[1] if len(parts) == 2 else ""
+            if not (n.isascii() and n.isdigit()) or int(n) < 1:
                 raise NetlistSyntaxError(".cycles takes one positive integer", lineno, col)
-            cycles = int(parts[1])
+            cycles = int(n)
         elif head == ".inputs":
             for tok in parts[1:]:
                 inputs.append(_check_ident(tok, lineno, col))
@@ -165,7 +189,7 @@ def parse_netlist(text: str) -> NetlistDoc:
             flag = _check_ident(parts[1], lineno, col)
             locs[("flag", flag)] = (lineno, col)
         elif head == ".reg":
-            m = _REG_RE.match(stmt)
+            m = _REG_RE.match(line, start)
             if not m:
                 raise NetlistSyntaxError(".reg wants `.reg <name> init=<0|1>`", lineno, col)
             rname = _check_ident(m.group("name"), lineno, col)
@@ -173,19 +197,8 @@ def parse_netlist(text: str) -> NetlistDoc:
                 raise NetlistSyntaxError("init must be 0 or 1", lineno, col)
             registers.append((rname, int(m.group("init"))))
             locs.setdefault(("decl", rname), (lineno, col))
-        elif head == "gate":
-            m = _GATE_RE.match(stmt)
-            if not m:
-                raise NetlistSyntaxError("gate wants `gate <name> = <kind>(<operands>)`",
-                                         lineno, col)
-            gname = _check_ident(m.group("name"), lineno, col)
-            ops = tuple(o.strip() for o in m.group("ops").split(",") if o.strip())
-            for o in ops:
-                _check_ident(o, lineno, col)
-            gates.append(GateStmt(gname, m.group("kind"), ops, lineno, col))
-            locs.setdefault(("decl", gname), (lineno, col))
         elif head == "next":
-            m = _NEXT_RE.match(stmt)
+            m = _NEXT_RE.match(line, start)
             if not m:
                 raise NetlistSyntaxError("next wants `next <reg> = <net>`", lineno, col)
             reg = _check_ident(m.group("reg"), lineno, col)

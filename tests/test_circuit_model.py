@@ -81,8 +81,9 @@ def _doc(outputs=("g",), flag=None, registers=(), gates=(("g", "buf", ("a",)),),
     (_doc(flag="f", gates=[("g", "buf", ("a",)), ("f", "not", ("a",))]),
      NetlistSyntaxError, "f"),
     (_doc(outputs=()), NetlistSyntaxError, None),
+    (_doc(flag="g"), NetlistSyntaxError, "g"),
 ], ids=["kind", "arity", "duplicate", "undefined", "undriven", "no-next", "next-not-register",
-        "flag", "no-outputs"])
+        "flag", "no-outputs", "flag-only"])
 def test_built_doc_checked_like_its_text(doc, error, name):
     # The same defect raises the same error whether the doc was built in code
     # or parsed from its text; only the parsed one knows source locations.

@@ -327,6 +327,37 @@ def test_verify_input_named_d_with_binding_nc(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_main_reuses_one_parser(workdir, capsys, monkeypatch):
+    # main builds its argparse parser once per process.  A run of calls,
+    # a usage error among them, prints what the same calls print when each
+    # builds a fresh parser.
+    import faultres.cli as cli
+
+    netlist, config = workdir / "rect_parity.nl", workdir / "zeta_1_1_all_c.json"
+    calls = [("verify", netlist, "--config", config),
+             ("verify", netlist),
+             ("encode", netlist, "--config", config, "--dump-controls"),
+             ("verify", netlist, "--config", config)]
+
+    def run(argv):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as e:  # argparse exits on a usage error
+            code = e.code
+        out, err = capsys.readouterr()
+        return re.sub(r"\d+\.\d{3}s", "<t>s", out), err, code
+
+    cli.build_parser.cache_clear()
+    cached = [run(argv) for argv in calls]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(argv) for argv in calls]
+    assert cached == fresh
+    assert [code for _, _, code in cached] == [1, 2, 0, 1]
+    assert "the following arguments are required: --config" in cached[1][1]
+
+
 def test_verify_undecided_solver_clean_error(workdir, tmp_path, capsys):
     script = tmp_path / "giveup.py"
     script.write_text("import sys; print('gave up', file=sys.stderr); sys.exit(1)\n")

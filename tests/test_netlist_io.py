@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -141,6 +142,86 @@ def test_roundtrip_with_registers_and_cycles():
     assert doc.default_cycles == 3
     assert doc.registers == [("r", 1)]
     assert parse_netlist(write_netlist(doc)) == doc
+
+
+@pytest.mark.parametrize("count", ["\u00b2", "\u0663", "0", "-1", "2 3", ""])
+def test_cycles_takes_ascii_digits(count):
+    # A superscript two and an Arabic-Indic three are digits to str.isdigit,
+    # but not counts the grammar takes.
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_netlist(f".cycles {count}\n.inputs a\n.outputs g\ngate g = buf(a)\n")
+    assert str(exc.value) == "1:1: .cycles takes one positive integer"
+
+
+# The gate-line grammar stated plainly, as a reference for the parser: the
+# comment goes, blank lines are skipped, a statement must have the gate
+# shape, and each comma-separated operand, stripped, is dropped when blank
+# and must otherwise be an identifier.
+_REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.\[\]]*")
+_REF_GATE = re.compile(r"gate\s+g\s*=\s*and\s*\((?P<ops>[^)]*)\)\s*")
+
+
+def _reference_gate_operands(text):
+    """The operand tuple of each gate in ``text``, or the first error."""
+    gates = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stmt = raw.split("#", 1)[0]
+        if not stmt.strip():
+            continue
+        col = len(stmt) - len(stmt.lstrip()) + 1
+        head = stmt.split()[0]
+        if head != "gate":
+            return f"{lineno}:{col}: unrecognized statement {head!r}"
+        m = _REF_GATE.fullmatch(stmt.strip())
+        if not m:
+            return f"{lineno}:{col}: gate wants `gate <name> = <kind>(<operands>)`"
+        ops = []
+        for op in m.group("ops").split(","):
+            op = op.strip()
+            if op and not _REF_IDENT.fullmatch(op):
+                return f"{lineno}:{col}: bad identifier {op!r}"
+            if op:
+                ops.append(op)
+        gates.append(tuple(ops))
+    return gates
+
+
+def _parsed_gate_operands(text):
+    try:
+        return [g.operands for g in parse_netlist(text).gates]
+    except NetlistSyntaxError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("ops, expected", [
+    ("a,,b", ("a", "b")),
+    (" a ,b ", ("a", "b")),
+    ("", ()),
+    (" , ,\t", ()),
+    ("x.y[0],\u00a0_q", ("x.y[0]", "_q")),
+])
+def test_gate_operands(ops, expected):
+    assert _parsed_gate_operands(f"gate g = and({ops})") == [expected]
+
+
+def test_gate_operands_match_reference():
+    # Seeded random gate lines over an alphabet of separators, odd
+    # whitespace, comments and near-identifiers; the parser must give the
+    # reference's operands or its error message.
+    alphabet = ["a", "b1", "_q", "x.y[0]", "1a", "a b", "-", ",", ",", ",,", " ", "\t",
+                "\x1c", "\u00a0", "# c", "#"]
+    rng = random.Random(20)
+    outcomes = {"operands": 0, "bad identifier": 0, "other error": 0}
+    for _ in range(20_000):
+        ops = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+        text = f"{rng.choice(['', ' ', chr(9)])}gate g = and({ops}){rng.choice(['', ' ', '  # x'])}"
+        expected = _reference_gate_operands(text)
+        assert _parsed_gate_operands(text) == expected, repr(text)
+        if not isinstance(expected, str):
+            outcomes["operands"] += 1
+        else:
+            outcomes["bad identifier" if "bad identifier" in expected else "other error"] += 1
+    assert min(outcomes.values()) > 2_000, outcomes
 
 
 CONFIG = """
