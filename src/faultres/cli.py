@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import sys
 
@@ -121,7 +122,7 @@ def _print_verdict(verdict, out=None):
     out = out if out is not None else sys.stdout
     if verdict.is_resistant:
         print("RESISTANT: no admissible fault vector is effective", file=out)
-        if any(r.name == "unobservable" for r in verdict.stats.reductions_applied):
+        if verdict.plan is not None and verdict.plan.unobservable:
             print("  no vulnerable gate reaches a data output within k cycles", file=out)
     else:
         c = verdict.counterexample
@@ -355,15 +356,27 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.  The cyclic garbage
+    collector is paused for the command and put back as it was afterwards:
+    ``verify`` makes no reference cycle, yet the collector would scan its
+    young objects (formula nodes, clauses) again and again.  Pausing it
+    here, not inside ``verify``, lets the command's objects die by
+    reference count before the collector runs again."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except FaultresError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except Exception as e:  # pragma: no cover - last-resort diagnostics
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_ERROR
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except FaultresError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_ERROR
+        except Exception as e:  # pragma: no cover - last-resort diagnostics
+            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+            return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

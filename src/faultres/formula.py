@@ -163,6 +163,16 @@ class FormulaBuilder:
             return self.or_(self.not_(c), t)
         if e == self.false:
             return self.and_(c, t)
+        # A branch equal to the condition or to its negation: ite(c,c,e) =
+        # c|e, ite(c,t,c) = c&t, ite(c,~c,e) = ~c&e and ite(c,t,~c) = ~c|t.
+        if t == c:
+            return self.or_(c, e)
+        if e == c:
+            return self.and_(c, t)
+        if self._complementary(c, t):
+            return self.and_(t, e)
+        if self._complementary(c, e):
+            return self.or_(e, t)
         return self._new(ITE, (c, t, e))
 
     def or_many(self, nodes):
@@ -272,58 +282,76 @@ def tseitin_cnf(formula: BoolFormula) -> CNF:
 
     clauses = []
     lit_of = {}
+    kinds, node_args = b.kinds, b.args
 
-    # Iterative postorder over the DAG reachable from the root.
+    # Iterative postorder over the DAG reachable from the root.  A stack
+    # entry ~node (negative) marks a node whose arguments are all done.
     order = []
     seen = set()
-    stack = [(formula.root, False)]
+    stack = [formula.root]
+    push = stack.append
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = stack.pop()
+        if node < 0:
+            order.append(~node)
             continue
         if node in seen:
             continue
         seen.add(node)
-        stack.append((node, True))
-        kind = b.kinds[node]
-        if kind in (VAR, CONST):
+        kind = kinds[node]
+        if kind == VAR or kind == CONST:
+            order.append(node)
             continue
-        for a in reversed(b.args[node]):
-            stack.append((a, False))
+        push(~node)
+        for a in reversed(node_args[node]):
+            push(a)
 
+    # One pass in postorder, NOT and VAR nodes first.
+    add = clauses.append
     root_const = None
     for node in order:
-        kind, args = b.kinds[node], b.args[node]
-        if kind == VAR:
+        kind, args = kinds[node], node_args[node]
+        if kind == NOT:
+            lit_of[node] = -lit_of[args[0]]
+        elif kind == VAR:
             lit_of[node] = var_index[args[0]]
         elif kind == CONST:
-            if node == formula.root:
-                root_const = bool(args[0])
-            else:
+            if node != formula.root:
                 # Folding keeps constants out of operator arguments.
                 raise EncodingError("constant node inside formula body")
-        elif kind == NOT:
-            lit_of[node] = -lit_of[args[0]]
+            root_const = bool(args[0])
         else:
             g = next_var
             next_var += 1
             lit_of[node] = g
             if kind == AND:
                 a, c = lit_of[args[0]], lit_of[args[1]]
-                clauses += [[-g, a], [-g, c], [g, -a, -c]]
+                add([-g, a])
+                add([-g, c])
+                add([g, -a, -c])
             elif kind == OR:
                 a, c = lit_of[args[0]], lit_of[args[1]]
-                clauses += [[g, -a], [g, -c], [-g, a, c]]
+                add([g, -a])
+                add([g, -c])
+                add([-g, a, c])
             elif kind == XOR:
                 a, c = lit_of[args[0]], lit_of[args[1]]
-                clauses += [[-g, a, c], [-g, -a, -c], [g, -a, c], [g, a, -c]]
+                add([-g, a, c])
+                add([-g, -a, -c])
+                add([g, -a, c])
+                add([g, a, -c])
             elif kind == IFF:
                 a, c = lit_of[args[0]], lit_of[args[1]]
-                clauses += [[g, a, c], [g, -a, -c], [-g, -a, c], [-g, a, -c]]
+                add([g, a, c])
+                add([g, -a, -c])
+                add([-g, -a, c])
+                add([-g, a, -c])
             elif kind == ITE:
-                s, t, e = (lit_of[a] for a in args)
-                clauses += [[-g, -s, t], [-g, s, e], [g, -s, -t], [g, s, -e]]
+                s, t, e = lit_of[args[0]], lit_of[args[1]], lit_of[args[2]]
+                add([-g, -s, t])
+                add([-g, s, e])
+                add([g, -s, -t])
+                add([g, s, -e])
             else:
                 raise EncodingError(f"cannot lower node kind {kind}")
 

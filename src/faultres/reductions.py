@@ -55,6 +55,12 @@ class ReductionPlan:
     # reach step keeps in some cycles but not in all.
     _last_cycle: dict = field(default_factory=dict, init=False, repr=False)
 
+    @property
+    def unobservable(self) -> bool:
+        """Whether the reach step found that no vulnerable name reaches a
+        data output, and blacklisted them all."""
+        return any(r.name == "unobservable" for r in self.applied)
+
     def prune(self, locations) -> set:
         """The instances of ``locations`` (drawn outside the effective
         blacklist) that the plan keeps: all but the later instances of each

@@ -92,6 +92,7 @@ class Verdict:
     counterexample: Optional[Counterexample] = None
     stats: VerifyStats = field(default_factory=VerifyStats)
     cnf: Optional[CNF] = None  # the CNF the solver decided; None from the oracle
+    plan: Optional[ReductionPlan] = None  # the plan it was encoded under; None from the oracle
 
     @property
     def is_resistant(self):
@@ -175,9 +176,10 @@ class EncodedProblem:
 
 def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
                    golden: Optional[SequentialCircuit] = None) -> EncodedProblem:
-    """unroll -> plan reductions -> fault locations, pruned by the plan ->
-    instrument -> formula -> CNF.  ``golden`` optionally supplies a
-    separate unprotected reference circuit for the miter's golden side.
+    """unroll -> plan reductions -> fault locations, pruned by the plan (none
+    when it found every vulnerable name unobservable) -> instrument ->
+    formula -> CNF.  ``golden`` optionally supplies a separate unprotected
+    reference circuit for the miter's golden side.
 
     With no fault location and no separate golden circuit, the faulty and
     the fault-free outputs are one function, so the formula is constant
@@ -191,7 +193,8 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
     plan = plan_reductions(unrolled, config.blacklist, config.model, config.reductions,
                            separate_golden=golden is not None)
     model = plan.effective_model
-    locations = plan.prune(fault_locations(unrolled, plan.effective_blacklist, model.location))
+    locations = (set() if plan.unobservable else
+                 plan.prune(fault_locations(unrolled, plan.effective_blacklist, model.location)))
     builder = FormulaBuilder()
     input_vars = make_input_vars(builder, circuit, config.unroll_k)
     if locations or golden is not None:
@@ -272,7 +275,7 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
     )
 
     if result.status == "unsat":
-        return Verdict("resistant", stats=stats, cnf=problem.cnf)
+        return Verdict("resistant", stats=stats, cnf=problem.cnf, plan=problem.plan)
     if result.status != "sat":
         raise SolverUndecided(result.reason)
 
@@ -292,7 +295,7 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
         "not_resistant",
         counterexample=Counterexample(vector, inputs, replay.divergence_cycle,
                                       replay.differing_output),
-        stats=stats, cnf=problem.cnf)
+        stats=stats, cnf=problem.cnf, plan=problem.plan)
 
 
 __all__ = [

@@ -58,11 +58,15 @@ class CdclSolver:
     Deterministic: each decision takes the unassigned variable of highest
     activity, the lowest index on ties, and assumes it False, exactly the
     choice of a full scan over the variables.  The scan is replaced by a lazy
-    heap of ``(-activity, var)`` entries.  An entry goes stale once its
-    variable is assigned or its activity grows, and is dropped when popped;
-    every unassigned variable holds one current entry, pushed when the
-    variable is unassigned.  The heap is rebuilt from the unassigned
-    variables after an activity rescale and whenever it grows past
+    heap of ``(-activity, var)`` entries.  ``queued[v]`` holds the key of v's
+    newest entry while that entry is in the heap, and None once it is
+    popped.  An entry goes stale once its variable's activity grows; a
+    popped entry is dropped unless it is its variable's newest and the
+    variable is unassigned.  Activity grows only for assigned variables, so
+    every unassigned variable holds one current entry: unassigning a
+    variable pushes an entry only when its newest one is stale or popped.
+    The heap is rebuilt from the unassigned variables, and ``queued`` with
+    it, after an activity rescale and whenever it grows past
     ``2 * num_vars`` entries.
 
     Literal values sit in one list indexed by literal (``-v`` indexes from
@@ -100,24 +104,43 @@ class CdclSolver:
         self.trail_lim = []
         self.qhead = 0
         self._rebuild_heap()
-        self.units = []
+        self.units = units = []
+        watches = self.watches
         for c in clauses:
+            # The solver keeps its own copy of each clause: propagation
+            # reorders the literals in place.
             lits = list(c)
-            if len(set(map(abs, lits))) < len(lits):
+            n = len(lits)
+            if n == 2:
+                a, b = lits
+                repeats = a == b or a == -b
+            elif n == 3:
+                a, b, d = lits
+                repeats = a == b or a == -b or a == d or a == -d or b == d or b == -d
+            else:
+                repeats = len(set(map(abs, lits))) < n
+            if repeats:
                 # A repeated variable: drop repeated literals, then tautologies.
                 lits = list(dict.fromkeys(lits))
-                if len(set(map(abs, lits))) < len(lits):
+                n = len(lits)
+                if len(set(map(abs, lits))) < n:
                     continue
-            if len(lits) == 1:
-                self.units.append(lits[0])
+            if n == 1:
+                units.append(lits[0])
             else:
-                self.watches[lits[0]].append(lits)
-                self.watches[lits[1]].append(lits)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
 
     def _rebuild_heap(self):
         activity, val = self.activity, self.val
-        self.heap = [(-activity[v], v) for v in range(1, self.num_vars + 1) if val[v] is None]
-        heapq.heapify(self.heap)
+        self.queued = queued = [None] * (self.num_vars + 1)
+        heap = []
+        for v in range(1, self.num_vars + 1):
+            if val[v] is None:
+                queued[v] = key = -activity[v]
+                heap.append((key, v))
+        heapq.heapify(heap)
+        self.heap = heap
 
     def _enqueue(self, lit, reason):
         self.val[lit] = True
@@ -136,10 +159,13 @@ class CdclSolver:
             falsified = -trail[i]
             i += 1
             watchlist = watches[falsified]
+            if not watchlist:
+                continue
             # Clauses keep their watch-list order, which decides the order of
             # implications and which conflict is found first.
             keep = []
-            for j, clause in enumerate(watchlist):
+            clauses = iter(watchlist)
+            for clause in clauses:
                 # Make sure the falsified literal sits at position 1.
                 first = clause[0]
                 if first == falsified:
@@ -148,26 +174,30 @@ class CdclSolver:
                 if val[first] is True:
                     keep.append(clause)
                     continue
-                for idx in range(2, len(clause)):
+                # Look for a new watch, from the third literal on.
+                idx, n = 2, len(clause)
+                while idx < n:
                     lit = clause[idx]
                     if val[lit] is not False:
-                        clause[1] = lit
-                        clause[idx] = falsified
-                        watches[lit].append(clause)
                         break
-                else:
-                    keep.append(clause)
-                    if val[first] is False:
-                        keep.extend(watchlist[j + 1:])
-                        watches[falsified] = keep
-                        self.qhead = len(trail)
-                        return clause
-                    val[first] = True
-                    val[-first] = False
-                    v = first if first > 0 else -first
-                    level[v] = cur_level
-                    reason[v] = clause
-                    trail.append(first)
+                    idx += 1
+                if idx < n:
+                    clause[1] = lit
+                    clause[idx] = falsified
+                    watches[lit].append(clause)
+                    continue
+                keep.append(clause)
+                if val[first] is False:
+                    keep.extend(clauses)
+                    watches[falsified] = keep
+                    self.qhead = len(trail)
+                    return clause
+                val[first] = True
+                val[-first] = False
+                v = first if first > 0 else -first
+                level[v] = cur_level
+                reason[v] = clause
+                trail.append(first)
             watches[falsified] = keep
         self.qhead = i
         return None
@@ -221,12 +251,16 @@ class CdclSolver:
     def _backjump(self, to_level):
         trail, trail_lim = self.trail, self.trail_lim
         if len(trail_lim) > to_level:
-            val, activity, heap = self.val, self.activity, self.heap
+            val, activity, heap, queued = self.val, self.activity, self.heap, self.queued
+            push = heapq.heappush
             lim = trail_lim[to_level]
             for lit in trail[lim:]:
                 val[lit] = val[-lit] = None
                 v = lit if lit > 0 else -lit
-                heapq.heappush(heap, (-activity[v], v))
+                key = -activity[v]
+                if queued[v] != key:
+                    queued[v] = key
+                    push(heap, (key, v))
             del trail[lim:]
             del trail_lim[to_level:]
             if len(heap) > 2 * self.num_vars:
@@ -234,11 +268,14 @@ class CdclSolver:
         self.qhead = len(trail)
 
     def _decide(self):
-        heap, activity, val = self.heap, self.activity, self.val
+        heap, queued, val = self.heap, self.queued, self.val
+        pop = heapq.heappop
         while heap:
-            key, v = heapq.heappop(heap)
-            if val[v] is None and key == -activity[v]:
-                return v
+            key, v = pop(heap)
+            if key == queued[v]:
+                queued[v] = None
+                if val[v] is None:
+                    return v
         return 0
 
     def _result(self, status, model=None):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import re
@@ -12,8 +13,9 @@ from faultres import build_and_validate, parse_netlist, unroll
 from faultres.circuit_model import GateInstance
 from faultres.cli import main
 from faultres.fixtures import fixture_path, fixture_text
-from faultres.netlist_io import write_netlist
+from faultres.netlist_io import parse_config, write_netlist
 from faultres.oracle import random_netlist
+from faultres.sat_encoding import verify
 from faultres.simulator import FaultEvent, FaultType, FaultVector, check_effectiveness
 
 
@@ -526,3 +528,58 @@ def test_bench_shims_resolve(monkeypatch):
 
     for module, attr in spans.SHIMMED:
         assert callable(getattr(sys.modules[module], attr, None)), (module, attr)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_pauses_the_collector_and_restores_it(workdir, capsys, monkeypatch, collecting):
+    # The collector is off while a command runs, and afterwards as it was
+    # before, on a verdict and on an error exit alike.
+    import faultres.cli
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(faultres.cli, "verify", spy)
+    config = workdir / "zeta_1_1_all_c.json"
+    calls = [(("verify", workdir / "rect_parity.nl", "--config", config), 1, ""),
+             (("verify", workdir / "missing.nl", "--config", config), 2, "cannot read"),
+             (("verify", workdir / "rect_parity.nl", "--config", config, "--solver", "true"),
+              2, "solver could not decide")]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for argv, code, err in calls:
+            assert run_cli(*argv) == code
+            assert gc.isenabled() is collecting
+            assert err in capsys.readouterr().err
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+
+
+def test_verify_makes_no_reference_cycle(tmp_path):
+    # Why the collector may pause: verify leaves nothing for it to free.
+    generated = tmp_path / "rand.nl"
+    assert run_cli("gen", "random", "--seed", "5", "-o", generated) == 0
+    cases = [(fixture_text("rect_parity.nl"), fixture_text("zeta_1_1_all_c.json")),
+             (fixture_text("rect_revised.nl"), fixture_text("zeta_1_1_all_c.json")),
+             (generated.read_text(), json.dumps({
+                 "k": 2, "blacklist": [],
+                 "model": {"ne": 1, "nc": 2, "types": ["s", "r", "bf"], "location": "cr"}}))]
+    statuses = set()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for text, config_text in cases:
+            doc = parse_netlist(text)
+            circuit, config = build_and_validate(doc), parse_config(config_text, doc)
+            gc.collect()
+            statuses.add(verify(circuit, config).status)
+            assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert statuses == {"resistant", "not_resistant"}

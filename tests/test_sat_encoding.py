@@ -27,6 +27,7 @@ from faultres.circuit_model import (
 )
 from faultres.fault_encoder import instrument
 from faultres.formula import (
+    ITE,
     ROLE_CONTROL,
     ROLE_INPUT,
     BoolFormula,
@@ -203,6 +204,38 @@ def test_tseitin_equisatisfiable_family():
         assert got == want
         agree += 1
     assert agree == 220
+
+
+def test_tseitin_clauses_repeat_no_variable():
+    # The family above builds ite nodes with a branch equal to the condition
+    # or to its negation; folded, they leave no clause with a variable twice.
+    rng = random.Random(12345)
+    names = ["v1", "v2", "v3", "v4"]
+    for _ in range(220):
+        fb = FormulaBuilder()
+        for n in names:
+            fb.var(n, ROLE_INPUT)
+        cnf = tseitin_cnf(BoolFormula(fb, random_formula(fb, rng, names, depth=4)))
+        for clause in cnf.clauses:
+            assert len({abs(lit) for lit in clause}) == len(clause), clause
+
+
+def test_ite_folds_a_branch_equal_to_the_condition():
+    fb = FormulaBuilder()
+    names = ["c", "x", "y"]
+    c, x, y = (fb.var(n, ROLE_INPUT) for n in names)
+    for cond in (c, fb.not_(c), fb.and_(x, y)):
+        neg = fb.not_(cond)
+        for other in (x, fb.not_(y), fb.xor(x, c)):
+            if other in (cond, neg):
+                continue
+            for t, e in ((cond, other), (neg, other), (other, cond), (other, neg)):
+                node = fb.ite(cond, t, e)
+                assert fb.kinds[node] != ITE
+                for bits in itertools.product((False, True), repeat=len(names)):
+                    env = dict(zip(names, bits))
+                    want = evaluate(fb, t if evaluate(fb, cond, env) else e, env)
+                    assert evaluate(fb, node, env) == want, (cond, t, e, env)
 
 
 def test_tseitin_constant_false_root():
@@ -395,6 +428,37 @@ def test_builtin_solver_search_pinned_on_random_3sat():
                    for _ in range(round(4.26 * n))]
         got.append(_search(n, clauses))
     assert got == PINNED_RANDOM_SEARCH
+
+
+def test_decisions_follow_the_full_scan():
+    # Every decision is the full scan's choice: an unassigned variable of the
+    # highest activity, the lowest index on ties.  Before each one, every
+    # unassigned variable has its current entry in the heap, which the later
+    # decisions rely on.  act_inc starts near the rescale limit, so a
+    # rescale fires and rebuilds the heap mid-search.
+    rng = random.Random(1)
+    restarts = 0
+    for _ in range(4):
+        n = rng.randint(90, 110)
+        clauses = [[rng.choice([1, -1]) * v for v in rng.sample(range(1, n + 1), 3)]
+                   for _ in range(round(4.26 * n))]
+        solver = CdclSolver(n, clauses)
+        solver.act_inc = 1e99
+
+        def decide(solver=solver, n=n):
+            free = [v for v in range(1, n + 1) if solver.val[v] is None]
+            current = {entry for entry in solver.heap if entry[0] == solver.queued[entry[1]]}
+            assert current >= {(-solver.activity[v], v) for v in free}
+            want = min(free, key=lambda v: (-solver.activity[v], v), default=0)
+            got = CdclSolver._decide(solver)
+            assert got == want
+            return got
+
+        solver._decide = decide
+        res = solver.solve()
+        assert res.decisions and solver.act_inc < 1e99, res
+        restarts += res.restarts
+    assert restarts
 
 
 def test_builtin_solver_counters():
