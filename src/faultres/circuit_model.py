@@ -76,6 +76,12 @@ class InvalidK(CircuitError):
     pass
 
 
+def check_k(k):
+    """The one check of a cycle count, for ``unroll`` and the config alike."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise InvalidK(f"k must be an integer >= 1, got {k!r}")
+
+
 class ConfigError(FaultresError):
     pass
 
@@ -428,8 +434,7 @@ class UnrolledCircuit:
 
 
 def unroll(circuit: SequentialCircuit, k: int) -> UnrolledCircuit:
-    if k < 1:
-        raise InvalidK(f"cycle count must be >= 1, got {k}")
+    check_k(k)
     return UnrolledCircuit(circuit, k)
 
 

@@ -8,7 +8,6 @@ solver that decides neither way.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import gc
 import json
@@ -70,8 +69,8 @@ def _reductions_json(applied, skipped):
     }
 
 
-def _report(circuit_name, k, verdict):
-    stats = verdict.stats
+def _report(circuit_name, config, verdict):
+    plan, cnf, result = verdict.plan, verdict.cnf, verdict.result
     cx = None
     if verdict.counterexample is not None:
         c = verdict.counterexample
@@ -82,31 +81,32 @@ def _report(circuit_name, k, verdict):
             "divergence_cycle": c.divergence_cycle,
             "differing_output": c.differing_output,
         }
-    report_stats = {"vars": stats.num_vars, "clauses": stats.num_clauses,
-                    "locations": stats.locations,
-                    "encode_time_s": round(stats.encode_time, 6),
-                    "solve_time_s": round(stats.solve_time, 6)}
-    if stats.conflicts is not None:  # the built-in solver ran
-        report_stats.update(decisions=stats.decisions, conflicts=stats.conflicts,
-                            restarts=stats.restarts, learnt=stats.learnt)
+    stats = {"vars": cnf.num_vars if cnf is not None else 0,
+             "clauses": len(cnf.clauses) if cnf is not None else 0,
+             "locations": len(verdict.locations),
+             "encode_time_s": round(verdict.encode_time, 6),
+             "solve_time_s": round(verdict.solve_time, 6)}
+    if result is not None and result.conflicts is not None:  # the built-in solver ran
+        stats.update(decisions=result.decisions, conflicts=result.conflicts,
+                     restarts=result.restarts, learnt=result.learnt)
     return {
         "format_version": REPORT_FORMAT_VERSION,
         "tool_version": __version__,
         "circuit": circuit_name,
-        "k": k,
+        "k": config.unroll_k,
         "verdict": verdict.status,
-        "model": _model_json(stats.model_used),
-        "blacklist": {"original": stats.blacklist_original,
-                      "effective": stats.blacklist_effective},
-        "reductions": _reductions_json(stats.reductions_applied, stats.reductions_skipped),
+        "model": _model_json(plan.effective_model),
+        "blacklist": {"original": len(config.blacklist),
+                      "effective": len(plan.effective_blacklist)},
+        "reductions": _reductions_json(plan.applied, plan.skipped),
         "counterexample": cx,
-        "stats": report_stats,
+        "stats": stats,
     }
 
 
-def _write_report(path, circuit_name, k, verdict):
+def _write_report(path, circuit_name, config, verdict):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(_report(circuit_name, k, verdict), f, indent=2)
+        json.dump(_report(circuit_name, config, verdict), f, indent=2)
         f.write("\n")
 
 
@@ -122,7 +122,7 @@ def _print_verdict(verdict, out=None):
     out = out if out is not None else sys.stdout
     if verdict.is_resistant:
         print("RESISTANT: no admissible fault vector is effective", file=out)
-        if verdict.plan is not None and verdict.plan.unobservable:
+        if verdict.plan.unobservable:
             print("  no vulnerable gate reaches a data output within k cycles", file=out)
     else:
         c = verdict.counterexample
@@ -133,12 +133,13 @@ def _print_verdict(verdict, out=None):
         print(f"  inputs: {inputs}", file=out)
         print(f"  diverges at cycle {c.divergence_cycle} on output {c.differing_output}",
               file=out)
-    s = verdict.stats
-    if s.num_vars:
-        search = ("" if s.conflicts is None
-                  else f"; {s.conflicts} conflicts, {s.decisions} decisions")
-        print(f"  cnf: {s.num_vars} vars, {s.num_clauses} clauses; "
-              f"encode {s.encode_time:.3f}s, solve {s.solve_time:.3f}s{search}", file=out)
+    cnf, result = verdict.cnf, verdict.result
+    if cnf is not None:
+        search = ("" if result.conflicts is None
+                  else f"; {result.conflicts} conflicts, {result.decisions} decisions")
+        print(f"  cnf: {cnf.num_vars} vars, {len(cnf.clauses)} clauses; "
+              f"encode {verdict.encode_time:.3f}s, solve {verdict.solve_time:.3f}s{search}",
+              file=out)
 
 
 def _verdict_exit(verdict):
@@ -148,11 +149,6 @@ def _verdict_exit(verdict):
 def cmd_verify(args):
     doc, circuit = _load_circuit(args.netlist)
     config = parse_config(_read(args.config), doc)
-    if args.solver is not None:
-        solver = tuple(args.solver.split())
-        if not solver:
-            raise CliError(f"--solver must be \"builtin\" or a command, got {args.solver!r}")
-        config = dataclasses.replace(config, solver=solver)
     golden = None
     if args.golden:
         _, golden = _load_circuit(args.golden)
@@ -161,7 +157,7 @@ def cmd_verify(args):
         _write_dimacs(verdict.cnf, args.dimacs)
     _print_verdict(verdict)
     if args.json:
-        _write_report(args.json, circuit.name, config.unroll_k, verdict)
+        _write_report(args.json, circuit.name, config, verdict)
     return _verdict_exit(verdict)
 
 
@@ -174,7 +170,7 @@ def cmd_oracle(args):
     verdict = brute_force_verdict(unrolled, config.blacklist, config.model, budget)
     _print_verdict(verdict)
     if args.json:
-        _write_report(args.json, circuit.name, config.unroll_k, verdict)
+        _write_report(args.json, circuit.name, config, verdict)
     return _verdict_exit(verdict)
 
 
@@ -306,7 +302,6 @@ def build_parser():
     p = sub.add_parser("verify", help="decide fault-resistance via SAT")
     add_common(p)
     p.add_argument("--golden", help="separate unprotected netlist for the reference side")
-    p.add_argument("--solver", help="external SAT solver command (DIMACS, exit 10/20)")
     p.add_argument("--json", help="write a JSON report here")
     p.add_argument("--dimacs", help="write the generated DIMACS file here")
     p.set_defaults(func=cmd_verify)

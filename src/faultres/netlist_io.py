@@ -27,9 +27,9 @@ from .circuit_model import (
     ConfigError,
     FaultResistanceModel,
     FaultType,
-    InvalidK,
     NetlistSyntaxError,
     UnknownBlacklistGate,
+    check_k,
 )
 
 
@@ -84,7 +84,7 @@ class VerificationConfig:
     solver: tuple  # ("builtin",) or external argv
 
     def __post_init__(self):
-        self.check_k(self.unroll_k)
+        check_k(self.unroll_k)
         if not isinstance(self.reductions, ReductionFlags):
             raise SchemaError("reductions must be an object")
         solver = self.solver
@@ -92,11 +92,6 @@ class VerificationConfig:
                 and all(isinstance(s, str) and s for s in solver)):
             raise SchemaError(
                 'solver must be "builtin" or a command argv list of non-empty strings')
-
-    @staticmethod
-    def check_k(k):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise InvalidK("k must be an integer >= 1")
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.\[\]]*")
@@ -267,7 +262,7 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
         model_raw = raw["model"]
     except KeyError as e:
         raise SchemaError(f"config missing key {e.args[0]!r}") from None
-    VerificationConfig.check_k(k)
+    check_k(k)
     if not isinstance(model_raw, dict):
         raise SchemaError("model must be an object")
     _check_keys(model_raw, _MODEL_KEYS, "model keys")

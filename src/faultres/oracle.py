@@ -16,7 +16,8 @@ from .circuit_model import (
     fault_locations,
 )
 from .netlist_io import GateStmt, NetlistDoc, parse_netlist, write_netlist
-from .sat_encoding import Counterexample, Verdict, VerifyStats
+from .reductions import ReductionPlan
+from .sat_encoding import Counterexample, Verdict
 from .errors import FaultresError
 from .simulator import FaultEvent, FaultVector, check_effectiveness, find_witness
 
@@ -87,8 +88,7 @@ def brute_force_verdict(unrolled: UnrolledCircuit, blacklist,
             f"{bits} input bits exceeds oracle budget {budget.max_input_bits}")
 
     locations = fault_locations(unrolled, blacklist, model.location)
-    stats = VerifyStats(model_used=model, blacklist_original=len(blacklist),
-                        blacklist_effective=len(blacklist), locations=len(locations))
+    plan = ReductionPlan(effective_model=model, effective_blacklist=blacklist)
     for vector in enumerate_fault_vectors(locations, model, budget):
         witness = find_witness(unrolled, vector)
         if witness is not None:
@@ -96,12 +96,9 @@ def brute_force_verdict(unrolled: UnrolledCircuit, blacklist,
             if not replay.effective:
                 raise OracleError(
                     f"witness {witness} of {vector!r} is not effective on replay")
-            return Verdict("not_resistant",
-                           counterexample=Counterexample(
-                               vector, witness, replay.divergence_cycle,
-                               replay.differing_output),
-                           stats=stats)
-    return Verdict("resistant", stats=stats)
+            return Verdict("not_resistant", plan, locations, Counterexample(
+                vector, witness, replay.divergence_cycle, replay.differing_output))
+    return Verdict("resistant", plan, locations)
 
 
 # -- NP-hardness instance ------------------------------------------------------

@@ -16,7 +16,7 @@ is replayed on the simulator before a counterexample is ever reported.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .circuit_model import (
@@ -46,7 +46,7 @@ from .formula import (
 from .netlist_io import VerificationConfig
 from .reductions import ReductionPlan, plan_reductions
 from .simulator import FaultVector, ShapeMismatch, check_effectiveness, run_trace
-from .solvers import SolverUndecided, solve_cnf
+from .solvers import SatResult, SolverUndecided, solve_cnf
 
 
 class InternalEncodingError(FaultresError):
@@ -68,31 +68,19 @@ class Counterexample:
 
 
 @dataclass
-class VerifyStats:
-    num_vars: int = 0
-    num_clauses: int = 0
+class Verdict:
+    """What ``verify`` or the oracle decided, and the facts it was decided
+    from.  The oracle's plan applies nothing, and it has no CNF and no
+    solver result."""
+
+    status: str  # "resistant" | "not_resistant"
+    plan: ReductionPlan  # the model, blacklist and reductions it was checked under
+    locations: set  # the fault locations checked
+    counterexample: Optional[Counterexample] = None
+    cnf: Optional[CNF] = None  # the CNF the solver decided
+    result: Optional[SatResult] = None  # the solver's answer and search counters
     encode_time: float = 0.0
     solve_time: float = 0.0
-    reductions_applied: list = field(default_factory=list)
-    reductions_skipped: list = field(default_factory=list)
-    blacklist_original: int = 0
-    blacklist_effective: int = 0
-    model_used: Optional[FaultResistanceModel] = None
-    locations: int = 0
-    # Search counters of the built-in solver; None for an external one.
-    decisions: Optional[int] = None
-    conflicts: Optional[int] = None
-    restarts: Optional[int] = None
-    learnt: Optional[int] = None
-
-
-@dataclass
-class Verdict:
-    status: str  # "resistant" | "not_resistant"
-    counterexample: Optional[Counterexample] = None
-    stats: VerifyStats = field(default_factory=VerifyStats)
-    cnf: Optional[CNF] = None  # the CNF the solver decided; None from the oracle
-    plan: Optional[ReductionPlan] = None  # the plan it was encoded under; None from the oracle
 
     @property
     def is_resistant(self):
@@ -257,48 +245,32 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
     result = solve_cnf(problem.cnf, config.solver)
     solve_time = time.perf_counter() - start
 
-    stats = VerifyStats(
-        num_vars=problem.cnf.num_vars,
-        num_clauses=len(problem.cnf.clauses),
-        encode_time=problem.encode_time,
-        solve_time=solve_time,
-        reductions_applied=list(problem.plan.applied),
-        reductions_skipped=list(problem.plan.skipped),
-        blacklist_original=len(config.blacklist),
-        blacklist_effective=len(problem.plan.effective_blacklist),
-        model_used=problem.plan.effective_model,
-        locations=len(problem.locations),
-        decisions=result.decisions,
-        conflicts=result.conflicts,
-        restarts=result.restarts,
-        learnt=result.learnt,
-    )
-
-    if result.status == "unsat":
-        return Verdict("resistant", stats=stats, cnf=problem.cnf, plan=problem.plan)
-    if result.status != "sat":
+    if result.status not in ("sat", "unsat"):
         raise SolverUndecided(result.reason)
-
-    named = {name: result.model.get(idx, False)
-             for name, idx in problem.cnf.var_index.items()}
-    vector = decode_fault_vector(named, problem.controlled)
-    inputs = _decode_inputs(result.model, problem.cnf, circuit, config.unroll_k)
-    if golden is not None:
-        _check_golden_agrees(problem.golden_unrolled, problem.protected_unrolled, inputs)
-    if not len(vector):
-        raise InternalEncodingError("satisfying assignment decodes to an empty fault vector")
-    replay = check_effectiveness(problem.protected_unrolled, vector, inputs)
-    if not replay.effective:
-        raise InternalEncodingError(
-            f"replay of decoded counterexample is not effective: {vector!r} on {inputs}")
-    return Verdict(
-        "not_resistant",
-        counterexample=Counterexample(vector, inputs, replay.divergence_cycle,
-                                      replay.differing_output),
-        stats=stats, cnf=problem.cnf, plan=problem.plan)
+    counterexample = None
+    if result.status == "sat":
+        named = {name: result.model.get(idx, False)
+                 for name, idx in problem.cnf.var_index.items()}
+        vector = decode_fault_vector(named, problem.controlled)
+        inputs = _decode_inputs(result.model, problem.cnf, circuit, config.unroll_k)
+        if golden is not None:
+            _check_golden_agrees(problem.golden_unrolled, problem.protected_unrolled,
+                                 inputs)
+        if not len(vector):
+            raise InternalEncodingError(
+                "satisfying assignment decodes to an empty fault vector")
+        replay = check_effectiveness(problem.protected_unrolled, vector, inputs)
+        if not replay.effective:
+            raise InternalEncodingError(
+                f"replay of decoded counterexample is not effective: {vector!r} on {inputs}")
+        counterexample = Counterexample(vector, inputs, replay.divergence_cycle,
+                                        replay.differing_output)
+    return Verdict("resistant" if counterexample is None else "not_resistant",
+                   problem.plan, problem.locations, counterexample, problem.cnf, result,
+                   problem.encode_time, solve_time)
 
 
 __all__ = [
     "Counterexample", "EncodedProblem", "GoldenDisagrees", "InternalEncodingError",
-    "Verdict", "VerifyStats", "build_fr_formula", "encode_problem", "verify",
+    "Verdict", "build_fr_formula", "encode_problem", "verify",
 ]

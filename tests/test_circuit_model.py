@@ -132,9 +132,11 @@ def test_unroll_sequential():
 
 
 def test_unroll_k_zero():
+    # The cycle count a config would reject, unroll rejects too.
     c = build_and_validate(parse_netlist(SEQ_TEXT))
-    with pytest.raises(InvalidK):
-        unroll(c, 0)
+    for k in (0, True, 1.5, "2"):
+        with pytest.raises(InvalidK):
+            unroll(c, k)
 
 
 def test_fault_locations_rect(rect_parity_unrolled):

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from conftest import DUP_COMPARE, DUP_COMPARE_CONFIG
-from faultres import build_and_validate, parse_netlist, unroll
+from faultres import __version__, build_and_validate, parse_netlist, unroll
 from faultres.circuit_model import GateInstance
 from faultres.cli import main
 from faultres.fixtures import fixture_path, fixture_text
@@ -360,38 +360,38 @@ def test_main_reuses_one_parser(workdir, capsys, monkeypatch):
     assert "the following arguments are required: --config" in cached[1][1]
 
 
+def with_solver(path, solver):
+    config = json.loads(fixture_text("zeta_1_1_all_c.json"))
+    path.write_text(json.dumps({**config, "solver": solver}))
+    return path
+
+
 def test_verify_undecided_solver_clean_error(workdir, tmp_path, capsys):
     script = tmp_path / "giveup.py"
-    script.write_text("import sys; print('gave up', file=sys.stderr); sys.exit(1)\n")
-    code = run_cli("verify", workdir / "rect_parity.nl",
-                   "--config", workdir / "zeta_1_1_all_c.json",
-                   "--solver", f"{sys.executable} {script}")
+    script.write_text("import sys; print('gave up on', repr(sys.argv[1]), file=sys.stderr); "
+                      "sys.exit(1)\n")
+    # An argv word may hold a space, which a command text split on
+    # whitespace could not pass.
+    config = with_solver(tmp_path / "giveup.json",
+                         [sys.executable, str(script), "an argument with spaces"])
+    code = run_cli("verify", workdir / "rect_parity.nl", "--config", config)
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "error: solver could not decide: solver exited with 1: gave up\n"
-
-
-def test_verify_blank_solver_rejected(workdir, capsys):
-    # Like "solver": [] in a config, a --solver that names no command is an
-    # error, not the built-in solver and not an attempt to run the CNF file.
-    for solver in ("", "   "):
-        code = run_cli("verify", workdir / "rect_parity.nl",
-                       "--config", workdir / "zeta_1_1_all_c.json", "--solver", solver)
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == f'error: --solver must be "builtin" or a command, got {solver!r}\n'
-        assert captured.out == ""
+    assert err == ("error: solver could not decide: solver exited with 1: "
+                   "gave up on 'an argument with spaces'\n")
 
 
 def test_oracle_rejects_reduction_options(workdir, capsys):
     # The oracle enumerates every fault vector; no reduction applies to it.
-    # The other commands take their reductions from the config alone.
-    for command, option in itertools.product(
-            ("oracle", "verify", "reduce", "encode"),
-            ("--aggressive", "--no-reduce-types", "--no-reduce-gates")):
+    # The other commands take their reductions, and verify its solver, from
+    # the config alone.
+    cases = [*itertools.product(("oracle", "verify", "reduce", "encode"),
+                                ("--aggressive", "--no-reduce-types", "--no-reduce-gates")),
+             ("verify", "--solver x")]
+    for command, option in cases:
         with pytest.raises(SystemExit) as exc:
             run_cli(command, workdir / "rect_parity.nl",
-                    "--config", workdir / "zeta_1_1_all_c.json", option)
+                    "--config", workdir / "zeta_1_1_all_c.json", *option.split())
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
@@ -544,9 +544,10 @@ def test_main_pauses_the_collector_and_restores_it(workdir, capsys, monkeypatch,
 
     monkeypatch.setattr(faultres.cli, "verify", spy)
     config = workdir / "zeta_1_1_all_c.json"
+    gives_up = with_solver(workdir / "true.json", ["true"])
     calls = [(("verify", workdir / "rect_parity.nl", "--config", config), 1, ""),
              (("verify", workdir / "missing.nl", "--config", config), 2, "cannot read"),
-             (("verify", workdir / "rect_parity.nl", "--config", config, "--solver", "true"),
+             (("verify", workdir / "rect_parity.nl", "--config", gives_up),
               2, "solver could not decide")]
     was = gc.isenabled()
     try:
@@ -583,3 +584,90 @@ def test_verify_makes_no_reference_cycle(tmp_path):
         if was:
             gc.enable()
     assert statuses == {"resistant", "not_resistant"}
+
+
+# The report content of both shipped fixtures under both shipped configs, for
+# the SAT path and the oracle, minus the two timings.
+_ALL_TYPES = {"ne": 1, "nc": 1, "types": ["s", "r", "bf"], "location": "c"}
+_BF_ONLY = {"ne": 1, "nc": 1, "types": ["bf"], "location": "c"}
+_NO_REDUCTIONS = {"applied": [], "skipped": []}
+_TYPES_TO_BF = {"name": "fault_type", "gates_removed": 2, "detail": "types -> {bf}"}
+_REACH_SKIPPED = {"name": "reach", "reason": "no instance is dead or flag-only"}
+_REACH_ONE_FLAG_ONLY = {"name": "reach", "gates_removed": 1,
+                        "detail": "instances dropped: 0 dead, 1 flag-only"}
+_S1_CX = {"inputs": ["0000"], "divergence_cycle": 1, "differing_output": "w"}
+_PARITY_COUNTERS = {"decisions": 7, "conflicts": 3, "restarts": 0, "learnt": 3}
+_REVISED_COUNTERS = {"decisions": 77, "conflicts": 76, "restarts": 0, "learnt": 69}
+EXPECTED_REPORTS = {
+    ("verify", "rect_parity.nl", "zeta_1_1_all_c.json"): {
+        "verdict": "not_resistant", "model": _BF_ONLY,
+        "blacklist": {"original": 10, "effective": 14},
+        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_successor",
+                                                  "gates_removed": 4, "detail": ""}],
+                       "skipped": [_REACH_SKIPPED]},
+        "counterexample": {"events": [{"instance": "s1@1", "type": "bf"}], **_S1_CX},
+        "stats": {"vars": 68, "clauses": 197, "locations": 8, **_PARITY_COUNTERS}},
+    ("verify", "rect_parity.nl", "zeta_1_1_all_c_parity.json"): {
+        "verdict": "not_resistant", "model": _BF_ONLY,
+        "blacklist": {"original": 4, "effective": 14},
+        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_successor",
+                                                  "gates_removed": 9, "detail": ""},
+                                   _REACH_ONE_FLAG_ONLY],
+                       "skipped": []},
+        "counterexample": {"events": [{"instance": "s1@1", "type": "bf"}], **_S1_CX},
+        "stats": {"vars": 68, "clauses": 197, "locations": 8, **_PARITY_COUNTERS}},
+    ("verify", "rect_revised.nl", "zeta_1_1_all_c.json"): {
+        "verdict": "resistant", "model": _BF_ONLY,
+        "blacklist": {"original": 10, "effective": 31},
+        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_successor",
+                                                  "gates_removed": 21, "detail": ""}],
+                       "skipped": [_REACH_SKIPPED]},
+        "counterexample": None,
+        "stats": {"vars": 47, "clauses": 137, "locations": 4, **_REVISED_COUNTERS}},
+    ("verify", "rect_revised.nl", "zeta_1_1_all_c_parity.json"): {
+        "verdict": "resistant", "model": _BF_ONLY,
+        "blacklist": {"original": 4, "effective": 31},
+        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_successor",
+                                                  "gates_removed": 26, "detail": ""},
+                                   _REACH_ONE_FLAG_ONLY],
+                       "skipped": []},
+        "counterexample": None,
+        "stats": {"vars": 47, "clauses": 137, "locations": 4, **_REVISED_COUNTERS}},
+    # The oracle applies no reduction, builds no CNF and runs no solver.
+    ("oracle", "rect_parity.nl", "zeta_1_1_all_c.json"): {
+        "verdict": "not_resistant", "model": _ALL_TYPES,
+        "blacklist": {"original": 10, "effective": 10}, "reductions": _NO_REDUCTIONS,
+        "counterexample": {"events": [{"instance": "s1@1", "type": "s"}], **_S1_CX},
+        "stats": {"vars": 0, "clauses": 0, "locations": 12}},
+    ("oracle", "rect_parity.nl", "zeta_1_1_all_c_parity.json"): {
+        "verdict": "not_resistant", "model": _ALL_TYPES,
+        "blacklist": {"original": 4, "effective": 4}, "reductions": _NO_REDUCTIONS,
+        "counterexample": {"events": [{"instance": "s1@1", "type": "s"}], **_S1_CX},
+        "stats": {"vars": 0, "clauses": 0, "locations": 18}},
+    ("oracle", "rect_revised.nl", "zeta_1_1_all_c.json"): {
+        "verdict": "resistant", "model": _ALL_TYPES,
+        "blacklist": {"original": 10, "effective": 10}, "reductions": _NO_REDUCTIONS,
+        "counterexample": None,
+        "stats": {"vars": 0, "clauses": 0, "locations": 25}},
+    ("oracle", "rect_revised.nl", "zeta_1_1_all_c_parity.json"): {
+        "verdict": "resistant", "model": _ALL_TYPES,
+        "blacklist": {"original": 4, "effective": 4}, "reductions": _NO_REDUCTIONS,
+        "counterexample": None,
+        "stats": {"vars": 0, "clauses": 0, "locations": 31}},
+}
+
+
+@pytest.mark.parametrize("command,netlist,config", sorted(EXPECTED_REPORTS))
+def test_json_report_content_pinned(workdir, capsys, command, netlist, config):
+    report_path = workdir / "report.json"
+    code = run_cli(command, workdir / netlist, "--config", workdir / config,
+                   "--json", report_path)
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    jsonschema.validate(report, load_schema())
+    for timing in ("encode_time_s", "solve_time_s"):
+        assert isinstance(report["stats"].pop(timing), float)
+    expected = EXPECTED_REPORTS[command, netlist, config]
+    assert report == {"format_version": 2, "tool_version": __version__,
+                      "circuit": netlist.removesuffix(".nl"), "k": 1, **expected}
+    assert code == (0 if expected["verdict"] == "resistant" else 1)

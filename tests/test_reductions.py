@@ -302,7 +302,7 @@ def test_unobservable_agrees_with_oracle():
                     assert verdict.status == brute.status, (seed, sorted(blacklist), loc, k)
                     cases += 1
                     fired += any(r.name == "unobservable"
-                                 for r in verdict.stats.reductions_applied)
+                                 for r in verdict.plan.applied)
     assert 3 * fired >= cases, (fired, cases)
 
 
@@ -337,7 +337,7 @@ def test_reach_agrees_with_oracle():
             assert verdict.status == brute.status, (doc.name, sorted(blacklist), loc, k, ne, nc)
             cases += 1
             resistant += verdict.status == "resistant"
-            for r in verdict.stats.reductions_applied:
+            for r in verdict.plan.applied:
                 if r.name == "reach":
                     d, f = map(int, _DROPPED.fullmatch(r.detail).groups())
                     dead += d > 0

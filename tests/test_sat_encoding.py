@@ -669,7 +669,7 @@ def test_external_solver_spawn_failure():
 def test_external_solver_on_fixture(rect_parity, zeta_1_1_all_c, stub_solver):
     verdict = verify(rect_parity, dataclasses.replace(zeta_1_1_all_c, solver=stub_solver))
     assert verdict.status == "not_resistant"
-    assert verdict.stats.conflicts is None  # counters come from the built-in solver only
+    assert verdict.result.conflicts is None  # counters come from the built-in solver only
 
 
 def _fr_parts(circuit, blacklist, model, types=ALL):
@@ -796,8 +796,8 @@ def test_verify_deterministic(rect_parity, zeta_1_1_all_c):
     assert a.status == b.status
     assert a.counterexample.fault_vector == b.counterexample.fault_vector
     assert a.counterexample.inputs == b.counterexample.inputs
-    assert a.stats.num_vars == b.stats.num_vars
-    assert a.stats.num_clauses == b.stats.num_clauses
+    assert a.cnf.num_vars == b.cnf.num_vars
+    assert len(a.cnf.clauses) == len(b.cnf.clauses)
 
 
 def test_verify_monotone_in_budget():
@@ -927,7 +927,7 @@ def test_unobservable_encodes_the_folded_miter_without_instrumenting(monkeypatch
     assert emit_dimacs(problem.cnf) == emit_dimacs(folded)
     verdict = verify(circuit, cfg)
     assert verdict.status == "resistant" and verdict.cnf.clauses == [[]]
-    assert [(r.name, r.gates_removed) for r in verdict.stats.reductions_applied] == [
+    assert [(r.name, r.gates_removed) for r in verdict.plan.applied] == [
         ("fault_type", 2), ("single_successor", 0), ("unobservable", 3)]
 
 
@@ -966,7 +966,7 @@ def test_flag_only_faults_kept_with_a_separate_golden():
                                  ("builtin",))
         verdict = verify(circuit, cfg)
         assert verdict.status == "resistant"
-        assert [r.name for r in verdict.stats.reductions_applied] == [dropped_as]
+        assert [r.name for r in verdict.plan.applied] == [dropped_as]
         assert GateInstance(1, "flag") in encode_problem(circuit, cfg, golden).locations
         with pytest.raises(GoldenDisagrees, match="inputs 11, cycle 1, output 'o'"):
             verify(circuit, cfg, golden=golden)
