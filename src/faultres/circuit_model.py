@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import FaultresError
@@ -275,13 +276,13 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
             raise NetlistSyntaxError(f"netlist has no {head} statement")
     locs = doc.source_locs
     regs = [r for r, _ in doc.registers]
-    names = [*doc.inputs, *regs, *[g.name for g in doc.gates]]
-    declared = set(names)
-    if len(declared) < len(names):
+    # Every declared net, in declaration order, to the gates that read it.
+    consumers = {net: [] for net in chain(doc.inputs, regs, (g.name for g in doc.gates))}
+    if len(consumers) < len(doc.inputs) + len(regs) + len(doc.gates):
         seen = set()
-        for net in names:
+        for net in chain(doc.inputs, regs, (g.name for g in doc.gates)):
             if net in seen:
-                raise DuplicateName(net, *locs.get(("decl", net), (0, 0)))
+                raise DuplicateName(net, *_first_declaration(doc, net))
             seen.add(net)
     reg_set = set(regs)
     sources = set(doc.inputs) | reg_set
@@ -291,33 +292,33 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
     # reads are sources and never part of a combinational cycle.
     gate_map = {}
     indeg = {}
-    consumers = {net: [] for net in names}
     for g in doc.gates:
         name = g.name
         kind, arity = _KIND_TOKENS.get(g.kind, (None, None))
         if kind is None:
             raise UnknownGateKind(name, g.kind, g.line, g.col)
-        ops = tuple(g.operands)
+        ops = g.operands
         if len(ops) != arity:
             raise ArityMismatch(name, kind, len(ops), g.line, g.col)
         n = 0
         for op in ops:
-            if op not in declared:
+            readers = consumers.get(op)
+            if readers is None:
                 raise UndefinedNet(op, g.line, g.col)
             if op not in sources:
                 n += 1
-            consumers[op].append(name)
+            readers.append(name)
         indeg[name] = n
         gate_map[name] = Frame(name, kind, ops)
 
     for out in doc.outputs:
-        if out not in declared:
+        if out not in consumers:
             raise MissingOutputDriver(out, *locs.get(("output", out), (0, 0)))
     for reg, net in doc.next_state.items():
         at = locs.get(("next", reg), (0, 0))
         if reg not in reg_set:
             raise UndefinedNet(reg, *at)
-        if net not in declared:
+        if net not in consumers:
             raise UndefinedNet(net, *at)
     for reg in regs:
         if reg not in doc.next_state:
@@ -327,7 +328,7 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
     data_outputs = tuple(o for o in doc.outputs if o != flag)
     if flag is not None:
         at = locs.get(("flag", flag), (0, 0))
-        if flag not in declared:
+        if flag not in consumers:
             raise UndefinedNet(flag, *at)
         if flag not in doc.outputs:
             raise NetlistSyntaxError(f"flag {flag!r} must be listed in .outputs", *at, flag)
@@ -362,6 +363,16 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
         gate_map=gate_map,
         successors={net: tuple(c) for net, c in consumers.items()},
     )
+
+
+def _first_declaration(doc: "NetlistDoc", net) -> tuple:
+    """(line, col) of the first statement in the text that declares ``net``:
+    the earlier of its input or register entry in ``source_locs`` and its
+    first gate statement; (0, 0) for a doc built in code."""
+    at = [(g.line, g.col) for g in doc.gates if g.name == net][:1]
+    if ("decl", net) in doc.source_locs:
+        at.append(doc.source_locs[("decl", net)])
+    return min(at, default=(0, 0))
 
 
 def _data_depths(outputs, gate_map, next_state) -> dict:
@@ -439,9 +450,10 @@ def unroll(circuit: SequentialCircuit, k: int) -> UnrolledCircuit:
 
 
 def check_blacklist(circuit: SequentialCircuit, blacklist) -> frozenset:
-    names = set(circuit.gate_map) | set(circuit.register_names)
+    """``blacklist`` as a frozenset, once each name is found to be a gate or
+    a register (next_state has exactly the registers as keys)."""
     for b in blacklist:
-        if b not in names:
+        if b not in circuit.gate_map and b not in circuit.next_state:
             raise UnknownBlacklistGate(b)
     return frozenset(blacklist)
 

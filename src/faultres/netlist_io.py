@@ -58,8 +58,9 @@ class NetlistDoc:
     gates: list  # of GateStmt, declaration order
     next_state: dict  # register -> driving net
     default_cycles: Optional[int] = None
-    # (statement, net) -> (line, col) in the text: ("decl", net) and
-    # ("output", net) at their first statement, ("next", reg), ("flag", net).
+    # (statement, net) -> (line, col) in the text: ("decl", net) for inputs
+    # and registers and ("output", net), each at its first statement,
+    # ("next", reg), ("flag", net).  A gate's location is its GateStmt's.
     source_locs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -95,10 +96,15 @@ class VerificationConfig:
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.\[\]]*")
-# A gate's operand list: comma-separated, each operand blank or one
-# identifier, with whitespace around it.  Each choice the pattern makes is
-# forced, so a failed match takes linear time.
-_OPERANDS = re.compile(rf"\s*(?:{_IDENT.pattern}\s*)?(?:,\s*(?:{_IDENT.pattern}\s*)?)*")
+# A well-formed gate line, trailing comment included: leading whitespace,
+# name, kind and operand list, the operands comma-separated, each blank or
+# one identifier, with whitespace around it.  Each choice the pattern makes
+# is forced, so a failed match takes linear time.  Every line is tried
+# against it first; a line it rejects goes to the per-statement code, which
+# for a gate line says what is wrong with the help of _GATE_RE.
+_OPERANDS = rf"\s*(?:{_IDENT.pattern}\s*)?(?:,\s*(?:{_IDENT.pattern}\s*)?)*"
+_GATE_LINE = re.compile(rf"(\s*)gate\s+({_IDENT.pattern})\s*=\s*([A-Za-z0-9_]+)"
+                        rf"\s*\(({_OPERANDS})\)\s*(?:#.*)?")
 _GATE_RE = re.compile(
     r"gate\s+(?P<name>\S+)\s*=\s*(?P<kind>[A-Za-z0-9_]+)\s*\((?P<ops>[^)]*)\)\s*$")
 _NEXT_RE = re.compile(r"next\s+(?P<reg>\S+)\s*=\s*(?P<net>\S+)\s*$")
@@ -128,7 +134,15 @@ def parse_netlist(text: str) -> NetlistDoc:
     locs = {}
     single = set()  # heads of the statements that may appear once
 
+    gate_line = _GATE_LINE.fullmatch
     for lineno, line in enumerate(text.splitlines(), start=1):
+        m = gate_line(line)
+        if m is not None:  # most lines of a large netlist
+            lead, gname, kind, ops = m.groups()
+            # ops holds identifiers, commas and whitespace only.
+            gates.append(GateStmt(gname, kind, tuple(ops.replace(",", " ").split()),
+                                  lineno, len(lead) + 1))
+            continue
         if "#" in line:
             line = line.split("#", 1)[0]
         words = line.split(None, 1)
@@ -137,20 +151,16 @@ def parse_netlist(text: str) -> NetlistDoc:
         head = words[0]
         start = line.find(head)
         col = start + 1
-        if head == "gate":  # most lines of a large netlist
+        if head == "gate":
+            # A malformed gate line: name its first bad identifier when it
+            # has the gate shape, else the shape.
             m = _GATE_RE.match(line, start)
-            if not m:
-                raise NetlistSyntaxError("gate wants `gate <name> = <kind>(<operands>)`",
-                                         lineno, col)
-            gname, kind, ops = m.groups()
-            if not (_IDENT.fullmatch(gname) and _OPERANDS.fullmatch(ops)):
-                # Find the first bad identifier, to name it in the error.
-                for tok in (gname, *ops.split(",")):
+            if m:
+                for tok in (m["name"], *m["ops"].split(",")):
                     if tok.strip():
                         _check_ident(tok.strip(), lineno, col)
-            gates.append(GateStmt(gname, kind, tuple(_IDENT.findall(ops)), lineno, col))
-            locs.setdefault(("decl", gname), (lineno, col))
-            continue
+            raise NetlistSyntaxError("gate wants `gate <name> = <kind>(<operands>)`",
+                                     lineno, col)
         if head in (".name", ".cycles", ".flag"):
             if head in single:
                 raise NetlistSyntaxError(f"duplicate {head} statement", lineno, col)

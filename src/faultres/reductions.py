@@ -5,11 +5,13 @@ Both optional gate reductions rest on the same observation: if every path
 out of a gate (or a whole sub-circuit) is funneled through a single
 downstream logic gate, a fault inside is either absorbed or
 indistinguishable from one fault on that exit gate, so the inner gates need
-no control variables of their own.  The reach step always runs last: it
-drops the fault locations, per cycle, from which no fault can be part of an
-effective vector, and when no vulnerable gate can reach a data output at
-all (``unobservable``) every vulnerable gate and register is dropped and the
-circuit is resistant without a miter.
+no control variables of their own.  The reach step is exact and runs
+whatever the flags say.  Its ``unobservable`` test comes right after the
+fault-type reduction: when no vulnerable gate or register can reach a data
+output at all, every one is dropped, the gate reductions are skipped, and
+the circuit is resistant without a miter.  Otherwise its per-cycle cut runs
+last, after the gate reductions, and drops the fault locations from which
+no fault can be part of an effective vector.
 """
 
 from __future__ import annotations
@@ -157,36 +159,19 @@ def _last_cycles(depth: dict, names, k) -> dict:
     return {n: max(0, k - depth.get(n, k)) for n in names}
 
 
-def _reach(plan: ReductionPlan, unrolled: UnrolledCircuit, separate_golden: bool) -> None:
-    """The reach step.  A fault that reaches no output by cycle k (dead)
-    changes nothing any output or the flag shows, whatever else is faulted,
-    so dropping it from an effective vector leaves one.  When a vector holds
-    one event (n_e * min(n_c, k) = 1), the fault must itself change a data
-    output, so one that reaches only the flag (flag-only) goes too.  It
-    stays with two events or more, where a second fault in the detection
-    logic can mask the first, and with a separate golden circuit, where
-    lowering a raised flag shows the data outputs' disagreement with the
-    golden ones.  Both rules are exact.
-
-    Without a separate golden circuit and with no vulnerable name reaching a
-    data output, every vulnerable name is blacklisted as ``unobservable``;
-    otherwise ``_cut`` drops the dead and flag-only instances."""
-
-    circuit, k, model = unrolled.circuit, unrolled.k, plan.effective_model
-    vulnerable = faultable_names(circuit, plan.effective_blacklist, model.location)
-    if not vulnerable:
-        plan.skipped.append(SkippedReduction("reach", "no vulnerable gate or register"))
-        return
-    if not separate_golden and all(circuit.data_depth.get(n, k) >= k for n in vulnerable):
-        plan.effective_blacklist |= frozenset(vulnerable)
-        plan.applied.append(AppliedReduction("unobservable", len(vulnerable)))
-        return
-    _cut(plan, circuit, vulnerable, k,
-         flag_only_goes=not separate_golden and model.n_e * min(model.n_c, k) == 1)
-
-
 def _cut(plan: ReductionPlan, circuit: SequentialCircuit, names, k, flag_only_goes) -> None:
-    """Keep (c, n) only when c <= k - depth(n), depth being ``data_depth``
+    """The reach step's per-cycle cut.  A fault that reaches no output by
+    cycle k (dead) changes nothing any output or the flag shows, whatever
+    else is faulted, so dropping it from an effective vector leaves one.
+    When a vector holds one event (n_e * min(n_c, k) = 1) and there is no
+    separate golden circuit, the fault must itself change a data output, so
+    one that reaches only the flag (flag-only) goes too.  It stays with two
+    events or more, where a second fault in the detection logic can mask
+    the first, and with a separate golden circuit, where lowering a raised
+    flag shows the data outputs' disagreement with the golden ones.  Both
+    rules are exact.
+
+    Keep (c, n) only when c <= k - depth(n), depth being ``data_depth``
     when flag-only instances go and ``output_depth`` otherwise: the names
     kept in no cycle join the blacklist, and those kept up to some cycle
     before k keep it for ``ReductionPlan.prune``."""
@@ -207,17 +192,27 @@ def _cut(plan: ReductionPlan, circuit: SequentialCircuit, names, k, flag_only_go
 
 def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistanceModel,
                     flags, separate_golden: bool = False) -> ReductionPlan:
-    """Compose the requested reductions.  Fault types shrink first; then the
-    single-exit reduction runs if the model is now pure bit-flip, otherwise
-    the single-successor one.  Inapplicable requests are recorded, never
-    silently dropped.  The reach step runs last whatever the flags say,
-    because it is exact (see ``_reach``; ``separate_golden`` tells it the
-    miter's golden side is another circuit): its ``unobservable`` case is
-    recorded only when it fires, and its per-cycle cut as ``reach``, with
-    the names it blacklisted and, in ``detail``, the instances it dropped as
-    dead and as flag-only.  ``prune`` applies the cut to a location set."""
+    """Compose the requested reductions.  Fault types shrink first.  Then,
+    without a separate golden circuit (``separate_golden`` says the miter's
+    golden side is another circuit), when no vulnerable gate or register
+    reaches a data output within k cycles, all of them join the blacklist as
+    ``unobservable`` and each requested gate reduction is recorded as
+    skipped: the circuit is resistant without a miter.  Otherwise the
+    single-exit reduction runs if the model is now pure bit-flip, else the
+    single-successor one, and the reach step's per-cycle cut comes last (see
+    ``_cut``), recorded as ``reach`` with the names it blacklisted and, in
+    ``detail``, the instances it dropped as dead and as flag-only.
+    Inapplicable requests are recorded, never silently dropped.  ``prune``
+    applies the cut to a location set.
 
-    blacklist = check_blacklist(unrolled.circuit, blacklist)
+    The unobservable test may run before the gate reductions because they
+    blacklist a gate only when every path from it runs through one kept
+    vulnerable gate of the same cycle, which reaches a data output no
+    later: the test's outcome and the effective blacklist are the same
+    either way, and only the gate reductions' own records differ."""
+
+    circuit, k = unrolled.circuit, unrolled.k
+    blacklist = check_blacklist(circuit, blacklist)
     plan = ReductionPlan(effective_model=model, effective_blacklist=blacklist)
 
     if flags.fault_type:
@@ -227,6 +222,17 @@ def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistance
                 "fault_type", len(model.fault_types) - 1, detail="types -> {bf}"))
         except NotApplicable as e:
             plan.skipped.append(SkippedReduction("fault_type", e.reason))
+
+    vulnerable = faultable_names(circuit, blacklist, model.location)
+    if (vulnerable and not separate_golden
+            and all(circuit.data_depth.get(n, k) >= k for n in vulnerable)):
+        for name in ("single_exit", "single_successor"):
+            if getattr(flags, name):
+                plan.skipped.append(SkippedReduction(
+                    name, "no vulnerable gate or register reaches a data output"))
+        plan.effective_blacklist = blacklist | vulnerable
+        plan.applied.append(AppliedReduction("unobservable", len(vulnerable)))
+        return plan
 
     gate_reduction_done = False
     if flags.single_exit:
@@ -252,5 +258,11 @@ def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistance
         plan.skipped.append(SkippedReduction(
             "single_successor", "subsumed by single_exit"))
 
-    _reach(plan, unrolled, separate_golden)
+    vulnerable -= plan.effective_blacklist
+    if not vulnerable:
+        plan.skipped.append(SkippedReduction("reach", "no vulnerable gate or register"))
+        return plan
+    m = plan.effective_model
+    _cut(plan, circuit, vulnerable, k,
+         flag_only_goes=not separate_golden and m.n_e * min(m.n_c, k) == 1)
     return plan

@@ -445,6 +445,25 @@ def test_structurally_resistant_circuit(tmp_path, capsys):
     assert data["reductions"]["applied"][-1]["name"] == "unobservable"
 
 
+def test_reduce_skips_gate_reductions_when_unobservable(tmp_path, capsys):
+    # No vulnerable gate or register reaches the data output, so both gate
+    # reductions are skipped, with the reason, and unobservable takes all
+    # three vulnerable names.
+    nl = tmp_path / "dup.nl"
+    nl.write_text(DUP_COMPARE)
+    cfg = with_reductions(tmp_path / "dup.json", DUP_COMPARE_CONFIG, single_exit=True)
+    assert run_cli("reduce", nl, "--config", cfg) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["blacklist"] == {"original": 6, "effective": 9}
+    assert data["removed_gates"] == ["b_n", "b_o", "b_r"]
+    assert data["applied"] == [
+        {"name": "fault_type", "gates_removed": 2, "detail": "types -> {bf}"},
+        {"name": "unobservable", "gates_removed": 3, "detail": ""}]
+    reason = "no vulnerable gate or register reaches a data output"
+    assert data["skipped"] == [{"name": "single_exit", "reason": reason},
+                               {"name": "single_successor", "reason": reason}]
+
+
 def test_verify_output_unchanged_when_a_fault_reaches_data(workdir, capsys):
     for nl, code in (("rect_revised.nl", 0), ("rect_parity.nl", 1)):
         assert run_cli("verify", workdir / nl,

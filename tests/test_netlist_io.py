@@ -58,9 +58,19 @@ def test_undefined_net():
 
 
 def test_duplicate_name():
-    text = ".name t\n.inputs a\n.outputs g\ngate g = not(a)\ngate g = buf(a)\n"
-    with pytest.raises(DuplicateName):
-        build_and_validate(parse_netlist(text))
+    # The error names the net and points at its first declaration in the
+    # text: gate and gate, input and gate, a gate before the input, register
+    # and gate.
+    for text, at in (
+            (".name t\n.inputs a\n.outputs g\ngate g = not(a)\n  gate g = buf(a)\n", (4, 1)),
+            (".name t\n .inputs a g\n.outputs h\ngate h = not(a)\ngate g = buf(a)\n", (2, 2)),
+            (".name t\n\tgate g = buf(a)\n.inputs a g\n.outputs g\n", (2, 2)),
+            (".inputs a\n.outputs g\n.reg g init=0\ngate g = buf(a)\nnext g = a\n", (3, 1))):
+        with pytest.raises(DuplicateName) as exc:
+            build_and_validate(parse_netlist(text))
+        assert exc.value.name == "g"
+        assert (exc.value.line, exc.value.col) == at, text
+        assert str(exc.value) == f"{at[0]}:{at[1]}: duplicate net name 'g'"
 
 
 def test_unknown_gate_kind():
@@ -202,6 +212,50 @@ def _parsed_gate_operands(text):
 ])
 def test_gate_operands(ops, expected):
     assert _parsed_gate_operands(f"gate g = and({ops})") == [expected]
+
+
+_SYNTAX = "gate wants `gate <name> = <kind>(<operands>)`"
+
+
+@pytest.mark.parametrize("line, expected", [
+    # whitespace around tokens: tabs, no-break spaces; a form feed ends a line
+    ("\tgate\tg\t=\tand(\ta\t,\tb\t)\t", ("g", "and", ("a", "b"), 2, 2)),
+    ("\u00a0gate\u00a0g\u00a0=\u00a0and(\u00a0a\u00a0,b\u00a0)\u00a0",
+     ("g", "and", ("a", "b"), 2, 2)),
+    ("gate\tg\u00a0= and(a, b)\t# c\u00a0", ("g", "and", ("a", "b"), 2, 1)),
+    ("  gate g\f = and(a, b)", (NetlistSyntaxError, f"2:3: {_SYNTAX}")),
+    ("gate g = and(a,\fb)", (NetlistSyntaxError, f"2:1: {_SYNTAX}")),
+    # trailing comments
+    ("gate g = and(a, b)  # trailing", ("g", "and", ("a", "b"), 2, 1)),
+    ("gate g = and(a,b)#)", ("g", "and", ("a", "b"), 2, 1)),
+    ("gate g = and(a,b)#", ("g", "and", ("a", "b"), 2, 1)),
+    ("gate g = and(a, # b)", (NetlistSyntaxError, f"2:1: {_SYNTAX}")),
+    # 0 to 3 operands and blank ones
+    (" gate g=const1()", ("g", "const1", (), 2, 2)),
+    ("gate g = not( a )", ("g", "not", ("a",), 2, 1)),
+    ("gate g = and(a, b)", ("g", "and", ("a", "b"), 2, 1)),
+    ("gate g = maj(a, b, c)", ("g", "maj", ("a", "b", "c"), 2, 1)),
+    ("gate g = and(a, , b)", ("g", "and", ("a", "b"), 2, 1)),
+    ("gate g = and(,)", ("g", "and", (), 2, 1)),
+    # bad names and operands, and other malformed gate lines
+    ("gate 1g = and(a, b)", (NetlistSyntaxError, "2:1: bad identifier '1g'")),
+    ("gate g- = and(a, b)", (NetlistSyntaxError, "2:1: bad identifier 'g-'")),
+    ("gate g = and(a, b-c)", (NetlistSyntaxError, "2:1: bad identifier 'b-c'")),
+    ("gate g = and(a b, c)", (NetlistSyntaxError, "2:1: bad identifier 'a b'")),
+    ("gate g = and(a, b) x", (NetlistSyntaxError, f"2:1: {_SYNTAX}")),
+    ("gate g = and(a, b))", (NetlistSyntaxError, f"2:1: {_SYNTAX}")),
+    ("gate g = an-d(a, b)", (NetlistSyntaxError, f"2:1: {_SYNTAX}")),
+    ("gate g = (a, b)", (NetlistSyntaxError, f"2:1: {_SYNTAX}")),
+])
+def test_gate_line_pinned(line, expected):
+    # Each gate line gives this statement, with its line and column, or this
+    # error class and message.
+    try:
+        gates = parse_netlist(f".inputs a b c\n{line}\n").gates
+    except NetlistSyntaxError as e:
+        assert (type(e), str(e)) == expected
+    else:
+        assert [(g.name, g.kind, g.operands, g.line, g.col) for g in gates] == [expected]
 
 
 def test_gate_operands_match_reference():

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 import re
@@ -10,6 +11,7 @@ from faultres.circuit_model import (
     GateInstance,
     build_and_validate,
     fault_locations,
+    faultable_names,
     unroll,
 )
 from faultres.netlist_io import ReductionFlags, VerificationConfig, parse_netlist
@@ -304,6 +306,60 @@ def test_unobservable_agrees_with_oracle():
                     fired += any(r.name == "unobservable"
                                  for r in verdict.plan.applied)
     assert 3 * fired >= cases, (fired, cases)
+
+
+def _gate_reductions_first(unrolled, blacklist, m, flags):
+    """(unobservable, effective blacklist, whether a gate reduction removed
+    a gate) with the gate reductions run before the unobservable test:
+    fault types shrink, then single_exit (single_successor when that is off
+    or inapplicable), then the unobservable test and the cut on the names
+    left."""
+    circuit, k = unrolled.circuit, unrolled.k
+    if flags.fault_type and FaultType.BITFLIP in m.fault_types:
+        m = model(m.n_e, m.n_c, BF, m.location)
+    extra = None
+    if flags.single_exit:
+        with contextlib.suppress(NotApplicable):
+            extra = aggressive_blacklist(single_exit_map(unrolled, blacklist), blacklist, m)
+    if extra is None and flags.single_successor:
+        with contextlib.suppress(NotApplicable):
+            extra = single_successor_blacklist(unrolled, blacklist, m)
+    reduced = blacklist | (extra or set())
+    vulnerable = faultable_names(circuit, reduced, m.location)
+    if vulnerable and all(circuit.data_depth.get(n, k) >= k for n in vulnerable):
+        return True, reduced | vulnerable, bool(extra)
+    depth = circuit.data_depth if m.n_e * min(m.n_c, k) == 1 else circuit.output_depth
+    return False, reduced | {n for n in vulnerable if depth.get(n, k) >= k}, bool(extra)
+
+
+def test_unobservable_check_before_gate_reductions_changes_nothing():
+    # A gate reduction blacklists a gate only when all its paths run through
+    # a kept vulnerable gate of the same cycle, which is at most as deep; so
+    # checking for an unobservable circuit before the gate reductions gives
+    # the same outcome and the same effective blacklist as checking after.
+    cases = fired = fired_after_removal = 0
+    for seed, with_flag in itertools.product(range(20), (True, False)):
+        circuit = build_and_validate(random_netlist(
+            seed, max_gates=10, max_regs=2, num_inputs=3, with_flag=with_flag).doc)
+        names = set(circuit.gate_map) | set(circuit.register_names)
+        data = [o for o in circuit.outputs if o != circuit.flag]
+        blacklists = {frozenset(), frozenset(_frame_cone(circuit, data) & names)}
+        if circuit.flag:
+            blacklists.add(frozenset({circuit.flag}))
+        for blacklist, k, loc, types, single_exit in itertools.product(
+                blacklists, (1, 2, 3), ("c", "cr"), (BF, ALL), (False, True)):
+            m = model(types=types, loc=loc)
+            flags = ReductionFlags(single_exit=single_exit)
+            u = unroll(circuit, k)
+            plan = plan_reductions(u, blacklist, m, flags)
+            unobservable, effective, removed = _gate_reductions_first(u, blacklist, m, flags)
+            key = (seed, with_flag, sorted(blacklist), k, loc, len(types), single_exit)
+            assert plan.unobservable == unobservable, key
+            assert plan.effective_blacklist == effective, key
+            cases += 1
+            fired += unobservable
+            fired_after_removal += unobservable and removed
+    assert 0 < fired < cases and fired_after_removal, (cases, fired, fired_after_removal)
 
 
 _DROPPED = re.compile(r"instances dropped: (\d+) dead, (\d+) flag-only")

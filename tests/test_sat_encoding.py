@@ -928,7 +928,7 @@ def test_unobservable_encodes_the_folded_miter_without_instrumenting(monkeypatch
     verdict = verify(circuit, cfg)
     assert verdict.status == "resistant" and verdict.cnf.clauses == [[]]
     assert [(r.name, r.gates_removed) for r in verdict.plan.applied] == [
-        ("fault_type", 2), ("single_successor", 0), ("unobservable", 3)]
+        ("fault_type", 2), ("unobservable", 3)]
 
 
 def test_unobservable_with_disagreeing_golden_raises():
