@@ -236,7 +236,7 @@ class SequentialCircuit:
     next_state: dict  # register name -> driving net name
     topo_order: tuple = ()
     gate_map: dict = field(default_factory=dict)
-    successors: dict = field(default_factory=dict)  # net -> tuple of consumer gate names
+    successors: dict = field(default_factory=dict)  # net -> list of consumer gate names
 
     @cached_property
     def data_depth(self) -> dict:
@@ -309,7 +309,8 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
                 n += 1
             readers.append(name)
         indeg[name] = n
-        gate_map[name] = Frame(name, kind, ops)
+        # The NamedTuple constructor is a Python function; tuple.__new__ is not.
+        gate_map[name] = tuple.__new__(Frame, (name, kind, ops))
 
     for out in doc.outputs:
         if out not in consumers:
@@ -361,7 +362,7 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
         next_state=dict(doc.next_state),
         topo_order=tuple(topo),
         gate_map=gate_map,
-        successors={net: tuple(c) for net, c in consumers.items()},
+        successors=consumers,
     )
 
 

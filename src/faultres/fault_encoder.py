@@ -12,7 +12,8 @@ it.  The inputs of the instance labelled l (``name@cycle``) are named
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 from .circuit_model import FaultType, GateKind, UnrolledCircuit
 from .formula import ROLE_CONTROL, ROLE_INPUT, ROLE_SELECTION, FormulaBuilder
@@ -74,18 +75,26 @@ def _kind_node(b: FormulaBuilder, kind: GateKind, ins):
 
 @dataclass
 class ControlledCircuit:
-    """The instrumented unrolled circuit as a formula DAG, plus the mapping
-    between gate instances and their control/selection variables."""
+    """The instrumented unrolled circuit as a formula DAG, lowered one cycle
+    at a time by ``instrument``, plus the mapping between gate instances and
+    their control/selection variables."""
 
     builder: FormulaBuilder
     k: int
+    inputs: tuple          # the circuit's primary inputs
     data_outputs: tuple
     types: tuple
-    input_vars: dict       # (cycle, input name) -> node
+    input_vars: dict       # (cycle, input name) -> node, cycles lowered so far
     taps: dict             # (cycle, output name) -> node
     flag_taps: dict        # cycle -> node (constant false when no flag)
-    control_map: dict      # GateInstance -> (c, b1, b2) names, one per type
-    cycle_controls: dict   # cycle -> list of control var names
+    control_map: dict      # GateInstance -> (c, b1, b2) names, one per type; cycles lowered
+    cycle_controls: dict   # cycle -> list of control var names, filled as lowered
+    walk: Optional[Iterator] = field(default=None, repr=False, compare=False)  # lowers the next cycle
+
+    @property
+    def cycles(self) -> int:
+        """The number of cycles lowered so far."""
+        return len(self.flag_taps)
 
 
 def make_input_vars(builder: FormulaBuilder, circuit, k) -> dict:
@@ -98,54 +107,85 @@ def make_input_vars(builder: FormulaBuilder, circuit, k) -> dict:
     return out
 
 
-def instrument(unrolled: UnrolledCircuit, locations, types: tuple,
-               builder: FormulaBuilder, input_vars: dict) -> ControlledCircuit:
-    """Replace every instance in ``locations`` by its gadget over the fault
-    types ``types``, a tuple in s, r, bf order such as
-    ``FaultResistanceModel.types``, on ``builder`` over the primary-input
-    variables ``input_vars``.  With an empty location set this is simply
-    the circuit-to-formula lowering.  Every net no fault reaches gets its
-    fault-free node, so ``golden_taps`` on the same builder finds those
-    nodes again instead of making new ones."""
+def controlled_circuit(unrolled: UnrolledCircuit, locations, types: tuple,
+                       builder: FormulaBuilder) -> ControlledCircuit:
+    """``unrolled`` with every instance in ``locations`` to be replaced by its
+    gadget over the fault types ``types``, a tuple in s, r, bf order such as
+    ``FaultResistanceModel.types``, on ``builder``.  No cycle is lowered yet:
+    each ``instrument`` call lowers one more, and the first one raises
+    UnknownInstance for a location the circuit does not have.  Each cycle
+    with a location has its ``cycle_controls`` list from the start, empty
+    until that cycle is lowered."""
 
-    b = builder
+    controlled = ControlledCircuit(
+        builder=builder, k=unrolled.k, inputs=unrolled.circuit.inputs,
+        data_outputs=unrolled.circuit.data_outputs, types=types, input_vars={}, taps={},
+        flag_taps={}, control_map={},
+        cycle_controls={cycle: [] for cycle in sorted({inst.cycle for inst in locations})})
+    controlled.walk = _instrumented(unrolled, locations, controlled.input_vars,
+                                    controlled.taps, controlled.flag_taps,
+                                    controlled.control_map, controlled.cycle_controls,
+                                    builder, types)
+    return controlled
+
+
+def instrument(controlled: ControlledCircuit) -> ControlledCircuit:
+    """Lower the next cycle of ``controlled``: make its primary-input
+    variables, then its controls and their selections, then lower the
+    cycle's nets with a gadget at each of its fault locations.  With no
+    location in the cycle this is simply the circuit-to-formula lowering.
+    Every net no fault reaches gets its fault-free node, so ``golden_taps``
+    on the same builder finds those nodes again instead of making new
+    ones."""
+
+    next(controlled.walk)
+    return controlled
+
+
+def _instrumented(unrolled, locations, input_vars, taps, flag_taps, control_map,
+                  cycle_controls, b, types):
+    """The walk behind ``instrument``: one step per cycle, filling the
+    ControlledCircuit's maps it is given (never the ControlledCircuit, which
+    holds the walk).  The first step checks every location."""
+
     circuit = unrolled.circuit
+    located = {}  # cycle -> the cycle's locations
     for inst in locations:
         if not unrolled.instance_exists(inst):
             raise UnknownInstance(inst)
-
+        located.setdefault(inst.cycle, []).append(inst)
     # Controls are numbered cycle-major, then gates before registers, each
     # in declaration order; the selections follow in the same order.
     rank = {name: i for i, name in
             enumerate((*(g.name for g in circuit.gates), *circuit.register_names))}
-    control_map = {}
-    cycle_controls = {}
-    for inst in sorted(locations, key=lambda i: (i.cycle, rank[i.name])):
-        names = tuple(f"{v}[{inst.label}]" for v in ("c", "b1", "b2")[:len(types)])
-        b.var(names[0], ROLE_CONTROL)
-        control_map[inst] = names
-        cycle_controls.setdefault(inst.cycle, []).append(names[0])
     gadgets = {}  # cycle -> net name -> (control node, selection nodes)
-    for (cycle, name), names in control_map.items():
-        gadgets.setdefault(cycle, {})[name] = (
-            b.var(names[0], ROLE_CONTROL), [b.var(s, ROLE_SELECTION) for s in names[1:]])
-
-    taps = {}
-    flag_taps = {}
-    for cycle, env in _lower(b, unrolled, input_vars, None, gadgets, types):
+    lowering = _lower(b, unrolled, input_vars, None, gadgets, types)
+    for cycle in range(1, unrolled.k + 1):
+        for name in circuit.inputs:
+            input_vars[(cycle, name)] = b.var(f"{name}@{cycle}", ROLE_INPUT)
+        named = [(inst, tuple(f"{v}[{inst.label}]" for v in ("c", "b1", "b2")[:len(types)]))
+                 for inst in sorted(located.get(cycle, ()), key=lambda i: rank[i.name])]
+        for _, names in named:
+            b.var(names[0], ROLE_CONTROL)
+            cycle_controls[cycle].append(names[0])
+        nodes = gadgets[cycle] = {}
+        for inst, names in named:
+            control_map[inst] = names
+            nodes[inst.name] = (b.var(names[0], ROLE_CONTROL),
+                                [b.var(s, ROLE_SELECTION) for s in names[1:]])
+        _, env = next(lowering)
         for o in circuit.outputs:
             taps[(cycle, o)] = env[o]
         flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
-
-    return ControlledCircuit(
-        builder=b, k=unrolled.k, data_outputs=circuit.data_outputs, types=types,
-        input_vars=input_vars, taps=taps, flag_taps=flag_taps, control_map=control_map,
-        cycle_controls=cycle_controls)
+        yield
 
 
-def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict) -> dict:
-    """Fault-free taps of the data outputs, (cycle, name) -> node, built on
-    ``b`` over the primary-input variables ``input_vars``.
+def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict):
+    """Fault-free taps of the data outputs, built on ``b`` over the
+    primary-input variables ``input_vars``, one cycle at a time: yields each
+    cycle's map of data output name -> node, and lowers a cycle only when it
+    is asked for it, so ``input_vars`` need hold that cycle's variables only
+    by then.
 
     Only each cycle's data cone is lowered, in the walk order of
     ``instrument``.  On the builder of an ``instrument`` pass over the same
@@ -158,21 +198,19 @@ def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict) 
     topological order."""
 
     circuit = unrolled.circuit
-    taps = {}
-    for cycle, env in _lower(b, unrolled, input_vars, circuit.data_depth, {}, ()):
-        for o in circuit.data_outputs:
-            taps[(cycle, o)] = env[o]
-    return taps
+    for _, env in _lower(b, unrolled, input_vars, circuit.data_depth, {}, ()):
+        yield {o: env[o] for o in circuit.data_outputs}
 
 
 def _lower(b, unrolled, input_vars, depth, gadgets, types):
     """The one circuit-to-formula walk, which fixes the node creation order
     and with it the CNF numbering: cycle-major, registers in declaration
     order, then gates in topological order.  Yields each cycle with its
-    net -> node map.  A net in ``gadgets[cycle]`` lowers to its gadget over
-    ``types``.  With ``depth`` (a circuit's ``data_depth``) only the data
-    cone is lowered: in cycle c the nets with depth <= k - c, the only ones
-    that reach a data output within the k cycles."""
+    net -> node map, and reads a cycle's input variables and gadgets only
+    when it reaches that cycle.  A net in ``gadgets[cycle]`` lowers to its
+    gadget over ``types``.  With ``depth`` (a circuit's ``data_depth``) only
+    the data cone is lowered: in cycle c the nets with depth <= k - c, the
+    only ones that reach a data output within the k cycles."""
 
     circuit, k = unrolled.circuit, unrolled.k
     gate_map, next_state, init = circuit.gate_map, circuit.next_state, circuit.init_bits

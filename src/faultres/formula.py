@@ -175,26 +175,26 @@ class FormulaBuilder:
             return self.or_(e, t)
         return self._new(ITE, (c, t, e))
 
-    def or_many(self, nodes):
-        acc = self.false
+    def or_many(self, nodes, acc=None):
+        """The disjunction of ``acc`` (false by default) and ``nodes``,
+        folded left."""
+        if acc is None:
+            acc = self.false
         for n in nodes:
             acc = self.or_(acc, n)
         return acc
 
-    def and_many(self, nodes):
-        acc = self.true
-        for n in nodes:
-            acc = self.and_(acc, n)
-        return acc
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CardinalityConstraint:
-    """sum(vars) <= bound, asserted positively."""
+    """sum(vars) <= bound, asserted positively.  With ``groups``, each
+    variable is defined too: var_names[i] holds iff some variable of
+    groups[i] does."""
 
     var_names: tuple
     bound: int
     label: str = ""
+    groups: tuple = ()
 
 
 @dataclass
@@ -205,6 +205,10 @@ class BoolFormula:
     # Nodes whose disjunction the root implies, in the order a solver should
     # try them; empty when the formula has no such split.
     disjuncts: tuple = ()
+    # False for the formula of a prefix of the cycles, which a formula over
+    # more cycles extends: its root is lowered but not asserted, and a
+    # solver must try each disjunct in turn.
+    complete: bool = True
 
 
 @dataclass
@@ -216,6 +220,31 @@ class CNF:
     # Literals of the formula's disjuncts, a search hint for the built-in
     # solver; never written to DIMACS.
     disjuncts: tuple = ()
+    # What a later tseitin_cnf call needs to extend this CNF: the literal of
+    # each node lowered so far, and per cardinality constraint the number of
+    # its variables counted so far and the counter's last register row.
+    lits: dict = field(default_factory=dict, repr=False, compare=False)
+    counted: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+def _counter_clauses(x, i, n, k, row, first_aux):
+    """The clauses that literal ``x``, the i-th of n, adds to the sequential
+    counter (size accumulator) for sum <= k, where 0 < k < n, and its
+    register row: k auxiliaries from ``first_aux``, none for the last
+    literal.  ``row`` is the register row of literal i - 1.  Register j of
+    literal i means that at least j+1 of the literals 0..i hold."""
+
+    if i == n - 1:
+        return [[-x, -row[k - 1]]], []
+    new = list(range(first_aux, first_aux + k))
+    if i == 0:
+        return [[-x, new[0]]] + [[-s] for s in new[1:]], new
+    clauses = [[-x, new[0]], [-row[0], new[0]]]
+    for j in range(1, k):
+        clauses.append([-x, -row[j - 1], new[j]])
+        clauses.append([-row[j], new[j]])
+    clauses.append([-x, -row[k - 1]])
+    return clauses, new
 
 
 def at_most_k(literals, k, first_aux):
@@ -233,71 +262,63 @@ def at_most_k(literals, k, first_aux):
         return [], []
     if k == 0:
         return [[-lit] for lit in literals], []
-
-    # s[i][j] (i in 0..n-2) means: at least j+1 of the first i+1 literals hold.
-    aux = []
-    s = []
-    for i in range(n - 1):
-        row = []
-        for j in range(k):
-            row.append(first_aux + len(aux))
-            aux.append(first_aux + len(aux))
-        s.append(row)
-
-    clauses = []
-    x = literals
-    clauses.append([-x[0], s[0][0]])
-    for j in range(1, k):
-        clauses.append([-s[0][j]])
-    for i in range(1, n - 1):
-        clauses.append([-x[i], s[i][0]])
-        clauses.append([-s[i - 1][0], s[i][0]])
-        for j in range(1, k):
-            clauses.append([-x[i], -s[i - 1][j - 1], s[i][j]])
-            clauses.append([-s[i - 1][j], s[i][j]])
-        clauses.append([-x[i], -s[i - 1][k - 1]])
-    clauses.append([-x[n - 1], -s[n - 2][k - 1]])
+    clauses, aux, row = [], [], None
+    for i, x in enumerate(literals):
+        extra, row = _counter_clauses(x, i, n, k, row, first_aux + len(aux))
+        clauses.extend(extra)
+        aux.extend(row)
     return clauses, aux
 
 
-def tseitin_cnf(formula: BoolFormula) -> CNF:
+def tseitin_cnf(formula: BoolFormula, cnf: CNF = None) -> CNF:
     """Equisatisfiable CNF with deterministic variable numbering: primary
     inputs, controls, selections, d auxiliaries, then Tseitin variables in
     first-use order, then cardinality counters.
 
+    With ``cnf``, made by earlier calls over the same builder, the formula
+    extends it in place: the variables and nodes it has not numbered yet
+    are numbered after its own, in the same order, and only their clauses
+    are appended, then the root clause of a complete formula, then each
+    cardinality constraint's clauses for its variables not counted yet.
+
     ``CNF.disjuncts`` holds the literals of the formula's disjuncts, in
-    order, without constant-false or repeated nodes.  It is empty when fewer
-    than two remain, or when one has no literal because it folded to true or
-    their disjunction did and left it out of the formula."""
+    order, without constant-false or repeated nodes.  It is empty when one
+    has no literal because it folded to true or their disjunction did and
+    left it out of the formula, and, for a complete formula, when fewer than
+    two remain."""
 
     b = formula.builder
-    var_index, roles = {}, {}
-    next_var = 1
+    if cnf is None:
+        cnf = CNF(num_vars=0, clauses=[], var_index={}, roles={})
+    var_index, roles, lit_of = cnf.var_index, cnf.roles, cnf.lits
+    next_var = cnf.num_vars + 1
+    new_names = b.var_names[len(var_index):]
     for role in ROLE_ORDER:
-        for name in b.var_names:
+        for name in new_names:
             if b.var_roles[name] == role:
                 var_index[name] = next_var
                 roles[name] = role
                 next_var += 1
 
-    clauses = []
-    lit_of = {}
+    clauses = cnf.clauses
     kinds, node_args = b.kinds, b.args
+    root = formula.root
+    root_const = bool(node_args[root][0]) if kinds[root] == CONST else None
 
-    # Iterative postorder over the DAG reachable from the root.  A stack
-    # entry ~node (negative) marks a node whose arguments are all done.
+    # Iterative postorder over the nodes reachable from the root that are
+    # not lowered yet.  A stack entry ~node (negative) marks a node whose
+    # arguments are all done; a node is entered into lit_of when first seen.
     order = []
-    seen = set()
-    stack = [formula.root]
+    stack = [] if root_const is not None else [root]
     push = stack.append
     while stack:
         node = stack.pop()
         if node < 0:
             order.append(~node)
             continue
-        if node in seen:
+        if node in lit_of:
             continue
-        seen.add(node)
+        lit_of[node] = None
         kind = kinds[node]
         if kind == VAR or kind == CONST:
             order.append(node)
@@ -308,7 +329,6 @@ def tseitin_cnf(formula: BoolFormula) -> CNF:
 
     # One pass in postorder, NOT and VAR nodes first.
     add = clauses.append
-    root_const = None
     for node in order:
         kind, args = kinds[node], node_args[node]
         if kind == NOT:
@@ -316,10 +336,8 @@ def tseitin_cnf(formula: BoolFormula) -> CNF:
         elif kind == VAR:
             lit_of[node] = var_index[args[0]]
         elif kind == CONST:
-            if node != formula.root:
-                # Folding keeps constants out of operator arguments.
-                raise EncodingError("constant node inside formula body")
-            root_const = bool(args[0])
+            # Folding keeps constants out of operator arguments.
+            raise EncodingError("constant node inside formula body")
         else:
             g = next_var
             next_var += 1
@@ -355,25 +373,47 @@ def tseitin_cnf(formula: BoolFormula) -> CNF:
             else:
                 raise EncodingError(f"cannot lower node kind {kind}")
 
-    if root_const is not None:
-        if root_const is False:
-            clauses.append([])
-    else:
-        clauses.append([lit_of[formula.root]])
+    if formula.complete:
+        if root_const is None:
+            add([lit_of[root]])
+        elif root_const is False:
+            add([])
 
     for card in formula.cardinality:
-        lits = [var_index[name] for name in card.var_names]
-        extra, aux = at_most_k(lits, card.bound, next_var)
-        next_var += len(aux)
-        clauses.extend(extra)
+        next_var = _count(card, cnf, next_var)
 
     live = [n for n in dict.fromkeys(formula.disjuncts) if n != b.false]
-    disjuncts = ()
-    if len(live) >= 2 and all(n in lit_of for n in live):
-        disjuncts = tuple(lit_of[n] for n in live)
+    cnf.disjuncts = ()
+    if (len(live) >= 2 or not formula.complete) and all(n in lit_of for n in live):
+        cnf.disjuncts = tuple(lit_of[n] for n in live)
+    cnf.num_vars = next_var - 1
+    return cnf
 
-    return CNF(num_vars=next_var - 1, clauses=clauses, var_index=var_index, roles=roles,
-               disjuncts=disjuncts)
+
+def _count(card: CardinalityConstraint, cnf: CNF, next_var) -> int:
+    """Append the clauses of ``card`` for its variables that ``cnf`` numbers
+    and has not counted yet, each with its group's definition first; return
+    the next free variable."""
+
+    names, k = card.var_names, card.bound
+    n = len(names)
+    i, row = cnf.counted.get(card, (0, None))
+    var_index, clauses = cnf.var_index, cnf.clauses
+    while i < n and names[i] in var_index:
+        x = var_index[names[i]]
+        if card.groups:
+            members = [var_index[m] for m in card.groups[i]]
+            clauses.append([-x, *members])
+            clauses.extend([x, -m] for m in members)
+        if k == 0:
+            clauses.append([-x])
+        elif k < n:
+            extra, row = _counter_clauses(x, i, n, k, row, next_var)
+            next_var += len(row)
+            clauses.extend(extra)
+        i += 1
+    cnf.counted[card] = (i, row)
+    return next_var
 
 
 def emit_dimacs(cnf: CNF):

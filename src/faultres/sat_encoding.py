@@ -11,12 +11,24 @@ conjunction says the faulty flag stayed 0 through the divergence cycle, and
 the Psi parts bound faults per cycle (n_e) and fault-active cycles (n_c).
 A satisfying assignment decodes to a fault vector plus an input trace, which
 is replayed on the simulator before a counterexample is ever reported.
+
+The formula is built and lowered to CNF one cycle at a time: cycle c adds
+its lowering of both circuits, its disjuncts and flag prefix, its n_e bound
+and its place in the n_c counter.  A counterexample that diverges in cycle c
+needs nothing from later cycles: a model of cycles 1..c extends to all k
+cycles with every later control false.  So ``verify`` hands the built-in
+solver each cycle's clauses as they are made and assumes the cycle's
+disjuncts one at a time; the first satisfiable one ends the encoding, and
+its inputs are padded with zero rows up to k.  The root clause, the
+disjunction of all the disjuncts, joins at cycle k, so at k = 1 the CNF and
+the search are those of encoding the whole formula first.  ``encode_problem``
+and external solvers run the same encoder to the end.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .circuit_model import (
@@ -29,6 +41,7 @@ from .circuit_model import (
 from .errors import FaultresError
 from .fault_encoder import (
     ControlledCircuit,
+    controlled_circuit,
     decode_fault_vector,
     golden_taps,
     instrument,
@@ -36,7 +49,6 @@ from .fault_encoder import (
 )
 from .formula import (
     ROLE_AUX_D,
-    ROLE_CONTROL,
     BoolFormula,
     CardinalityConstraint,
     CNF,
@@ -87,87 +99,131 @@ class Verdict:
         return self.status == "resistant"
 
 
-def build_fr_formula(golden: UnrolledCircuit, controlled: ControlledCircuit,
-                     model: FaultResistanceModel) -> BoolFormula:
-    """Miter of the golden circuit against the instrumented one over shared
+class Miter:
+    """The fault-resistance formula of an instrumented circuit against its
+    golden circuit, built one cycle at a time by ``build_fr_formula``: the
+    golden side's walk, the flag prefix and the disjuncts so far, and the
+    cardinality bounds of the cycles so far.  The golden and the
+    instrumented circuit share the primary-input variables."""
+
+    def __init__(self, golden: UnrolledCircuit, controlled: ControlledCircuit,
+                 model: FaultResistanceModel):
+        if golden.k != controlled.k:
+            raise ShapeMismatch("golden and controlled circuits have different cycle counts")
+        if set(golden.circuit.data_outputs) != set(controlled.data_outputs):
+            raise ShapeMismatch("golden and controlled circuits expose different outputs")
+        for name in controlled.inputs:
+            if name not in golden.circuit.inputs:
+                raise ShapeMismatch(f"golden circuit lacks input {name!r}")
+        if set(golden.circuit.inputs) != set(controlled.inputs):
+            raise ShapeMismatch("golden and controlled circuits have different inputs")
+        b = controlled.builder
+        self.controlled, self.model = controlled, model
+        # Golden side, over the same input variables: the fault-free lowering
+        # of the data outputs' cones.  When the golden circuit is the
+        # protected one, every cone net no fault reaches is its instrumented
+        # node again, so only the fault-reachable ones add nodes; a separate
+        # golden circuit shares only the input variables and adds its whole
+        # cones.
+        self.reference = golden_taps(b, golden, controlled.input_vars)
+        self.cycles = 0
+        self.flag_prefix = b.true
+        self.root = b.false  # the disjunction of the disjuncts so far
+        self.disjuncts = []
+        # d@cycle says some fault is active in that cycle: the OR of the
+        # cycle's controls, whose list instrument fills when it lowers the
+        # cycle, before the d is counted.  Declared only when the n_c bound
+        # binds, i.e. fewer than the cycles that have controls.  With an
+        # input named d they are d'@cycle, a name no identifier spells.
+        controls = controlled.cycle_controls
+        self.d_names = {}
+        self.cardinality = []
+        if model.n_c < len(controls):
+            prefix = "d'" if "d" in controlled.inputs else "d"
+            self.d_names = {cycle: f"{prefix}@{cycle}" for cycle in controls}
+            self.cardinality.append(CardinalityConstraint(
+                tuple(self.d_names.values()), model.n_c, label="nc",
+                groups=tuple(controls.values())))
+
+
+def build_fr_formula(miter: Miter) -> BoolFormula:
+    """Extend ``miter`` by its next cycle, which its controlled circuit has
+    lowered already, and return the formula of the cycles so far: the
+    miter of the golden outputs against the instrumented ones over shared
     primary inputs, with the flag-silence conjunct and cardinality bounds.
-    Bounds that cannot bind (n_c >= k, n_e >= controls in a cycle) are left
-    out entirely.  The root's disjuncts, one per cycle and data output in
-    cycle-major order, are kept on the formula for the built-in solver."""
+    Bounds that cannot bind (n_c >= the cycles with controls, n_e >=
+    controls in a cycle) are left out entirely.  The root is the disjunction
+    of the disjuncts, one per cycle and data output in cycle-major order,
+    which are kept on the formula for the built-in solver.  Before the last
+    cycle the formula is not complete."""
 
+    controlled = miter.controlled
     b = controlled.builder
-    if golden.k != controlled.k:
-        raise ShapeMismatch("golden and controlled circuits have different cycle counts")
-    if set(golden.circuit.data_outputs) != set(controlled.data_outputs):
-        raise ShapeMismatch("golden and controlled circuits expose different outputs")
+    cycle = miter.cycles = miter.cycles + 1
+    reference = next(miter.reference)
+    miter.flag_prefix = flag_prefix = b.and_(miter.flag_prefix,
+                                             b.not_(controlled.flag_taps[cycle]))
+    disjuncts = [b.and_(b.xor(reference[o], controlled.taps[(cycle, o)]), flag_prefix)
+                 for o in controlled.data_outputs]
+    miter.disjuncts += disjuncts
+    miter.root = root = b.or_many(disjuncts, miter.root)
 
-    # Golden side, over the same input variables: the fault-free lowering of
-    # the data outputs' cones.  When the golden circuit is the protected one,
-    # every cone net no fault reaches is its instrumented node again, so only
-    # the fault-reachable ones add nodes; a separate golden circuit shares
-    # only the input variables and adds its whole cones.
-    shared_inputs = controlled.input_vars
-    for (cycle, name) in shared_inputs:
-        if name not in golden.circuit.inputs:
-            raise ShapeMismatch(f"golden circuit lacks input {name!r}")
-    if set(golden.circuit.inputs) != {n for (_, n) in shared_inputs}:
-        raise ShapeMismatch("golden and controlled circuits have different inputs")
-    reference = golden_taps(b, golden, shared_inputs)
-
-    disjuncts = []
-    flag_prefix = b.true
-    for cycle in range(1, controlled.k + 1):
-        flag_prefix = b.and_(flag_prefix, b.not_(controlled.flag_taps[cycle]))
-        for o in controlled.data_outputs:
-            differs = b.xor(reference[(cycle, o)], controlled.taps[(cycle, o)])
-            disjuncts.append(b.and_(differs, flag_prefix))
-    root = b.or_many(disjuncts)
-
-    cardinality = []
-    conjuncts = []
-    for cycle in range(1, controlled.k + 1):
-        controls = controlled.cycle_controls.get(cycle, [])
-        if model.n_e < len(controls):
-            cardinality.append(CardinalityConstraint(
-                tuple(controls), model.n_e, label=f"ne@{cycle}"))
-
-    # d@cycle says some fault is active in that cycle; declared only when the
-    # n_c bound binds, i.e. fewer than the cycles that have controls.  With
-    # an input named d they are d'@cycle, a name no identifier spells.
-    active = [cycle for cycle in range(1, controlled.k + 1)
-              if controlled.cycle_controls.get(cycle)]
-    if model.n_c < len(active):
-        prefix = "d'" if (1, "d") in controlled.input_vars else "d"
-        names = tuple(f"{prefix}@{cycle}" for cycle in active)
-        for cycle, name in zip(active, names):
-            d = b.var(name, ROLE_AUX_D)
-            any_ctrl = b.or_many([b.var(c, ROLE_CONTROL)
-                                  for c in controlled.cycle_controls[cycle]])
-            conjuncts.append(b.iff(d, any_ctrl))
-        cardinality.append(CardinalityConstraint(names, model.n_c, label="nc"))
-
-    root = b.and_many(conjuncts + [root])
-    return BoolFormula(builder=b, root=root, cardinality=cardinality,
-                       disjuncts=tuple(disjuncts))
+    controls = controlled.cycle_controls.get(cycle, [])
+    if miter.model.n_e < len(controls):
+        miter.cardinality.append(CardinalityConstraint(
+            tuple(controls), miter.model.n_e, label=f"ne@{cycle}"))
+    if cycle in miter.d_names:
+        b.var(miter.d_names[cycle], ROLE_AUX_D)
+    return BoolFormula(builder=b, root=root, cardinality=list(miter.cardinality),
+                       disjuncts=tuple(miter.disjuncts), complete=cycle == controlled.k)
 
 
 @dataclass
 class EncodedProblem:
+    """A fault-resistance problem and its CNF, which grows a cycle at a
+    time: ``stages`` encodes the cycles not encoded yet."""
+
     protected_unrolled: UnrolledCircuit
     golden_unrolled: UnrolledCircuit  # protected_unrolled without a separate golden
     plan: ReductionPlan
     locations: set
     controlled: ControlledCircuit
-    cnf: CNF
+    cnf: CNF  # of the cycles encoded so far
     encode_time: float
+    miter: Optional[Miter] = None  # None when nothing is instrumented
+    cycles: int = 0  # the cycles encoded so far
+
+    def stages(self):
+        """Encode the cycles not encoded yet, one at a time, and yield the
+        CNF after each: the same CNF object, grown by the cycle's variables
+        and clauses.  Before the last cycle it holds no root clause, and its
+        ``disjuncts`` are every disjunct so far.  With nothing instrumented
+        the one stage is the whole formula, constant false over the input
+        variables."""
+
+        k = self.controlled.k
+        while self.cycles < k:
+            start = time.perf_counter()
+            if self.miter is None:
+                b = self.controlled.builder
+                tseitin_cnf(BoolFormula(b, b.false), self.cnf)
+                self.cycles = k
+            else:
+                instrument(self.controlled)
+                tseitin_cnf(build_fr_formula(self.miter), self.cnf)
+                self.cycles += 1
+            self.encode_time += time.perf_counter() - start
+            yield self.cnf
 
 
 def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
-                   golden: Optional[SequentialCircuit] = None) -> EncodedProblem:
+                   golden: Optional[SequentialCircuit] = None,
+                   staged: bool = False) -> EncodedProblem:
     """unroll -> plan reductions -> fault locations, pruned by the plan (none
     when it found every vulnerable name unobservable) -> instrument ->
-    formula -> CNF.  ``golden`` optionally supplies a separate unprotected
-    reference circuit for the miter's golden side.
+    formula -> CNF, the last three once per cycle.  ``golden`` optionally
+    supplies a separate unprotected reference circuit for the miter's golden
+    side.  With ``staged`` no cycle is encoded yet: ``stages`` encodes them.
 
     With no fault location and no separate golden circuit, the faulty and
     the fault-free outputs are one function, so the formula is constant
@@ -184,29 +240,33 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
     locations = (set() if plan.unobservable else
                  plan.prune(fault_locations(unrolled, plan.effective_blacklist, model.location)))
     builder = FormulaBuilder()
-    input_vars = make_input_vars(builder, circuit, config.unroll_k)
+    miter = None
     if locations or golden is not None:
-        controlled = instrument(unrolled, locations, model.types,
-                                builder=builder, input_vars=input_vars)
-        formula = build_fr_formula(golden_unrolled, controlled, model)
+        controlled = controlled_circuit(unrolled, locations, model.types, builder)
+        miter = Miter(golden_unrolled, controlled, model)
     else:
         controlled = ControlledCircuit(
-            builder=builder, k=config.unroll_k, data_outputs=circuit.data_outputs,
-            types=model.types, input_vars=input_vars, taps={}, flag_taps={}, control_map={},
-            cycle_controls={})
-        formula = BoolFormula(builder, builder.false)
-    cnf = tseitin_cnf(formula)
-    encode_time = time.perf_counter() - start
-    return EncodedProblem(unrolled, golden_unrolled, plan, locations, controlled, cnf,
-                          encode_time)
+            builder=builder, k=config.unroll_k, inputs=circuit.inputs,
+            data_outputs=circuit.data_outputs, types=model.types,
+            input_vars=make_input_vars(builder, circuit, config.unroll_k),
+            taps={}, flag_taps={}, control_map={}, cycle_controls={})
+    problem = EncodedProblem(unrolled, golden_unrolled, plan, locations, controlled,
+                             CNF(num_vars=0, clauses=[], var_index={}, roles={}),
+                             time.perf_counter() - start, miter)
+    if not staged:
+        for _ in problem.stages():
+            pass
+    return problem
 
 
 def _decode_inputs(model_bits, cnf: CNF, circuit: SequentialCircuit, k: int):
+    """The input rows of a model, cycles 1..k; the inputs of a cycle the
+    CNF does not reach yet have no variable and read 0."""
     rows = []
     for cycle in range(1, k + 1):
         row = []
         for name in circuit.inputs:
-            idx = cnf.var_index[f"{name}@{cycle}"]
+            idx = cnf.var_index.get(f"{name}@{cycle}")
             row.append(1 if model_bits.get(idx, False) else 0)
         rows.append(tuple(row))
     return tuple(rows)
@@ -237,22 +297,31 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
     golden circuit that differs from ``circuit`` without faults on the
     decoded inputs, which raises GoldenDisagrees.  A failed replay raises
     InternalEncodingError.  The config's ``solver`` decides the CNF; one that
-    decides neither way raises SolverUndecided."""
+    decides neither way raises SolverUndecided.
 
-    problem = encode_problem(circuit, config, golden)
+    The built-in solver gets the CNF a cycle at a time and stops at the
+    first cycle with a counterexample: no later cycle is encoded, the
+    decoded inputs are zero in the cycles after it, and the verdict's CNF
+    is the one of the cycles encoded plus their root clause.  An external
+    solver gets the whole CNF."""
 
+    problem = encode_problem(circuit, config, golden, staged=True)
+
+    encoding = problem.encode_time
     start = time.perf_counter()
-    result = solve_cnf(problem.cnf, config.solver)
-    solve_time = time.perf_counter() - start
+    result = solve_cnf(problem.stages(), config.solver)
+    solve_time = time.perf_counter() - start - (problem.encode_time - encoding)
 
     if result.status not in ("sat", "unsat"):
         raise SolverUndecided(result.reason)
+    cnf = problem.cnf
     counterexample = None
     if result.status == "sat":
-        named = {name: result.model.get(idx, False)
-                 for name, idx in problem.cnf.var_index.items()}
+        if problem.cycles < config.unroll_k:
+            cnf = replace(cnf, clauses=[*cnf.clauses, [cnf.lits[problem.miter.root]]])
+        named = {name: result.model.get(idx, False) for name, idx in cnf.var_index.items()}
         vector = decode_fault_vector(named, problem.controlled)
-        inputs = _decode_inputs(result.model, problem.cnf, circuit, config.unroll_k)
+        inputs = _decode_inputs(result.model, cnf, circuit, config.unroll_k)
         if golden is not None:
             _check_golden_agrees(problem.golden_unrolled, problem.protected_unrolled,
                                  inputs)
@@ -266,11 +335,11 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
         counterexample = Counterexample(vector, inputs, replay.divergence_cycle,
                                         replay.differing_output)
     return Verdict("resistant" if counterexample is None else "not_resistant",
-                   problem.plan, problem.locations, counterexample, problem.cnf, result,
+                   problem.plan, problem.locations, counterexample, cnf, result,
                    problem.encode_time, solve_time)
 
 
 __all__ = [
     "Counterexample", "EncodedProblem", "GoldenDisagrees", "InternalEncodingError",
-    "Verdict", "build_fr_formula", "encode_problem", "verify",
+    "Miter", "Verdict", "build_fr_formula", "encode_problem", "verify",
 ]

@@ -58,16 +58,19 @@ class CdclSolver:
     Deterministic: each decision takes the unassigned variable of highest
     activity, the lowest index on ties, and assumes it False, exactly the
     choice of a full scan over the variables.  The scan is replaced by a lazy
-    heap of ``(-activity, var)`` entries.  ``queued[v]`` holds the key of v's
-    newest entry while that entry is in the heap, and None once it is
-    popped.  An entry goes stale once its variable's activity grows; a
-    popped entry is dropped unless it is its variable's newest and the
-    variable is unassigned.  Activity grows only for assigned variables, so
-    every unassigned variable holds one current entry: unassigning a
-    variable pushes an entry only when its newest one is stale or popped.
-    The heap is rebuilt from the unassigned variables, and ``queued`` with
-    it, after an activity rescale and whenever it grows past
-    ``2 * num_vars`` entries.
+    heap of ``(-activity, var)`` entries for the variables of activity above
+    0, and an index ``free`` for those of activity 0: every unassigned
+    variable of activity 0 has index ``free`` or above.  ``queued[v]`` holds
+    the key of v's newest entry while that entry is in the heap, and None
+    once it is popped.  An entry goes stale once its variable's activity
+    grows; a popped entry is dropped unless it is its variable's newest and
+    the variable is unassigned.  Activity grows only for assigned
+    variables, so every unassigned variable of activity above 0 holds one
+    current entry: unassigning a variable pushes an entry only when its
+    newest one is stale or popped, and lowers ``free`` past a variable of
+    activity 0.  The heap is rebuilt from the unassigned variables of
+    activity above 0, and ``queued`` and ``free`` with it, after an activity
+    rescale and whenever it grows past ``2 * num_vars`` entries.
 
     Literal values sit in one list indexed by literal (``-v`` indexes from
     the end): True, False, or None while unassigned.  Watch lists are
@@ -76,7 +79,8 @@ class CdclSolver:
     The solver is incremental.  ``solve(assumptions)`` decides the
     assumption literals first, one per decision level, and answers
     ``REFUTED`` when one of them turns false.  Learnt clauses, activities
-    and the level-0 assignments carry over from call to call.  A call with
+    and the level-0 assignments carry over from call to call, and ``add``
+    grows the solver by variables and clauses between calls.  A call with
     a single assumption is refuted only once the assumption is false at
     level 0, so its negation stays asserted for every later call.
     Assumption levels are not counted as decisions.  ``decisions``,
@@ -87,29 +91,51 @@ class CdclSolver:
     def __init__(self, num_vars, clauses):
         """``clauses`` is a list of literal sequences over variables
         1..num_vars; a literal outside that range is not detected."""
-        self.num_vars = num_vars
+        self.num_vars = 0
         self.decisions = self.conflicts = self.restarts = self.learnt = 0
-        # An empty clause settles the answer before any per-variable state.
-        self.unsat = not all(clauses)
-        if self.unsat:
-            return
-        size = 2 * num_vars + 1
-        self.val = [None] * size                   # literal -> True / False / None
-        self.watches = [[] for _ in range(size)]   # literal -> clauses watching it
-        self.level = [0] * (num_vars + 1)          # var -> decision level
-        self.reason = [None] * (num_vars + 1)      # var -> implying clause or None
-        self.activity = [0.0] * (num_vars + 1)
+        self.unsat = False
+        self.val = [None]           # literal -> True / False / None
+        self.watches = [[]]         # literal -> clauses watching it
+        self.level = [0]            # var -> decision level
+        self.reason = [None]        # var -> implying clause or None
+        self.activity = [0.0]
+        self.queued = [None]
+        self.heap = []
+        self.free = 1
         self.act_inc = 1.0
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self._rebuild_heap()
-        self.units = units = []
-        watches = self.watches
+        self.units = []
+        self.add(num_vars, clauses)
+
+    def add(self, num_vars, clauses):
+        """Grow to variables 1..num_vars and take in ``clauses``, between
+        calls of ``solve``.  A clause whose first or second literal is false
+        at level 0 is read under the level-0 assignments: dropped when one
+        of them satisfies it, and otherwise without the literals they
+        falsify, which leaves a new unit, a clause to watch, or nothing,
+        which makes the clauses unsatisfiable.  A unit clause waits for the
+        next ``solve``, which asserts every unit at level 0."""
+        # An empty clause settles the answer before any per-variable state.
+        if self.unsat or not all(clauses):
+            self.unsat = True
+            return
+        self._backjump(0)
+        self._grow(num_vars)
+        val, units, watches = self.val, self.units, self.watches
+        fixed = bool(self.trail)
         for c in clauses:
             # The solver keeps its own copy of each clause: propagation
             # reorders the literals in place.
             lits = list(c)
+            if fixed and len(lits) > 1 and (val[lits[0]] is False or val[lits[1]] is False):
+                if True in [val[lit] for lit in lits]:
+                    continue
+                lits = [lit for lit in lits if val[lit] is None]
+                if not lits:
+                    self.unsat = True
+                    return
             n = len(lits)
             if n == 2:
                 a, b = lits
@@ -131,16 +157,33 @@ class CdclSolver:
                 watches[lits[0]].append(lits)
                 watches[lits[1]].append(lits)
 
+    def _grow(self, num_vars):
+        """Make room for variables up to ``num_vars``, unassigned and of
+        activity 0; the literal-indexed lists keep ``-v`` at the end."""
+        old = self.num_vars
+        extra = num_vars - old
+        if extra <= 0:
+            return
+        self.val = self.val[:old + 1] + [None] * (2 * extra) + self.val[old + 1:]
+        self.watches = (self.watches[:old + 1] + [[] for _ in range(2 * extra)]
+                        + self.watches[old + 1:])
+        self.level += [0] * extra
+        self.reason += [None] * extra
+        self.activity += [0.0] * extra
+        self.queued += [None] * extra
+        self.num_vars = num_vars
+
     def _rebuild_heap(self):
         activity, val = self.activity, self.val
         self.queued = queued = [None] * (self.num_vars + 1)
         heap = []
         for v in range(1, self.num_vars + 1):
-            if val[v] is None:
+            if activity[v] and val[v] is None:
                 queued[v] = key = -activity[v]
                 heap.append((key, v))
         heapq.heapify(heap)
         self.heap = heap
+        self.free = 1
 
     def _enqueue(self, lit, reason):
         self.val[lit] = True
@@ -253,14 +296,19 @@ class CdclSolver:
         if len(trail_lim) > to_level:
             val, activity, heap, queued = self.val, self.activity, self.heap, self.queued
             push = heapq.heappush
+            free = self.free
             lim = trail_lim[to_level]
             for lit in trail[lim:]:
                 val[lit] = val[-lit] = None
                 v = lit if lit > 0 else -lit
                 key = -activity[v]
-                if queued[v] != key:
+                if not key:
+                    if v < free:
+                        free = v
+                elif queued[v] != key:
                     queued[v] = key
                     push(heap, (key, v))
+            self.free = free
             del trail[lim:]
             del trail_lim[to_level:]
             if len(heap) > 2 * self.num_vars:
@@ -276,7 +324,12 @@ class CdclSolver:
                 queued[v] = None
                 if val[v] is None:
                     return v
-        return 0
+        # Every unassigned variable left has activity 0.
+        v, n = self.free, self.num_vars
+        while v <= n and val[v] is not None:
+            v += 1
+        self.free = v
+        return v if v <= n else 0
 
     def _result(self, status, model=None):
         return SatResult(status, model=model, decisions=self.decisions,
@@ -350,18 +403,34 @@ class CdclSolver:
                 self._enqueue(-var, None)
 
 
-def solve_builtin(cnf: CNF) -> SatResult:
+def solve_builtin(cnf) -> SatResult:
     """Solve ``cnf`` one disjunct at a time in one solver: assume each of
     ``cnf.disjuncts`` in turn, and return the first model or the first
     conflict at level 0.  A refuted disjunct leaves its negation asserted at
     level 0 for the calls after it.  The last call, without assumptions,
-    decides the clauses as given.  The counters add up across the calls."""
-    solver = CdclSolver(cnf.num_vars, cnf.clauses)
-    for d in cnf.disjuncts:
-        result = solver.solve([d])
-        if result.status != REFUTED:
-            return result
+    decides the clauses as given.  The counters add up across the calls.
+
+    ``cnf`` may also be an iterator over the stages of a CNF that grows,
+    such as ``EncodedProblem.stages``: the same CNF object after each part
+    is added.  The solver takes in each stage's new variables and clauses
+    and assumes its disjuncts not tried yet, so a model found in one stage
+    ends the solve before the next is made.  The call without assumptions
+    follows the last stage."""
+    solver = CdclSolver(0, ())
+    read = tried = 0
+    for stage in _stages(cnf):
+        solver.add(stage.num_vars, stage.clauses[read:] if read else stage.clauses)
+        read = len(stage.clauses)
+        for d in stage.disjuncts[tried:]:
+            result = solver.solve([d])
+            if result.status != REFUTED:
+                return result
+        tried = len(stage.disjuncts)
     return solver.solve()
+
+
+def _stages(cnf):
+    return (cnf,) if isinstance(cnf, CNF) else cnf
 
 
 def solve_external(cnf: CNF, argv) -> SatResult:
@@ -411,7 +480,12 @@ def solve_external(cnf: CNF, argv) -> SatResult:
             os.unlink(path)
 
 
-def solve_cnf(cnf: CNF, backend=("builtin",)) -> SatResult:
+def solve_cnf(cnf, backend=("builtin",)) -> SatResult:
+    """Decide ``cnf``, a CNF or the stages of a growing one (see
+    ``solve_builtin``).  An external solver gets the last stage, the whole
+    CNF, in one run."""
     if tuple(backend) == ("builtin",):
         return solve_builtin(cnf)
-    return solve_external(cnf, backend)
+    for whole in _stages(cnf):
+        pass
+    return solve_external(whole, backend)

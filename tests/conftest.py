@@ -2,9 +2,10 @@ import pytest
 
 from faultres import build_and_validate, parse_config, parse_netlist, unroll
 from faultres.circuit_model import GateInstance
-from faultres.fault_encoder import make_input_vars
+from faultres.fault_encoder import controlled_circuit, golden_taps, instrument
 from faultres.fixtures import fixture_text
 from faultres.formula import AND, CONST, IFF, ITE, NOT, OR, VAR, XOR, FormulaBuilder
+from faultres.sat_encoding import Miter, build_fr_formula
 
 # Golden truth table of the 4-bit S-box, input value 0..15 (a msb), output wxyz.
 SBOX = [
@@ -83,10 +84,14 @@ def evaluate(builder, root, assignment):
 
 
 def formula_holds(formula, assignment):
-    """A BoolFormula's meaning: the root holds and no cardinality bound is
-    exceeded."""
+    """A BoolFormula's meaning: the root holds, no cardinality bound is
+    exceeded, and each counted variable with a group is the OR of it."""
+    def value(v):
+        return bool(assignment.get(v, False))
+
     return evaluate(formula.builder, formula.root, assignment) and all(
-        sum(1 for v in c.var_names if assignment.get(v, False)) <= c.bound
+        sum(1 for v in c.var_names if value(v)) <= c.bound
+        and all(value(v) == any(map(value, g)) for v, g in zip(c.var_names, c.groups))
         for c in formula.cardinality)
 
 
@@ -111,11 +116,63 @@ def canonical_assignment(controlled, vector):
     return assignment
 
 
-def fresh_inputs(unrolled):
-    """A new formula builder and the primary-input variables made on it: the
-    builder and input_vars arguments of ``instrument``."""
-    b = FormulaBuilder()
-    return b, make_input_vars(b, unrolled.circuit, unrolled.k)
+def lowered(unrolled, locations, types, builder=None):
+    """``unrolled`` with a gadget over ``types`` at every instance in
+    ``locations``, every cycle lowered (one ``instrument`` call each), on
+    ``builder`` or a new one."""
+    controlled = controlled_circuit(unrolled, locations, types, builder or FormulaBuilder())
+    for _ in range(unrolled.k):
+        instrument(controlled)
+    return controlled
+
+
+def fr_formula(golden, controlled, model):
+    """The whole fault-resistance formula: ``build_fr_formula`` once per
+    cycle of ``controlled``, lowered whole, against the unrolled circuit
+    ``golden``; the formula of the last cycle is complete."""
+    miter = Miter(golden, controlled, model)
+    for _ in range(controlled.k):
+        formula = build_fr_formula(miter)
+    return formula
+
+
+def all_golden_taps(b, unrolled, input_vars):
+    """``golden_taps`` of every cycle, as (cycle, output name) -> node."""
+    return {(cycle, o): node
+            for cycle, taps in enumerate(golden_taps(b, unrolled, input_vars), start=1)
+            for o, node in taps.items()}
+
+
+def dup_and_compare(doc):
+    """Netlist text of ``doc`` next to a copy of itself (gates and registers
+    prefixed ``b_``), each data output compared with its copy's and the
+    comparisons ORed into the flag; returns the text, the names of the
+    original gates and registers, and the names of the comparator."""
+    nets = {r for r, _ in doc.registers} | {g.name for g in doc.gates}
+
+    def cp(net):
+        return "b_" + net if net in nets else net
+
+    lines = [".inputs " + " ".join(doc.inputs),
+             ".outputs " + " ".join(doc.outputs) + " flag", ".flag flag"]
+    for r, init in doc.registers:
+        lines += [f".reg {r} init={init}", f".reg b_{r} init={init}"]
+    for g in doc.gates:
+        lines.append(f"gate {g.name} = {g.kind}({', '.join(g.operands)})")
+        lines.append(f"gate b_{g.name} = {g.kind}({', '.join(cp(o) for o in g.operands)})")
+    checker = []
+    acc = None
+    for o in doc.outputs:
+        lines.append(f"gate k_{o} = xor({o}, b_{o})")
+        checker.append(f"k_{o}")
+        if acc is not None:
+            lines.append(f"gate t_{o} = or({acc}, k_{o})")
+            checker.append(f"t_{o}")
+        acc = checker[-1]
+    lines.append(f"gate flag = buf({acc})")
+    for r, _ in doc.registers:
+        lines += [f"next {r} = {doc.next_state[r]}", f"next b_{r} = {cp(doc.next_state[r])}"]
+    return "\n".join(lines) + "\n", nets, set(checker) | {"flag"}
 
 
 def exit_groups(exit_of):

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import SBOX, SBOX_FAULTY, exit_groups, fresh_inputs, input_bits, instances
+from conftest import SBOX, SBOX_FAULTY, exit_groups, input_bits, instances, lowered
 from faultres.circuit_model import (
     FaultResistanceModel,
     GateInstance,
@@ -18,7 +18,6 @@ from faultres.circuit_model import (
     fault_locations,
     unroll,
 )
-from faultres.fault_encoder import instrument
 from faultres.formula import BoolFormula, FormulaBuilder, ROLE_INPUT, at_most_k, tseitin_cnf
 from faultres.netlist_io import ReductionFlags, VerificationConfig
 from faultres.oracle import (
@@ -209,7 +208,7 @@ def test_criterion_7_size_bound(rect_parity_unrolled, rect_revised):
     for unrolled in circuits:
         for types in type_sets:
             locations = fault_locations(unrolled, set(), "cr")
-            controlled = instrument(unrolled, locations, types, *fresh_inputs(unrolled))
+            controlled = lowered(unrolled, locations, types)
             # every node of the formula DAG against 6|T| x k x (gates + registers)
             bound = 6 * len(types) * len(instances(unrolled))
             nodes = len(controlled.builder.kinds)

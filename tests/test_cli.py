@@ -111,8 +111,8 @@ def test_verify_dimacs_dump(workdir, monkeypatch):
 def test_encode_golden_same_netlist_is_byte_identical(workdir, monkeypatch):
     # --golden with the protected netlist's own file lowers that separate
     # circuit's data cones whole; without it the golden side reuses the
-    # instrumented nodes.  Each encode calls instrument once, and both give the
-    # same DIMACS and sidecar bytes.  The reach step's flag-only rule holds
+    # instrumented nodes.  Each encode calls instrument once per cycle, and
+    # both give the same DIMACS and sidecar bytes.  The reach step's flag-only rule holds
     # only against the circuit's own golden side, so it would drop the
     # parity gates of rect_revised.nl from the first encode alone; it is
     # held off here so that both encodes fault the same locations.
@@ -138,15 +138,15 @@ def test_encode_golden_same_netlist_is_byte_identical(workdir, monkeypatch):
     (workdir / "rand.nl").write_text(write_netlist(doc))
     (workdir / "rand.json").write_text(json.dumps(
         {"k": 2, "model": {"ne": 2, "nc": 1, "types": ["s", "r", "bf"], "location": "cr"}}))
-    for nl, cfg in (("rect_parity.nl", "zeta_1_1_all_c.json"),
-                    ("rect_revised.nl", "zeta_1_1_all_c_parity.json"),
-                    ("rand.nl", "rand.json")):
+    for nl, cfg, k in (("rect_parity.nl", "zeta_1_1_all_c.json", 1),
+                       ("rect_revised.nl", "zeta_1_1_all_c_parity.json", 1),
+                       ("rand.nl", "rand.json", 2)):
         args = ("encode", workdir / nl, "--config", workdir / cfg)
         calls.clear()
         assert run_cli(*args, "--dimacs", workdir / "plain.cnf") == 0
-        assert len(calls) == 1
+        assert len(calls) == k
         assert run_cli(*args, "--golden", workdir / nl, "--dimacs", workdir / "gold.cnf") == 0
-        assert len(calls) == 2
+        assert len(calls) == 2 * k
         assert (workdir / "plain.cnf").read_bytes() == (workdir / "gold.cnf").read_bytes(), nl
         assert ((workdir / "plain.cnf.map.json").read_bytes()
                 == (workdir / "gold.cnf.map.json").read_bytes()), nl

@@ -1,7 +1,15 @@
 import itertools
 import random
 
-from conftest import canonical_assignment, evaluate, fresh_inputs, instances, selection_bits
+from conftest import (
+    all_golden_taps,
+    canonical_assignment,
+    dup_and_compare,
+    evaluate,
+    instances,
+    lowered,
+    selection_bits,
+)
 from faultres.circuit_model import (
     KIND_ARITY,
     KIND_EVAL,
@@ -15,8 +23,6 @@ from faultres.fault_encoder import (
     decode_fault_vector,
     decode_type,
     gadget,
-    golden_taps,
-    instrument,
 )
 from faultres.formula import FormulaBuilder, ROLE_INPUT
 from faultres.fixtures import fixture_text
@@ -105,8 +111,7 @@ def test_gadget_selection_decoding():
 def test_instrument_rect_control_vars(rect_parity_unrolled):
     blacklist = {"p1", "p2", "p3", "p4", "p5", "p6", "c1", "c2", "c3", "flag"}
     locations = fault_locations(rect_parity_unrolled, blacklist, "c")
-    controlled = instrument(rect_parity_unrolled, locations, ALL,
-                            *fresh_inputs(rect_parity_unrolled))
+    controlled = lowered(rect_parity_unrolled, locations, ALL)
     assert len(controlled.control_map) == 12
     controls = [c for cycle in sorted(controlled.cycle_controls)
                 for c in controlled.cycle_controls[cycle]]
@@ -117,9 +122,9 @@ def test_instrument_rect_control_vars(rect_parity_unrolled):
 
 
 def test_instrument_empty_locations_is_golden(rect_parity_unrolled):
-    fb, iv = fresh_inputs(rect_parity_unrolled)
-    a = instrument(rect_parity_unrolled, set(), ALL, fb, iv)
-    b = instrument(rect_parity_unrolled, set(), ALL, fb, iv)
+    fb = FormulaBuilder()
+    a = lowered(rect_parity_unrolled, set(), ALL, fb)
+    b = lowered(rect_parity_unrolled, set(), ALL, fb)
     # hash-consing makes the two lowerings literally the same nodes
     assert a.taps == b.taps
     assert a.control_map == {}
@@ -128,8 +133,7 @@ def test_instrument_empty_locations_is_golden(rect_parity_unrolled):
 def test_instrument_size_bound(rect_parity_unrolled):
     for types in TYPE_SETS:
         locations = fault_locations(rect_parity_unrolled, set(), "c")
-        controlled = instrument(rect_parity_unrolled, locations, types,
-                                *fresh_inputs(rect_parity_unrolled))
+        controlled = lowered(rect_parity_unrolled, locations, types)
         # every node of the formula DAG, inputs and constants included
         nodes = len(controlled.builder.kinds)
         assert nodes <= 6 * len(types) * len(instances(rect_parity_unrolled))
@@ -139,8 +143,7 @@ def test_decode_examples(rect_parity_unrolled):
     locations = fault_locations(rect_parity_unrolled,
                                 {"p1", "p2", "p3", "p4", "p5", "p6",
                                  "c1", "c2", "c3", "flag"}, "c")
-    controlled = instrument(rect_parity_unrolled, locations, ALL,
-                            *fresh_inputs(rect_parity_unrolled))
+    controlled = lowered(rect_parity_unrolled, locations, ALL)
     base = {name: False for names in controlled.control_map.values() for name in names}
 
     inst = GateInstance(1, "s3")
@@ -162,8 +165,7 @@ def test_roundtrip_vectors(rect_parity_unrolled):
     locations = fault_locations(rect_parity_unrolled, set(), "c")
     rng = random.Random(3)
     for types in TYPE_SETS:
-        controlled = instrument(rect_parity_unrolled, locations, types,
-                                *fresh_inputs(rect_parity_unrolled))
+        controlled = lowered(rect_parity_unrolled, locations, types)
         vectors = []
         for _ in range(40):
             insts = rng.sample(sorted(locations), rng.randint(1, 2))
@@ -182,7 +184,7 @@ def test_unrolled_formula_matches_sequential_run():
         circuit = build_and_validate(doc)
         k = 3
         u = unroll(circuit, k)
-        lowered = instrument(u, set(), ALL, *fresh_inputs(u))
+        whole = lowered(u, set(), ALL)
         rng = random.Random(seed)
         for _ in range(20):
             rows = [tuple(rng.randint(0, 1) for _ in circuit.inputs)
@@ -194,7 +196,7 @@ def test_unrolled_formula_matches_sequential_run():
                     env[f"{name}@{cycle}"] = bool(rows[cycle - 1][pos])
             for cycle in range(1, k + 1):
                 for o in circuit.outputs:
-                    got = evaluate(lowered.builder, lowered.taps[(cycle, o)], env)
+                    got = evaluate(whole.builder, whole.taps[(cycle, o)], env)
                     assert int(got) == trace.outputs[cycle - 1][o]
 
 
@@ -209,7 +211,7 @@ def test_instrumented_circuit_simulates_every_fault_vector():
         u = unroll(circuit, k)
         locations = fault_locations(u, set(), "cr")
         model = FaultResistanceModel(1, 1, frozenset(types), "cr")
-        controlled = instrument(u, locations, types, *fresh_inputs(u))
+        controlled = lowered(u, locations, types)
         for vector in enumerate_fault_vectors(locations, model):
             assignment = canonical_assignment(controlled, vector)
             env_assignment = {n: bool(v) for n, v in assignment.items()}
@@ -234,11 +236,11 @@ def _golden_and_full_taps(doc, u, locations, types=ALL):
     """The golden taps of the instrumented circuit and of a separate golden
     circuit built again from its ``doc``, and the taps of a full fault-free
     lowering made afterwards, all on the instrumented circuit's builder."""
-    controlled = instrument(u, locations, types, *fresh_inputs(u))
+    controlled = lowered(u, locations, types)
     b, input_vars = controlled.builder, controlled.input_vars
     separate = unroll(build_and_validate(doc), u.k)
-    golden = [golden_taps(b, u, input_vars), golden_taps(b, separate, input_vars)]
-    full = instrument(u, set(), types, b, input_vars)
+    golden = [all_golden_taps(b, u, input_vars), all_golden_taps(b, separate, input_vars)]
+    full = lowered(u, set(), types, b)
     data = [o for o in u.circuit.outputs if o != u.circuit.flag]
     for taps in golden:
         assert sorted(taps) == sorted((c, o) for c in range(1, u.k + 1) for o in data)
@@ -278,50 +280,19 @@ def test_golden_taps_are_the_fault_free_lowering():
             assert taps == {key: full[key] for key in taps}, (side, circuit.name, loc, k)
 
 
-def _dup_and_compare(doc):
-    """Netlist text of ``doc`` next to a copy of itself (gates and registers
-    prefixed ``b_``), each data output compared with its copy's and the
-    comparisons ORed into the flag; returns the text and the names of the
-    original gates, registers and comparator."""
-    nets = {r for r, _ in doc.registers} | {g.name for g in doc.gates}
-
-    def cp(net):
-        return "b_" + net if net in nets else net
-
-    lines = [".inputs " + " ".join(doc.inputs),
-             ".outputs " + " ".join(doc.outputs) + " flag", ".flag flag"]
-    for r, init in doc.registers:
-        lines += [f".reg {r} init={init}", f".reg b_{r} init={init}"]
-    for g in doc.gates:
-        lines.append(f"gate {g.name} = {g.kind}({', '.join(g.operands)})")
-        lines.append(f"gate b_{g.name} = {g.kind}({', '.join(cp(o) for o in g.operands)})")
-    checker = []
-    acc = None
-    for o in doc.outputs:
-        lines.append(f"gate k_{o} = xor({o}, b_{o})")
-        checker.append(f"k_{o}")
-        if acc is not None:
-            lines.append(f"gate t_{o} = or({acc}, k_{o})")
-            checker.append(f"t_{o}")
-        acc = checker[-1]
-    lines.append(f"gate flag = buf({acc})")
-    for r, _ in doc.registers:
-        lines += [f"next {r} = {doc.next_state[r]}", f"next b_{r} = {cp(doc.next_state[r])}"]
-    return "\n".join(lines) + "\n", nets | set(checker) | {"flag"}
-
-
 def test_golden_taps_of_duplicate_and_compare_add_no_node():
     # With the original and the comparator blacklisted, no fault reaches a
     # data output: the golden side is the instrumented one, node for node.
     for seed in (1, 2, 5, 7):
         doc = random_netlist(seed, max_gates=10, max_regs=2, num_inputs=3,
                              with_flag=False).doc
-        text, blacklist = _dup_and_compare(doc)
+        text, nets, checker = dup_and_compare(doc)
+        blacklist = nets | checker
         u = unroll(build_and_validate(parse_netlist(text)), 3)
         locations = fault_locations(u, blacklist, "cr")
         assert locations
-        controlled = instrument(u, locations, ALL, *fresh_inputs(u))
+        controlled = lowered(u, locations, ALL)
         before = len(controlled.builder.kinds)
-        reused = golden_taps(controlled.builder, u, controlled.input_vars)
+        reused = all_golden_taps(controlled.builder, u, controlled.input_vars)
         assert len(controlled.builder.kinds) == before
         assert reused == {key: controlled.taps[key] for key in reused}

@@ -13,9 +13,11 @@ from conftest import (
     DUP_COMPARE,
     DUP_COMPARE_CONFIG,
     canonical_assignment,
+    dup_and_compare,
     evaluate,
     formula_holds,
-    fresh_inputs,
+    fr_formula,
+    lowered,
 )
 from faultres.circuit_model import (
     FaultResistanceModel,
@@ -25,7 +27,6 @@ from faultres.circuit_model import (
     fault_locations,
     unroll,
 )
-from faultres.fault_encoder import instrument
 from faultres.formula import (
     ITE,
     ROLE_CONTROL,
@@ -49,7 +50,6 @@ from faultres.oracle import enumerate_fault_vectors, random_netlist
 from faultres.sat_encoding import (
     GoldenDisagrees,
     InternalEncodingError,
-    build_fr_formula,
     encode_problem,
     verify,
 )
@@ -433,9 +433,10 @@ def test_builtin_solver_search_pinned_on_random_3sat():
 def test_decisions_follow_the_full_scan():
     # Every decision is the full scan's choice: an unassigned variable of the
     # highest activity, the lowest index on ties.  Before each one, every
-    # unassigned variable has its current entry in the heap, which the later
-    # decisions rely on.  act_inc starts near the rescale limit, so a
-    # rescale fires and rebuilds the heap mid-search.
+    # unassigned variable of activity above 0 has its current entry in the
+    # heap, and every one of activity 0 lies at or above the index ``free``,
+    # which the later decisions rely on.  act_inc starts near the rescale
+    # limit, so a rescale fires and rebuilds the heap mid-search.
     rng = random.Random(1)
     restarts = 0
     for _ in range(4):
@@ -448,7 +449,8 @@ def test_decisions_follow_the_full_scan():
         def decide(solver=solver, n=n):
             free = [v for v in range(1, n + 1) if solver.val[v] is None]
             current = {entry for entry in solver.heap if entry[0] == solver.queued[entry[1]]}
-            assert current >= {(-solver.activity[v], v) for v in free}
+            assert current >= {(-solver.activity[v], v) for v in free if solver.activity[v]}
+            assert all(v >= solver.free for v in free if not solver.activity[v])
             want = min(free, key=lambda v: (-solver.activity[v], v), default=0)
             got = CdclSolver._decide(solver)
             assert got == want
@@ -594,6 +596,61 @@ def test_builtin_solver_assumption_sequence_stays_sound():
     assert refuted > 50
 
 
+def test_growing_solver_agrees_with_a_fresh_one():
+    # Random CNFs split into 2-4 chunks, each chunk over more variables than
+    # the one before: one solver takes the chunks in turn with ``add``,
+    # solving in between (some calls under an assumption, which leaves
+    # level-0 assignments behind), and answers each union as a fresh solver
+    # and brute force do.
+    rng = random.Random(77)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(4, 9)
+        bounds = sorted(rng.sample(range(2, n), rng.randint(1, min(3, n - 2)))) + [n]
+        solver = CdclSolver(0, [])
+        union = []
+        for top in bounds:
+            chunk = [[rng.choice([1, -1]) * rng.randint(1, top)
+                      for _ in range(rng.randint(1, 3))]
+                     for _ in range(rng.randint(1, 2 * top))]
+            union += chunk
+            solver.add(top, chunk)
+            if rng.random() < 0.5:
+                solver.solve([rng.choice([1, -1]) * rng.randint(1, top)])
+            res = solver.solve()
+            want = CdclSolver(top, union).solve().status
+            assert res.status == want == ("sat" if _satisfiable(top, union) else "unsat")
+            if res.status == "sat":
+                assert len(res.model) == top
+                assert all(any(res.model[abs(l)] == (l > 0) for l in cl) for cl in union)
+            seen.add(res.status)
+    assert seen == {"sat", "unsat"}
+
+
+def test_growing_solver_reads_new_clauses_under_level_0():
+    # After a solve, x1 and x2 hold at level 0.  A new clause whose literals
+    # are all false makes the clauses unsatisfiable; a new unit holds in
+    # the next model; a clause with one literal that is not false implies it
+    # at once, although both its first literals are false.
+    solver = CdclSolver(2, [[1], [2]])
+    assert solver.solve().status == "sat"
+    solver.add(2, [[-1, -2]])
+    assert solver.solve().status == "unsat"
+
+    solver = CdclSolver(2, [[1], [2]])
+    assert solver.solve().status == "sat"
+    solver.add(3, [[-3]])
+    res = solver.solve()
+    assert res.status == "sat" and res.model == {1: True, 2: True, 3: False}
+
+    solver = CdclSolver(2, [[1], [2]])
+    assert solver.solve().status == "sat"
+    solver.add(4, [[-1, -2, 4], [-4, 3]])
+    res = solver.solve()
+    assert res.status == "sat" and res.model == {1: True, 2: True, 3: True, 4: True}
+    assert res.decisions == 0
+
+
 SOLVER_STUB = """#!{python}
 import sys
 sys.path[:0] = {path!r}
@@ -675,8 +732,8 @@ def test_external_solver_on_fixture(rect_parity, zeta_1_1_all_c, stub_solver):
 def _fr_parts(circuit, blacklist, model, types=ALL):
     u = unroll(circuit, 1)
     locations = fault_locations(u, blacklist, model.location)
-    controlled = instrument(u, locations, types, *fresh_inputs(u))
-    formula = build_fr_formula(u, controlled, model)
+    controlled = lowered(u, locations, types)
+    formula = fr_formula(u, controlled, model)
     return u, locations, controlled, formula
 
 
@@ -700,9 +757,9 @@ def test_build_fr_formula_nc_part():
     circuit = build_and_validate(parse_netlist(text))
     u = unroll(circuit, 3)
     locations = fault_locations(u, set(), "c")
-    controlled = instrument(u, locations, ALL, *fresh_inputs(u))
+    controlled = lowered(u, locations, ALL)
     model = FaultResistanceModel(1, 1, frozenset(ALL), "c")
-    formula = build_fr_formula(u, controlled, model)
+    formula = fr_formula(u, controlled, model)
     labels = {c.label for c in formula.cardinality}
     assert "nc" in labels  # n_c = 1 < k = 3 binds
     nc = next(c for c in formula.cardinality if c.label == "nc")
@@ -714,10 +771,9 @@ def test_build_fr_formula_nc_part_not_binding_declares_no_d():
     # n_c = 1 bound cannot bind and no d@ variable reaches the CNF.
     text = ".inputs a b\n.outputs o\ngate g = and(a, b)\ngate o = not(g)\n"
     u = unroll(build_and_validate(parse_netlist(text)), 3)
-    controlled = instrument(u, {GateInstance(2, "g"), GateInstance(2, "o")}, ALL,
-                            *fresh_inputs(u))
+    controlled = lowered(u, {GateInstance(2, "g"), GateInstance(2, "o")}, ALL)
     model = FaultResistanceModel(1, 1, frozenset(ALL), "c")
-    formula = build_fr_formula(u, controlled, model)
+    formula = fr_formula(u, controlled, model)
     assert [c.label for c in formula.cardinality] == ["ne@2"]
     cnf = tseitin_cnf(formula)
     assert not [name for name in cnf.var_index if name.startswith("d@")]
@@ -740,12 +796,12 @@ def test_formula_matches_effectiveness_semantics():
         u = unroll(circuit, k)
         model = FaultResistanceModel(1, 1, frozenset(ALL), "cr")
         locations = fault_locations(u, set(), "cr")
-        controlled = instrument(u, locations, ALL, *fresh_inputs(u))
-        formula = build_fr_formula(u, controlled, model)
+        controlled = lowered(u, locations, ALL)
+        formula = fr_formula(u, controlled, model)
         n_in = len(circuit.inputs)
         for vector in enumerate_fault_vectors(locations, model):
             assignment = canonical_assignment(controlled, vector)
-            # d variables are defined by iff conjuncts; set them consistently
+            # each d variable is the OR of its cycle's controls; set them so
             for cycle in range(1, k + 1):
                 controls = controlled.cycle_controls.get(cycle, [])
                 assignment[f"d@{cycle}"] = any(assignment[c] for c in controls)
@@ -912,8 +968,8 @@ def test_unobservable_encodes_the_folded_miter_without_instrumenting(monkeypatch
 
     circuit, cfg = _dup_compare()
     u = unroll(circuit, cfg.unroll_k)
-    controlled = instrument(u, set(), ALL, *fresh_inputs(u))
-    folded = tseitin_cnf(build_fr_formula(u, controlled, cfg.model))
+    controlled = lowered(u, set(), ALL)
+    folded = tseitin_cnf(fr_formula(u, controlled, cfg.model))
 
     def fail(*args, **kwargs):
         raise AssertionError("called on a structurally resistant circuit")
@@ -1007,6 +1063,95 @@ def test_verify_agrees_with_oracle_under_blacklists():
                     seed, k, ne, nc, loc, sorted(blacklist), flags)
 
 
+def _earliest_divergence(unrolled, blacklist, model):
+    """The first cycle c at which some admissible fault vector is effective,
+    by the oracle on the circuit unrolled for c cycles; None when none is
+    by ``unrolled.k``."""
+    from faultres.oracle import brute_force_verdict
+
+    for c in range(1, unrolled.k + 1):
+        prefix = unroll(unrolled.circuit, c)
+        if brute_force_verdict(prefix, blacklist, model).status == "not_resistant":
+            return c
+    return None
+
+
+# A delay line: g's value reaches the output o only through two registers,
+# so with o blacklisted a fault diverges in cycle 3 at the earliest.
+DELAY_LINE = (".inputs a b\n.outputs o f\n.flag f\n.reg r1 init=0\n.reg r2 init=1\n"
+              "gate g = xor(a, b)\ngate h = and(r1, b)\ngate o = or(r2, h)\n"
+              "gate f = and(a, h)\nnext r1 = g\nnext r2 = r1\n")
+
+
+def test_cycle_loop_agrees_with_oracle():
+    # verify encodes and solves one cycle at a time and stops at the first
+    # cycle with a counterexample.  Sequential random netlists with and
+    # without a flag, and a delay line, at k = 2 and 3, under both budgets
+    # 1 and 2 (so that each counter binds within a prefix of the cycles),
+    # every location class and {bf} and {s, r, bf}; half of the random
+    # cases blacklist the gates that drive outputs, which delays some
+    # divergences.  The verdict is the oracle's; a counterexample replays at
+    # the original k and diverges at the earliest cycle at which any
+    # admissible vector is effective; a resistant verdict holds the whole
+    # CNF that encode_problem makes.
+    rng = random.Random(21)
+    bf, srbf = frozenset({FaultType.BITFLIP}), frozenset(ALL)
+    combos = list(itertools.product((1, 2), (1, 2), ("c", "r", "cr"), (bf, srbf)))
+    cases = []
+    for seed in range(40):
+        doc = random_netlist(seed, max_gates=5, max_regs=2, num_inputs=2,
+                             with_flag=seed % 2 == 0).doc
+        if doc.registers:
+            circuit = build_and_validate(doc)
+            drivers = frozenset(circuit.outputs) & set(circuit.gate_map)
+            for k in (2, 3):
+                for combo in rng.sample(combos, 4):
+                    cases.append((circuit, k, combo, rng.choice((frozenset(), drivers))))
+    delay = build_and_validate(parse_netlist(DELAY_LINE))
+    for k, combo in itertools.product((2, 3), combos):
+        cases.append((delay, k, combo, frozenset({"o"})))
+    seen = {"resistant": 0, "not_resistant": 0}
+    late = 0
+    for circuit, k, (ne, nc, loc, types), blacklist in cases:
+        model = FaultResistanceModel(ne, nc, types, loc)
+        cfg = VerificationConfig(k, model, blacklist, ReductionFlags(), ("builtin",))
+        verdict = verify(circuit, cfg)
+        u = unroll(circuit, k)
+        earliest = _earliest_divergence(u, blacklist, model)
+        why = (circuit.name, k, model, sorted(blacklist))
+        assert verdict.status == ("resistant" if earliest is None else "not_resistant"), why
+        seen[verdict.status] += 1
+        if verdict.is_resistant:
+            assert verdict.cnf == encode_problem(circuit, cfg).cnf, why
+            continue
+        cx = verdict.counterexample
+        assert len(cx.inputs) == k
+        replay = check_effectiveness(u, cx.fault_vector, cx.inputs)
+        assert replay.effective
+        assert cx.divergence_cycle == replay.divergence_cycle == earliest, why
+        late += earliest > 1
+    assert min(seen.values()) > 20 and late > 20, (seen, late)
+
+
+def test_cycle_loop_reads_every_cycle_of_a_resistant_datapath():
+    # Duplicate-and-compare datapaths with only the comparator blacklisted,
+    # under zeta(1, 1, {s, r, bf}, c) at k = 3: one fault in the copy reaches
+    # no data output, and one in the original changes a data output only
+    # where it differs from the copy's, which raises the flag in that cycle.
+    # So the loop refutes every cycle and ends with the whole CNF.
+    for seed in (1, 2, 5, 7):
+        doc = random_netlist(seed, max_gates=10, max_regs=2, num_inputs=3,
+                             with_flag=False).doc
+        text, _, checker = dup_and_compare(doc)
+        circuit = build_and_validate(parse_netlist(text))
+        cfg = VerificationConfig(3, FaultResistanceModel(1, 1, frozenset(ALL), "c"),
+                                 frozenset(checker), ReductionFlags(), ("builtin",))
+        verdict = verify(circuit, cfg)
+        assert verdict.status == "resistant"
+        assert verdict.cnf == encode_problem(circuit, cfg).cnf
+        assert {f"{name}@3" for name in circuit.inputs} <= set(verdict.cnf.var_index)
+
+
 def _capturing_solver(monkeypatch, extra=()):
     """Stand in for an external solver process: record the DIMACS bytes it
     is handed and answer with a plain solve of the clauses they hold, plus
@@ -1037,8 +1182,9 @@ def _capturing_solver(monkeypatch, extra=()):
 def test_split_solve_agrees_with_plain_solve(monkeypatch):
     # Both fixtures, then 30 random netlists with and without a flag over
     # every location class and k = 1..3.  The disjunct-by-disjunct solve
-    # must give the status of one plain solve, every counterexample must
-    # replay, and an external solver must get the plain DIMACS text.
+    # must give the status of one plain solve of the CNF it decided, every
+    # counterexample must replay, and an external solver must get the
+    # DIMACS text of the whole CNF, which a resistant verdict holds too.
     received = _capturing_solver(monkeypatch)
     cases = []
     for nl, cfg in (("rect_parity.nl", "zeta_1_1_all_c.json"),
@@ -1072,7 +1218,11 @@ def test_split_solve_agrees_with_plain_solve(monkeypatch):
             assert replay.effective
         external = verify(circuit, dataclasses.replace(cfg, solver=("stub-solver",)))
         assert external.status == verdict.status
-        assert received.pop() == emit_dimacs(cnf)[0].encode()
+        whole = encode_problem(circuit, cfg).cnf
+        assert external.cnf == whole
+        assert received.pop() == emit_dimacs(whole)[0].encode()
+        if verdict.is_resistant:
+            assert cnf == whole
         split += bool(cnf.disjuncts)
         seen.add(verdict.status)
     assert split > len(cases) // 2 and seen == {"resistant", "not_resistant"}
@@ -1113,8 +1263,8 @@ PINNED_ENCODINGS = {
     ("rect_revised.nl", ("s", "bf")): "6953ac9eec5b2a3c779ecfaad48bdfab3496d792eb4d442b83af6bfdc10469b6",
     ("rect_revised.nl", ("r", "bf")): "891bb76e4d93ad8058c1807d9e2421308076c5500e4458e38c06fa6d1aebc9da",
     ("rect_revised.nl", ("s", "r", "bf")): "6bacd6b8dd7c5118edf6a26e02e99d4e9d9db4151d14d38de850b9519e2e9091",
-    ("random_netlist(5)", ("s", "r", "bf")): "09cb16a0ad87f6da73ced15ffebfb0cf40ad05ea51377b220970de537668477d",
-    ("REVERSED_NEXT", ("s", "r", "bf")): "e04cd59701cf7db94490c13959fd49d1b294d72126a265c0a0ba88cf74bb9829",
+    ("random_netlist(5)", ("s", "r", "bf")): "6619c86d189e5bfad071ace8d26bb1db3b8121d804a1d6f5c2216bb5b92b73ce",
+    ("REVERSED_NEXT", ("s", "r", "bf")): "986cc11be763e68a81f98be60db91fc56ee9d5e613791946f879f68e76a4aa4a",
 }
 
 # The same with the reach step's cut, for the encodings it changes:
@@ -1130,7 +1280,7 @@ PINNED_ENCODINGS_REACH = {
     ("rect_revised.nl", ("s", "bf")): "480b2b486e42de73d3781a54081f7eb99963e3c77a906bdb9ab859be3b2ea1ac",
     ("rect_revised.nl", ("r", "bf")): "109c8bb4a1a5aa3914fa4b91f42f144d9596103610785aecf5d19480620cf153",
     ("rect_revised.nl", ("s", "r", "bf")): "c7a7f19e7858cfaf93fe86c729c9d62645162b492e5f1fc1e261239cd3b845c7",
-    ("random_netlist(5)", ("s", "r", "bf")): "aefa45a09e9e0fd21e7d7e6460a293edd92d91a13ba3fb555a89b9b6091a9f37",
+    ("random_netlist(5)", ("s", "r", "bf")): "ef467cc3e9644f0e918f1f242e1aea617ee4665fa13ba1c0337d13b698487dd8",
 }
 
 # Three registers whose next-state lines come in reverse declaration order:
