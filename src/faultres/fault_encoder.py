@@ -91,11 +91,6 @@ class ControlledCircuit:
     cycle_controls: dict   # cycle -> list of control var names, filled as lowered
     walk: Optional[Iterator] = field(default=None, repr=False, compare=False)  # lowers the next cycle
 
-    @property
-    def cycles(self) -> int:
-        """The number of cycles lowered so far."""
-        return len(self.flag_taps)
-
 
 def make_input_vars(builder: FormulaBuilder, circuit, k) -> dict:
     """Primary-input variables, cycle-major, shared between the golden and the

@@ -67,8 +67,7 @@ class NetlistDoc:
 @dataclass(frozen=True)
 class ReductionFlags:
     fault_type: bool = True
-    single_successor: bool = True
-    single_exit: bool = False
+    single_exit: bool = True
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,8 @@ def write_netlist(doc: NetlistDoc) -> str:
 _TYPE_TOKENS = {t.token: t for t in FaultType}
 _CONFIG_KEYS = frozenset({"k", "model", "blacklist", "reductions", "solver"})
 _MODEL_KEYS = frozenset({"ne", "nc", "types", "location"})
-_FLAG_KEYS = frozenset(f.name for f in fields(ReductionFlags))
+# "single_successor" is the legacy name of the gate reduction.
+_FLAG_KEYS = frozenset(f.name for f in fields(ReductionFlags)) | {"single_successor"}
 
 
 def _check_keys(obj: dict, known, what):
@@ -257,7 +257,9 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
     passing through as it is, and the model's own constructor checks ``ne``,
     ``nc``, the types and the location (InvalidModel); an ``nc`` above ``k``
     is then capped at ``k``.  The VerificationConfig constructor checks the
-    ``reductions`` value and the solver."""
+    ``reductions`` value and the solver.  The legacy flag
+    ``single_successor`` names the single-exit reduction: it runs when
+    either flag is true, and ``single_exit`` defaults to true."""
 
     try:
         raw = json.loads(text)
@@ -305,7 +307,10 @@ def parse_config(text: str, doc: NetlistDoc) -> VerificationConfig:
         for name, value in reductions.items():
             if not isinstance(value, bool):
                 raise SchemaError(f"reduction flag {name!r} must be true or false")
+        legacy = reductions.pop("single_successor", False)
         reductions = ReductionFlags(**reductions)
+        if legacy:
+            reductions = replace(reductions, single_exit=True)
 
     solver = raw.get("solver", "builtin")
     if solver == "builtin":

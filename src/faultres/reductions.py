@@ -1,17 +1,17 @@
 """Verdict-preserving shrinking of the fault-type set and the vulnerable-gate
 set, applied before encoding.
 
-Both optional gate reductions rest on the same observation: if every path
-out of a gate (or a whole sub-circuit) is funneled through a single
-downstream logic gate, a fault inside is either absorbed or
-indistinguishable from one fault on that exit gate, so the inner gates need
-no control variables of their own.  The reach step is exact and runs
-whatever the flags say.  Its ``unobservable`` test comes right after the
-fault-type reduction: when no vulnerable gate or register can reach a data
-output at all, every one is dropped, the gate reductions are skipped, and
-the circuit is resistant without a miter.  Otherwise its per-cycle cut runs
-last, after the gate reductions, and drops the fault locations from which
-no fault can be part of an effective vector.
+The one gate reduction, single-exit, rests on this observation: if every
+path out of a sub-circuit is funneled through a single downstream logic
+gate, a fault inside is either absorbed or indistinguishable from one fault
+on that exit gate, so the inner gates need no control variables of their
+own.  The reach step is exact and runs whatever the flags say.  Its
+``unobservable`` test comes right after the fault-type reduction: when no
+vulnerable gate or register can reach a data output at all, every one is
+dropped, the gate reduction is skipped, and the circuit is resistant
+without a miter.  Otherwise its per-cycle cut runs last, after the gate
+reduction, and drops the fault locations from which no fault can be part
+of an effective vector.
 """
 
 from __future__ import annotations
@@ -86,35 +86,6 @@ def reduce_fault_types(model: FaultResistanceModel) -> FaultResistanceModel:
     return replace(model, fault_types=frozenset({FaultType.BITFLIP}))
 
 
-def _sink_nets(circuit: SequentialCircuit) -> set:
-    """Nets read outside the frame's gates: output ports and register writes."""
-    return set(circuit.outputs) | set(circuit.next_state.values())
-
-
-def single_successor_blacklist(unrolled: UnrolledCircuit, blacklist, model) -> set:
-    """Logic gates whose output feeds exactly one unprotected logic gate (and
-    nothing else: no output port, no register).  Computed on the frame; the
-    same set applies in every cycle.  Registers stay vulnerable, mirroring the
-    exit-map reduction, so this set is always a subset of the aggressive one."""
-
-    if not (FaultType.BITFLIP in model.fault_types
-            or {FaultType.SET, FaultType.RESET} <= model.fault_types):
-        raise NotApplicable("needs bf in T or {s,r} subset of T")
-    if model.location not in ("c", "cr"):
-        raise NotApplicable("needs location c or cr")
-
-    circuit = unrolled.circuit
-    sinks = _sink_nets(circuit)
-    extra = set()
-    for net in circuit.gate_map:
-        if net in blacklist or net in sinks:
-            continue
-        succs = circuit.successors.get(net, ())
-        if len(succs) == 1 and succs[0] not in blacklist:
-            extra.add(net)
-    return extra
-
-
 def single_exit_map(unrolled: UnrolledCircuit, blacklist) -> dict:
     """Maximal single-exit sub-circuits, by one reverse-topological sweep of
     the frame: maps every gate and register to its exit gate.  A gate merges
@@ -124,7 +95,8 @@ def single_exit_map(unrolled: UnrolledCircuit, blacklist) -> dict:
     are always their own exits and never merge downstream."""
 
     circuit = unrolled.circuit
-    sinks = _sink_nets(circuit)
+    # Nets read outside the frame's gates: output ports and register writes.
+    sinks = set(circuit.outputs) | set(circuit.next_state.values())
     exit_of = {}
     for net in reversed(circuit.topo_order):
         exit_of[net] = net
@@ -142,11 +114,17 @@ def single_exit_map(unrolled: UnrolledCircuit, blacklist) -> dict:
 
 
 def aggressive_blacklist(exit_of: dict, blacklist, model) -> set:
-    """All gates absorbed into some other gate's exit sub-circuit; sound only
-    for the pure bit-flip model on combinational locations."""
+    """All gates absorbed into some other gate's exit sub-circuit.  Every
+    path out of such a gate runs through the exit gate in the same cycle, so
+    the sub-circuit's faults can only change the exit's value in that cycle,
+    and one fault on the exit does the same with no more events: a bit-flip
+    when bf is in T, else a set or a reset, whichever matches the value,
+    when {s, r} is a subset of T.  The exit is a logic gate, a fault
+    location only under c and cr."""
 
-    if model.fault_types != frozenset({FaultType.BITFLIP}):
-        raise NotApplicable("needs T = {bf}")
+    if not (FaultType.BITFLIP in model.fault_types
+            or {FaultType.SET, FaultType.RESET} <= model.fault_types):
+        raise NotApplicable("needs bf in T or {s,r} subset of T")
     if model.location not in ("c", "cr"):
         raise NotApplicable("needs location c or cr")
     return {g for g, exit_ in exit_of.items() if g != exit_} - set(blacklist)
@@ -196,20 +174,19 @@ def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistance
     without a separate golden circuit (``separate_golden`` says the miter's
     golden side is another circuit), when no vulnerable gate or register
     reaches a data output within k cycles, all of them join the blacklist as
-    ``unobservable`` and each requested gate reduction is recorded as
-    skipped: the circuit is resistant without a miter.  Otherwise the
-    single-exit reduction runs if the model is now pure bit-flip, else the
-    single-successor one, and the reach step's per-cycle cut comes last (see
-    ``_cut``), recorded as ``reach`` with the names it blacklisted and, in
-    ``detail``, the instances it dropped as dead and as flag-only.
-    Inapplicable requests are recorded, never silently dropped.  ``prune``
-    applies the cut to a location set.
+    ``unobservable`` and the single-exit reduction, when requested, is
+    recorded as skipped: the circuit is resistant without a miter.
+    Otherwise the single-exit reduction runs when requested, and the reach
+    step's per-cycle cut comes last (see ``_cut``), recorded as ``reach``
+    with the names it blacklisted and, in ``detail``, the instances it
+    dropped as dead and as flag-only.  Inapplicable requests are recorded,
+    never silently dropped.  ``prune`` applies the cut to a location set.
 
-    The unobservable test may run before the gate reductions because they
-    blacklist a gate only when every path from it runs through one kept
+    The unobservable test may run before the gate reduction because it
+    blacklists a gate only when every path from it runs through one kept
     vulnerable gate of the same cycle, which reaches a data output no
     later: the test's outcome and the effective blacklist are the same
-    either way, and only the gate reductions' own records differ."""
+    either way, and only the gate reduction's own record differs."""
 
     circuit, k = unrolled.circuit, unrolled.k
     blacklist = check_blacklist(circuit, blacklist)
@@ -226,15 +203,13 @@ def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistance
     vulnerable = faultable_names(circuit, blacklist, model.location)
     if (vulnerable and not separate_golden
             and all(circuit.data_depth.get(n, k) >= k for n in vulnerable)):
-        for name in ("single_exit", "single_successor"):
-            if getattr(flags, name):
-                plan.skipped.append(SkippedReduction(
-                    name, "no vulnerable gate or register reaches a data output"))
+        if flags.single_exit:
+            plan.skipped.append(SkippedReduction(
+                "single_exit", "no vulnerable gate or register reaches a data output"))
         plan.effective_blacklist = blacklist | vulnerable
         plan.applied.append(AppliedReduction("unobservable", len(vulnerable)))
         return plan
 
-    gate_reduction_done = False
     if flags.single_exit:
         try:
             exit_of = single_exit_map(unrolled, plan.effective_blacklist)
@@ -242,21 +217,8 @@ def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistance
                                          plan.effective_model)
             plan.effective_blacklist = plan.effective_blacklist | frozenset(extra)
             plan.applied.append(AppliedReduction("single_exit", len(extra)))
-            gate_reduction_done = True
         except NotApplicable as e:
             plan.skipped.append(SkippedReduction("single_exit", e.reason))
-
-    if flags.single_successor and not gate_reduction_done:
-        try:
-            extra = single_successor_blacklist(unrolled, plan.effective_blacklist,
-                                               plan.effective_model)
-            plan.effective_blacklist = plan.effective_blacklist | frozenset(extra)
-            plan.applied.append(AppliedReduction("single_successor", len(extra)))
-        except NotApplicable as e:
-            plan.skipped.append(SkippedReduction("single_successor", e.reason))
-    elif flags.single_successor and gate_reduction_done:
-        plan.skipped.append(SkippedReduction(
-            "single_successor", "subsumed by single_exit"))
 
     vulnerable -= plan.effective_blacklist
     if not vulnerable:

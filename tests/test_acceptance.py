@@ -26,7 +26,7 @@ from faultres.oracle import (
     np_hardness_instance,
     random_netlist,
 )
-from faultres.reductions import single_exit_map, single_successor_blacklist
+from faultres.reductions import aggressive_blacklist, single_exit_map
 from faultres.sat_encoding import verify
 from faultres.simulator import (
     FaultEvent,
@@ -96,10 +96,11 @@ def test_criterion_2_verdict_reproduction(rect_parity, rect_revised,
 def test_criterion_3_reduction_fixtures(rect_parity_unrolled):
     blacklist = {"c1", "c2", "c3", "flag"}
     model = FaultResistanceModel(1, 1, ALL, "c")
-    extra = single_successor_blacklist(rect_parity_unrolled, blacklist, model)
+    exit_of = single_exit_map(rect_parity_unrolled, blacklist)
+    extra = aggressive_blacklist(exit_of, blacklist, model)
     assert extra == {"s4", "s5", "s7", "s8", "p1", "p2", "p3", "p4", "p5"}
 
-    m2 = exit_groups(single_exit_map(rect_parity_unrolled, blacklist))
+    m2 = exit_groups(exit_of)
     assert m2["p6"] == {"p1", "p2", "p3", "p4", "p5", "p6"}
     assert m2["x"] == {"s8", "x"}
     assert m2["w"] == {"s7", "w"}
@@ -107,18 +108,16 @@ def test_criterion_3_reduction_fixtures(rect_parity_unrolled):
     assert m2["s6"] == {"s5", "s6"}
     singleton = {g for g, members in m2.items() if members == {g}}
     assert singleton == {"s1", "s2", "s3", "y", "c1", "c2", "c3", "flag"}
-    report("3 reduction fixtures (single-successor set and exit map, exact): PASS")
+    report("3 reduction fixtures (single-exit set and exit map, exact): PASS")
 
 
 @pytest.fixture(scope="module")
 def corpus_matrix():
-    """Brute-force and SAT verdicts for 30 circuits x 36 models x all 8
+    """Brute-force and SAT verdicts for 30 circuits x 36 models x all 4
     reduction-flag combinations."""
     start = time.perf_counter()
     results = []
-    flag_combos = [ReductionFlags(ft, ss, se)
-                   for ft in (False, True) for ss in (False, True)
-                   for se in (False, True)]
+    flag_combos = [ReductionFlags(ft, se) for ft in (False, True) for se in (False, True)]
     for seed in CORPUS_SEEDS:
         inst = random_netlist(seed, **CORPUS_PARAMS)
         assert len(inst.doc.gates) <= 15

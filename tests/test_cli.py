@@ -197,7 +197,7 @@ def test_verify_flags_change_reductions(workdir, capsys):
     config = fixture_text("zeta_1_1_all_c.json")
     run_cli("verify", workdir / "rect_parity.nl",
             "--config", with_reductions(workdir / "none.json", config, fault_type=False,
-                                        single_successor=False, single_exit=False),
+                                        single_exit=False),
             "--json", report)
     data = json.loads(report.read_text())
     assert data["reductions"]["applied"] == []
@@ -236,12 +236,22 @@ def test_reduce_json(workdir, capsys):
     assert set(data["removed_gates"]) == {"s4", "s5", "s7", "s8"}
 
 
+def test_reduce_legacy_single_successor_runs_single_exit(workdir, capsys):
+    # The shape of the benchmark's configs: the legacy single_successor flag
+    # on and single_exit off still runs the one gate reduction.
+    config = with_reductions(workdir / "legacy.json", fixture_text("zeta_1_1_all_c_parity.json"),
+                             fault_type=True, single_successor=True, single_exit=False)
+    assert run_cli("reduce", workdir / "rect_parity.nl", "--config", config) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert {"name": "single_exit", "gates_removed": 9, "detail": ""} in data["applied"]
+    assert data["skipped"] == []
+
+
 def test_encode_dump_controls(workdir, capsys):
     code = run_cli("encode", workdir / "rect_parity.nl",
                    "--config", with_reductions(workdir / "none.json",
                                                fixture_text("zeta_1_1_all_c.json"),
-                                               fault_type=False, single_successor=False,
-                                               single_exit=False),
+                                               fault_type=False, single_exit=False),
                    "--dump-controls")
     assert code == 0
     controls = json.loads(capsys.readouterr().out)
@@ -422,7 +432,7 @@ def test_structurally_resistant_circuit(tmp_path, capsys):
     assert {"name": "unobservable", "gates_removed": 3, "detail": ""} in data["applied"]
     # exact, so turning the gate reductions off leaves it on
     no_gates = with_reductions(tmp_path / "no_gates.json", DUP_COMPARE_CONFIG,
-                               single_successor=False, single_exit=False)
+                               single_exit=False)
     assert run_cli("reduce", nl, "--config", no_gates) == 0
     data = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in data["applied"]] == ["fault_type", "unobservable"]
@@ -446,8 +456,8 @@ def test_structurally_resistant_circuit(tmp_path, capsys):
 
 
 def test_reduce_skips_gate_reductions_when_unobservable(tmp_path, capsys):
-    # No vulnerable gate or register reaches the data output, so both gate
-    # reductions are skipped, with the reason, and unobservable takes all
+    # No vulnerable gate or register reaches the data output, so the gate
+    # reduction is skipped, with the reason, and unobservable takes all
     # three vulnerable names.
     nl = tmp_path / "dup.nl"
     nl.write_text(DUP_COMPARE)
@@ -460,8 +470,7 @@ def test_reduce_skips_gate_reductions_when_unobservable(tmp_path, capsys):
         {"name": "fault_type", "gates_removed": 2, "detail": "types -> {bf}"},
         {"name": "unobservable", "gates_removed": 3, "detail": ""}]
     reason = "no vulnerable gate or register reaches a data output"
-    assert data["skipped"] == [{"name": "single_exit", "reason": reason},
-                               {"name": "single_successor", "reason": reason}]
+    assert data["skipped"] == [{"name": "single_exit", "reason": reason}]
 
 
 def test_verify_output_unchanged_when_a_fault_reaches_data(workdir, capsys):
@@ -621,7 +630,7 @@ EXPECTED_REPORTS = {
     ("verify", "rect_parity.nl", "zeta_1_1_all_c.json"): {
         "verdict": "not_resistant", "model": _BF_ONLY,
         "blacklist": {"original": 10, "effective": 14},
-        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_successor",
+        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_exit",
                                                   "gates_removed": 4, "detail": ""}],
                        "skipped": [_REACH_SKIPPED]},
         "counterexample": {"events": [{"instance": "s1@1", "type": "bf"}], **_S1_CX},
@@ -629,7 +638,7 @@ EXPECTED_REPORTS = {
     ("verify", "rect_parity.nl", "zeta_1_1_all_c_parity.json"): {
         "verdict": "not_resistant", "model": _BF_ONLY,
         "blacklist": {"original": 4, "effective": 14},
-        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_successor",
+        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_exit",
                                                   "gates_removed": 9, "detail": ""},
                                    _REACH_ONE_FLAG_ONLY],
                        "skipped": []},
@@ -638,7 +647,7 @@ EXPECTED_REPORTS = {
     ("verify", "rect_revised.nl", "zeta_1_1_all_c.json"): {
         "verdict": "resistant", "model": _BF_ONLY,
         "blacklist": {"original": 10, "effective": 31},
-        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_successor",
+        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_exit",
                                                   "gates_removed": 21, "detail": ""}],
                        "skipped": [_REACH_SKIPPED]},
         "counterexample": None,
@@ -646,7 +655,7 @@ EXPECTED_REPORTS = {
     ("verify", "rect_revised.nl", "zeta_1_1_all_c_parity.json"): {
         "verdict": "resistant", "model": _BF_ONLY,
         "blacklist": {"original": 4, "effective": 31},
-        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_successor",
+        "reductions": {"applied": [_TYPES_TO_BF, {"name": "single_exit",
                                                   "gates_removed": 26, "detail": ""},
                                    _REACH_ONE_FLAG_ONLY],
                        "skipped": []},

@@ -293,8 +293,7 @@ def test_parse_config_example(rect_parity_doc):
     assert config.model.location == "c"
     assert config.blacklist == frozenset(
         ["p1", "p2", "p3", "p4", "p5", "p6", "c1", "c2", "c3", "flag"])
-    assert config.reductions.fault_type and config.reductions.single_successor
-    assert not config.reductions.single_exit
+    assert config.reductions == ReductionFlags(fault_type=True, single_exit=True)
     assert config.solver == ("builtin",)
 
     # model.types lists the allowed types in s, r, bf order, whatever order
@@ -365,6 +364,28 @@ def test_config_schema_errors(rect_parity_doc):
 
 
 MODEL = {"ne": 1, "nc": 1, "types": ["bf"], "location": "c"}
+
+
+@pytest.mark.parametrize("reductions,single_exit", [
+    ({"single_successor": True, "single_exit": False}, True),
+    ({"single_successor": False, "single_exit": False}, False),
+    ({"single_successor": False}, True),
+    (None, True),
+], ids=["benchmark-shape", "both-off", "legacy-off", "absent"])
+def test_config_legacy_single_successor(rect_parity_doc, reductions, single_exit):
+    # single_successor is the legacy name of the one gate reduction, which
+    # runs when either flag is true; single_exit defaults to true.
+    raw = {"k": 1, "model": MODEL}
+    if reductions is not None:
+        raw["reductions"] = reductions
+    config = parse_config(json.dumps(raw), rect_parity_doc)
+    assert config.reductions == ReductionFlags(fault_type=True, single_exit=single_exit)
+
+
+def test_config_legacy_single_successor_must_be_boolean(rect_parity_doc):
+    raw = {"k": 1, "model": MODEL, "reductions": {"single_successor": "yes"}}
+    with pytest.raises(SchemaError, match="^reduction flag 'single_successor' must be true or false$"):
+        parse_config(json.dumps(raw), rect_parity_doc)
 
 
 @pytest.mark.parametrize("raw,message", [

@@ -23,7 +23,6 @@ from faultres.reductions import (
     plan_reductions,
     reduce_fault_types,
     single_exit_map,
-    single_successor_blacklist,
 )
 from faultres.sat_encoding import verify
 from faultres.simulator import FaultType
@@ -56,27 +55,23 @@ def test_reduce_fault_types_not_applicable():
         "bf not in the allowed types; reduction would not preserve counterexamples")
 
 
-def test_single_successor_rect(rect_parity_unrolled):
-    extra = single_successor_blacklist(rect_parity_unrolled, PARITY_CHECK, model())
-    assert extra == {"s4", "s5", "s7", "s8", "p1", "p2", "p3", "p4", "p5"}
-
-
 def test_single_successor_excludes_output_feeders(rect_parity_unrolled):
-    extra = single_successor_blacklist(rect_parity_unrolled, PARITY_CHECK, model())
+    em = single_exit_map(rect_parity_unrolled, PARITY_CHECK)
+    extra = aggressive_blacklist(em, PARITY_CHECK, model())
     # w..z feed primary output ports, p6's sole successor (flag) is protected.
     assert {"w", "x", "y", "z", "p6"} & extra == set()
 
 
 def test_single_successor_not_applicable(rect_parity_unrolled):
-    with pytest.raises(NotApplicable):
-        single_successor_blacklist(rect_parity_unrolled, PARITY_CHECK,
-                                   model(types=S_ONLY))
-    with pytest.raises(NotApplicable):
-        single_successor_blacklist(rect_parity_unrolled, PARITY_CHECK,
-                                   model(types=BF, loc="r"))
+    # The single-exit reduction takes the single-successor guard: bf in T or
+    # {s, r} a subset of T, at location c or cr.
+    em = single_exit_map(rect_parity_unrolled, PARITY_CHECK)
+    with pytest.raises(NotApplicable, match=r"^needs bf in T or \{s,r\} subset of T$"):
+        aggressive_blacklist(em, PARITY_CHECK, model(types=S_ONLY))
+    with pytest.raises(NotApplicable, match=r"^needs location c or cr$"):
+        aggressive_blacklist(em, PARITY_CHECK, model(types=BF, loc="r"))
     # {s, r} together is enough even without bf
-    extra = single_successor_blacklist(rect_parity_unrolled, PARITY_CHECK,
-                                       model(types=SR))
+    extra = aggressive_blacklist(em, PARITY_CHECK, model(types=SR))
     assert "p1" in extra
 
 
@@ -140,21 +135,15 @@ def test_aggressive_not_applicable(rect_parity_unrolled):
     em = single_exit_map(rect_parity_unrolled, PARITY_CHECK)
     with pytest.raises(NotApplicable):
         aggressive_blacklist(em, PARITY_CHECK, model(types=BF, loc="r"))
-    with pytest.raises(NotApplicable):
-        aggressive_blacklist(em, PARITY_CHECK, model(types=ALL))
-
-
-def test_single_successor_subset_of_aggressive():
-    for seed in range(15):
-        doc = random_netlist(seed, max_gates=10, max_regs=2).doc
-        u = unroll(build_and_validate(doc), 1)
-        ss = single_successor_blacklist(u, set(), model(types=BF))
-        agg = aggressive_blacklist(single_exit_map(u, set()), set(), model(types=BF))
-        assert ss <= agg, seed
+    # Every type set that holds bf passes the guard; the set depends on the
+    # exit map alone.
+    expected = aggressive_blacklist(em, PARITY_CHECK, model(types=BF))
+    for types in (ALL, BF | {FaultType.SET}, BF | {FaultType.RESET}):
+        assert aggressive_blacklist(em, PARITY_CHECK, model(types=types)) == expected
 
 
 def test_plan_full_pipeline(rect_parity_unrolled):
-    flags = ReductionFlags(fault_type=True, single_successor=True, single_exit=True)
+    flags = ReductionFlags()
     plan = plan_reductions(rect_parity_unrolled, PARITY_CHECK, model(types=ALL), flags)
     assert plan.effective_model.fault_types == BF
     # p6 feeds only the protected flag: with one event, the reach step drops it.
@@ -162,13 +151,13 @@ def test_plan_full_pipeline(rect_parity_unrolled):
         "p1", "p2", "p3", "p4", "p5", "s4", "s5", "s7", "s8", "p6"}
     assert [r.name for r in plan.applied] == ["fault_type", "single_exit", "reach"]
     assert plan.applied[-1].detail == "instances dropped: 0 dead, 1 flag-only"
-    assert any(s.name == "single_successor" for s in plan.skipped)
+    assert plan.skipped == []
 
 
 def test_plan_identity_when_flags_off(rect_parity_unrolled):
     # Only the exact reach step runs: with one event it drops the parity
     # gates p1..p6, which feed only the protected flag.
-    flags = ReductionFlags(False, False, False)
+    flags = ReductionFlags(False, False)
     plan = plan_reductions(rect_parity_unrolled, PARITY_CHECK, model(types=ALL), flags)
     assert plan.effective_model.fault_types == ALL
     assert plan.effective_blacklist == frozenset(PARITY_CHECK) | {
@@ -177,13 +166,15 @@ def test_plan_identity_when_flags_off(rect_parity_unrolled):
 
 
 def test_plan_single_exit_skipped_without_bf(rect_parity_unrolled):
-    flags = ReductionFlags(fault_type=True, single_successor=True, single_exit=True)
+    # Without bf, T stays as it is, and single-exit needs both s and r.
+    flags = ReductionFlags()
     plan = plan_reductions(rect_parity_unrolled, PARITY_CHECK, model(types=SR), flags)
-    skipped = {s.name for s in plan.skipped}
-    applied = [r.name for r in plan.applied]
-    assert "single_exit" in skipped  # T stayed {s, r}
-    assert "fault_type" in skipped
-    assert applied == ["single_successor", "reach"]
+    assert [s.name for s in plan.skipped] == ["fault_type"]
+    assert [r.name for r in plan.applied] == ["single_exit", "reach"]
+    plan = plan_reductions(rect_parity_unrolled, PARITY_CHECK, model(types=S_ONLY), flags)
+    assert [s.name for s in plan.skipped] == ["fault_type", "single_exit"]
+    assert plan.skipped[-1].reason == "needs bf in T or {s,r} subset of T"
+    assert [r.name for r in plan.applied] == ["reach"]
 
 
 def test_single_exit_map_linear_visits(rect_parity):
@@ -225,7 +216,7 @@ def test_unobservable_reach_is_per_cycle():
         cfg = VerificationConfig(k, m, frozenset({"o"}), ReductionFlags(), ("builtin",))
         assert verify(circuit, cfg).status == status
         assert brute_force_verdict(u, {"o"}, m).status == status
-    gates_off = ReductionFlags(False, False, False)
+    gates_off = ReductionFlags(False, False)
     plan = plan_reductions(unroll(circuit, 1), {"o"}, m, gates_off)
     assert plan.effective_blacklist == {"o", "g"}
     # At k = 2 the reach step keeps g@1 and drops g@2, which reaches no
@@ -255,7 +246,7 @@ def test_unobservable_keeps_flag_only_locations():
             "gate f1 = and(b, a)\ngate f2 = not(f1)\ngate flag = xnor(o, f2)\n")
     circuit = build_and_validate(parse_netlist(text))
     u = unroll(circuit, 1)
-    flags = ReductionFlags(False, False, False)
+    flags = ReductionFlags(False, False)
     for ne, dropped, status in ((1, {"f1", "f2", "flag"}, "resistant"),
                                 (2, set(), "not_resistant")):
         m = model(ne=ne, types=BF, loc="c")
@@ -309,11 +300,10 @@ def test_unobservable_agrees_with_oracle():
 
 
 def _gate_reductions_first(unrolled, blacklist, m, flags):
-    """(unobservable, effective blacklist, whether a gate reduction removed
-    a gate) with the gate reductions run before the unobservable test:
-    fault types shrink, then single_exit (single_successor when that is off
-    or inapplicable), then the unobservable test and the cut on the names
-    left."""
+    """(unobservable, effective blacklist, whether the gate reduction removed
+    a gate) with the gate reduction run before the unobservable test: fault
+    types shrink, then single_exit, then the unobservable test and the cut
+    on the names left."""
     circuit, k = unrolled.circuit, unrolled.k
     if flags.fault_type and FaultType.BITFLIP in m.fault_types:
         m = model(m.n_e, m.n_c, BF, m.location)
@@ -321,9 +311,6 @@ def _gate_reductions_first(unrolled, blacklist, m, flags):
     if flags.single_exit:
         with contextlib.suppress(NotApplicable):
             extra = aggressive_blacklist(single_exit_map(unrolled, blacklist), blacklist, m)
-    if extra is None and flags.single_successor:
-        with contextlib.suppress(NotApplicable):
-            extra = single_successor_blacklist(unrolled, blacklist, m)
     reduced = blacklist | (extra or set())
     vulnerable = faultable_names(circuit, reduced, m.location)
     if vulnerable and all(circuit.data_depth.get(n, k) >= k for n in vulnerable):
@@ -333,10 +320,11 @@ def _gate_reductions_first(unrolled, blacklist, m, flags):
 
 
 def test_unobservable_check_before_gate_reductions_changes_nothing():
-    # A gate reduction blacklists a gate only when all its paths run through
-    # a kept vulnerable gate of the same cycle, which is at most as deep; so
-    # checking for an unobservable circuit before the gate reductions gives
-    # the same outcome and the same effective blacklist as checking after.
+    # The gate reduction blacklists a gate only when all its paths run
+    # through a kept vulnerable gate of the same cycle, which is at most as
+    # deep; so checking for an unobservable circuit before the gate
+    # reduction gives the same outcome and the same effective blacklist as
+    # checking after.  {s, r} keeps its types and still has the reduction.
     cases = fired = fired_after_removal = 0
     for seed, with_flag in itertools.product(range(20), (True, False)):
         circuit = build_and_validate(random_netlist(
@@ -347,7 +335,7 @@ def test_unobservable_check_before_gate_reductions_changes_nothing():
         if circuit.flag:
             blacklists.add(frozenset({circuit.flag}))
         for blacklist, k, loc, types, single_exit in itertools.product(
-                blacklists, (1, 2, 3), ("c", "cr"), (BF, ALL), (False, True)):
+                blacklists, (1, 2, 3), ("c", "cr"), (BF, SR), (False, True)):
             m = model(types=types, loc=loc)
             flags = ReductionFlags(single_exit=single_exit)
             u = unroll(circuit, k)
@@ -399,3 +387,36 @@ def test_reach_agrees_with_oracle():
                     dead += d > 0
                     flag_only += f > 0
     assert 0 < resistant < cases and dead and flag_only, (cases, resistant, dead, flag_only)
+
+
+def test_single_exit_agrees_with_oracle():
+    # Single-exit under its guard (bf in T or {s, r} a subset of T), with
+    # the fault-type reduction off so each type set reaches it: one fault on
+    # the exit gate reproduces whatever its sub-circuit's faults do to it,
+    # so the verdict equals the oracle's.  Both verdicts occur, and
+    # single-exit removes gates without bf too.
+    flags = ReductionFlags(fault_type=False, single_exit=True)
+    rng = random.Random(22)
+    cases = resistant = removed_under_sr = 0
+    for seed, with_flag in itertools.product(range(10), (True, False)):
+        circuit = build_and_validate(random_netlist(
+            seed, max_gates=10, max_regs=2, num_inputs=2, with_flag=with_flag).doc)
+        names = sorted(set(circuit.gate_map) | set(circuit.register_names))
+        for blacklist, types, loc, k, (ne, nc) in itertools.product(
+                (frozenset(), frozenset(rng.sample(names, 2))),
+                (SR, ALL, BF | {FaultType.SET}, BF | {FaultType.RESET}), ("c", "cr"),
+                (1, 2), ((1, 1), (2, 1), (1, 2))):
+            if nc > k:
+                continue
+            m = model(ne, nc, types, loc)
+            cfg = VerificationConfig(k, m, blacklist, flags, ("builtin",))
+            verdict = verify(circuit, cfg)
+            brute = brute_force_verdict(unroll(circuit, k), blacklist, m)
+            key = (seed, with_flag, sorted(blacklist), sorted(t.token for t in types),
+                   loc, k, ne, nc)
+            assert verdict.status == brute.status, key
+            cases += 1
+            resistant += verdict.status == "resistant"
+            removed_under_sr += types == SR and any(
+                r.name == "single_exit" and r.gates_removed for r in verdict.plan.applied)
+    assert 0 < resistant < cases and removed_under_sr, (cases, resistant, removed_under_sr)

@@ -1018,7 +1018,7 @@ def test_flag_only_faults_kept_with_a_separate_golden():
     m = FaultResistanceModel(1, 1, frozenset({FaultType.BITFLIP}), "c")
     for blacklist, dropped_as in (({"o", "d", "t"}, "reach"),
                                   ({"o", "d", "t", "x"}, "unobservable")):
-        cfg = VerificationConfig(1, m, frozenset(blacklist), ReductionFlags(False, False, False),
+        cfg = VerificationConfig(1, m, frozenset(blacklist), ReductionFlags(False, False),
                                  ("builtin",))
         verdict = verify(circuit, cfg)
         assert verdict.status == "resistant"
@@ -1041,7 +1041,7 @@ def test_verify_empty_vector_with_agreeing_golden_is_internal(
 
 
 def test_verify_agrees_with_oracle_under_blacklists():
-    # nonempty blacklists interact with both gate reductions; sweep them too
+    # nonempty blacklists interact with the gate reduction; sweep them too
     from faultres.oracle import brute_force_verdict
 
     rng = random.Random(555)
@@ -1056,8 +1056,8 @@ def test_verify_agrees_with_oracle_under_blacklists():
                                    (1, 2, frozenset({FaultType.SET, FaultType.RESET}), "r")]:
             model = FaultResistanceModel(ne, min(nc, k), frozenset(types), loc)
             brute = brute_force_verdict(u, blacklist, model)
-            for flags in (ReductionFlags(), ReductionFlags(True, True, True),
-                          ReductionFlags(False, False, False)):
+            for flags in (ReductionFlags(), ReductionFlags(single_exit=False),
+                          ReductionFlags(False, False)):
                 cfg = VerificationConfig(k, model, blacklist, flags, ("builtin",))
                 assert verify(circuit, cfg).status == brute.status, (
                     seed, k, ne, nc, loc, sorted(blacklist), flags)
@@ -1238,7 +1238,7 @@ def test_encoding_size_polynomial():
             circuit = build_and_validate(doc)
             cfg = VerificationConfig(
                 k, FaultResistanceModel(1, 1, frozenset(ALL), "cr"),
-                frozenset(), ReductionFlags(False, False, False), ("builtin",))
+                frozenset(), ReductionFlags(False, False), ("builtin",))
             problem = encode_problem(circuit, cfg)
             n = (len(circuit.gates) + len(circuit.registers)) * k
             assert len(problem.cnf.clauses) <= 40 * n + 4 * n * n
@@ -1270,7 +1270,7 @@ PINNED_ENCODINGS = {
 # The same with the reach step's cut, for the encodings it changes:
 # rect_revised.nl's parity config leaves the parity gates p1..p6, which feed
 # only the flag, vulnerable under one event (p1..p5 only while the
-# single-successor reduction does not apply); random_netlist(5) has gates
+# single-exit reduction does not apply); random_netlist(5) has gates
 # that reach no output, and n1, whose cycle-2 instance reaches none by k = 2.
 PINNED_ENCODINGS_REACH = {
     ("rect_revised.nl", ("s",)): "2d4cc3faff8fb7c570f048feb5efc4a91f521295ae408dcc66c41edb14601d70",
