@@ -232,7 +232,6 @@ class SequentialCircuit:
     flag: Optional[str]
     data_outputs: tuple  # the outputs but the flag, in output order
     registers: tuple  # of (name, init_bit)
-    gates: tuple  # of Frame, declaration order
     next_state: dict  # register name -> driving net name
     topo_order: tuple = ()
     gate_map: dict = field(default_factory=dict)
@@ -358,7 +357,6 @@ def build_and_validate(doc: "NetlistDoc") -> SequentialCircuit:
         flag=flag,
         data_outputs=data_outputs,
         registers=tuple(doc.registers),
-        gates=tuple(gate_map.values()),
         next_state=dict(doc.next_state),
         topo_order=tuple(topo),
         gate_map=gate_map,

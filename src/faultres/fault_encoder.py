@@ -13,7 +13,7 @@ it.  The inputs of the instance labelled l (``name@cycle``) are named
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .circuit_model import FaultType, GateKind, UnrolledCircuit
 from .formula import ROLE_CONTROL, ROLE_INPUT, ROLE_SELECTION, FormulaBuilder
@@ -80,48 +80,56 @@ class ControlledCircuit:
     their control/selection variables."""
 
     builder: FormulaBuilder
-    k: int
-    inputs: tuple          # the circuit's primary inputs
-    data_outputs: tuple
+    unrolled: UnrolledCircuit
     types: tuple
+    located: dict          # cycle -> the cycle's fault locations, in control order
     input_vars: dict       # (cycle, input name) -> node, cycles lowered so far
     taps: dict             # (cycle, output name) -> node
     flag_taps: dict        # cycle -> node (constant false when no flag)
     control_map: dict      # GateInstance -> (c, b1, b2) names, one per type; cycles lowered
     cycle_controls: dict   # cycle -> list of control var names, filled as lowered
-    walk: Optional[Iterator] = field(default=None, repr=False, compare=False)  # lowers the next cycle
+    gadgets: dict          # cycle -> net name -> (control node, selection nodes)
+    lowering: Iterator = field(repr=False, compare=False)  # the _lower generator instrument steps
 
 
-def make_input_vars(builder: FormulaBuilder, circuit, k) -> dict:
-    """Primary-input variables, cycle-major, shared between the golden and the
-    instrumented build so the miter ranges over one input space."""
-    out = {}
-    for cycle in range(1, k + 1):
-        for name in circuit.inputs:
-            out[(cycle, name)] = builder.var(f"{name}@{cycle}", ROLE_INPUT)
-    return out
+def make_input_vars(builder: FormulaBuilder, circuit, cycles) -> dict:
+    """Primary-input variables of ``cycles``, cycle-major, shared between the
+    golden and the instrumented build so the miter ranges over one input
+    space."""
+    return {(cycle, name): builder.var(f"{name}@{cycle}", ROLE_INPUT)
+            for cycle in cycles for name in circuit.inputs}
 
 
 def controlled_circuit(unrolled: UnrolledCircuit, locations, types: tuple,
                        builder: FormulaBuilder) -> ControlledCircuit:
     """``unrolled`` with every instance in ``locations`` to be replaced by its
     gadget over the fault types ``types``, a tuple in s, r, bf order such as
-    ``FaultResistanceModel.types``, on ``builder``.  No cycle is lowered yet:
-    each ``instrument`` call lowers one more, and the first one raises
-    UnknownInstance for a location the circuit does not have.  Each cycle
-    with a location has its ``cycle_controls`` list from the start, empty
-    until that cycle is lowered."""
+    ``FaultResistanceModel.types``, on ``builder``.  Raises UnknownInstance
+    for a location the circuit does not have.  No cycle is lowered yet: each
+    ``instrument`` call lowers one more.  Each cycle with a location has its
+    ``cycle_controls`` list from the start, empty until that cycle is
+    lowered."""
 
-    controlled = ControlledCircuit(
-        builder=builder, k=unrolled.k, inputs=unrolled.circuit.inputs,
-        data_outputs=unrolled.circuit.data_outputs, types=types, input_vars={}, taps={},
-        flag_taps={}, control_map={},
-        cycle_controls={cycle: [] for cycle in sorted({inst.cycle for inst in locations})})
-    controlled.walk = _instrumented(unrolled, locations, controlled.input_vars,
-                                    controlled.taps, controlled.flag_taps,
-                                    controlled.control_map, controlled.cycle_controls,
-                                    builder, types)
-    return controlled
+    circuit = unrolled.circuit
+    located = {}
+    for inst in locations:
+        if not unrolled.instance_exists(inst):
+            raise UnknownInstance(inst)
+        located.setdefault(inst.cycle, []).append(inst)
+    if located:
+        # Controls are numbered cycle-major, then gates before registers,
+        # each in declaration order; the selections follow in the same order.
+        rank = {name: i for i, name in enumerate((*circuit.gate_map, *circuit.register_names))}
+        located = {cycle: sorted(located[cycle], key=lambda i: rank[i.name])
+                   for cycle in sorted(located)}
+    input_vars, gadgets = {}, {}
+    # The generator holds the maps it reads, never the ControlledCircuit, so
+    # the two make no reference cycle.
+    return ControlledCircuit(
+        builder=builder, unrolled=unrolled, types=types, located=located,
+        input_vars=input_vars, taps={}, flag_taps={}, control_map={},
+        cycle_controls={cycle: [] for cycle in located}, gadgets=gadgets,
+        lowering=_lower(builder, unrolled, input_vars, None, gadgets, types))
 
 
 def instrument(controlled: ControlledCircuit) -> ControlledCircuit:
@@ -133,46 +141,25 @@ def instrument(controlled: ControlledCircuit) -> ControlledCircuit:
     on the same builder finds those nodes again instead of making new
     ones."""
 
-    next(controlled.walk)
+    b, circuit = controlled.builder, controlled.unrolled.circuit
+    cycle = len(controlled.flag_taps) + 1  # flag_taps has one entry per cycle lowered
+    controlled.input_vars.update(make_input_vars(b, circuit, (cycle,)))
+    kinds = ("c", "b1", "b2")[:len(controlled.types)]
+    named = [(inst, tuple(f"{v}[{inst.label}]" for v in kinds))
+             for inst in controlled.located.get(cycle, ())]
+    for _, names in named:
+        b.var(names[0], ROLE_CONTROL)
+        controlled.cycle_controls[cycle].append(names[0])
+    nodes = controlled.gadgets[cycle] = {}
+    for inst, names in named:
+        controlled.control_map[inst] = names
+        nodes[inst.name] = (b.var(names[0], ROLE_CONTROL),
+                            [b.var(s, ROLE_SELECTION) for s in names[1:]])
+    env = next(controlled.lowering)
+    for o in circuit.outputs:
+        controlled.taps[(cycle, o)] = env[o]
+    controlled.flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
     return controlled
-
-
-def _instrumented(unrolled, locations, input_vars, taps, flag_taps, control_map,
-                  cycle_controls, b, types):
-    """The walk behind ``instrument``: one step per cycle, filling the
-    ControlledCircuit's maps it is given (never the ControlledCircuit, which
-    holds the walk).  The first step checks every location."""
-
-    circuit = unrolled.circuit
-    located = {}  # cycle -> the cycle's locations
-    for inst in locations:
-        if not unrolled.instance_exists(inst):
-            raise UnknownInstance(inst)
-        located.setdefault(inst.cycle, []).append(inst)
-    # Controls are numbered cycle-major, then gates before registers, each
-    # in declaration order; the selections follow in the same order.
-    rank = {name: i for i, name in
-            enumerate((*(g.name for g in circuit.gates), *circuit.register_names))}
-    gadgets = {}  # cycle -> net name -> (control node, selection nodes)
-    lowering = _lower(b, unrolled, input_vars, None, gadgets, types)
-    for cycle in range(1, unrolled.k + 1):
-        for name in circuit.inputs:
-            input_vars[(cycle, name)] = b.var(f"{name}@{cycle}", ROLE_INPUT)
-        named = [(inst, tuple(f"{v}[{inst.label}]" for v in ("c", "b1", "b2")[:len(types)]))
-                 for inst in sorted(located.get(cycle, ()), key=lambda i: rank[i.name])]
-        for _, names in named:
-            b.var(names[0], ROLE_CONTROL)
-            cycle_controls[cycle].append(names[0])
-        nodes = gadgets[cycle] = {}
-        for inst, names in named:
-            control_map[inst] = names
-            nodes[inst.name] = (b.var(names[0], ROLE_CONTROL),
-                                [b.var(s, ROLE_SELECTION) for s in names[1:]])
-        _, env = next(lowering)
-        for o in circuit.outputs:
-            taps[(cycle, o)] = env[o]
-        flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
-        yield
 
 
 def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict):
@@ -182,7 +169,7 @@ def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict):
     is asked for it, so ``input_vars`` need hold that cycle's variables only
     by then.
 
-    Only each cycle's data cone is lowered, in the walk order of
+    Only each cycle's data cone is lowered, in the lowering order of
     ``instrument``.  On the builder of an ``instrument`` pass over the same
     circuit, a net no fault reaches lowers to its instrumented node, which
     hash-consing returns without adding a node, so only the fault-reachable
@@ -193,15 +180,15 @@ def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict):
     topological order."""
 
     circuit = unrolled.circuit
-    for _, env in _lower(b, unrolled, input_vars, circuit.data_depth, {}, ()):
+    for env in _lower(b, unrolled, input_vars, circuit.data_depth, {}, ()):
         yield {o: env[o] for o in circuit.data_outputs}
 
 
 def _lower(b, unrolled, input_vars, depth, gadgets, types):
-    """The one circuit-to-formula walk, which fixes the node creation order
+    """The one circuit-to-formula lowering, which fixes the node creation order
     and with it the CNF numbering: cycle-major, registers in declaration
-    order, then gates in topological order.  Yields each cycle with its
-    net -> node map, and reads a cycle's input variables and gadgets only
+    order, then gates in topological order.  Yields each cycle's net ->
+    node map, and reads a cycle's input variables and gadgets only
     when it reaches that cycle.  A net in ``gadgets[cycle]`` lowers to its
     gadget over ``types``.  With ``depth`` (a circuit's ``data_depth``) only
     the data cone is lowered: in cycle c the nets with depth <= k - c, the
@@ -225,7 +212,7 @@ def _lower(b, unrolled, input_vars, depth, gadgets, types):
             ctrl = here.get(name)
             env[name] = _kind_node(b, kind, ins) if ctrl is None else gadget(
                 b, kind, types, ins, *ctrl)
-        yield cycle, env
+        yield env
 
 
 def decode_fault_vector(assignment, controlled: ControlledCircuit) -> FaultVector:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import FaultresError
 
-VAR, CONST, NOT, AND, OR, XOR, IFF, ITE = "var", "const", "not", "and", "or", "xor", "iff", "ite"
+VAR, CONST, NOT, AND, OR, XOR, ITE = "var", "const", "not", "and", "or", "xor", "ite"
 
 # Variable roles, in the order they are numbered in the CNF.
 ROLE_INPUT = "primary-input"
@@ -127,23 +127,6 @@ class FormulaBuilder:
             a, b = b, a
         return self._new(XOR, (a, b))
 
-    def iff(self, a, b):
-        if a == b:
-            return self.true
-        if a == self.true:
-            return b
-        if b == self.true:
-            return a
-        if a == self.false:
-            return self.not_(b)
-        if b == self.false:
-            return self.not_(a)
-        if self._complementary(a, b):
-            return self.false
-        if a > b:
-            a, b = b, a
-        return self._new(IFF, (a, b))
-
     def ite(self, c, t, e):
         if c == self.true:
             return t
@@ -193,7 +176,6 @@ class CardinalityConstraint:
 
     var_names: tuple
     bound: int
-    label: str = ""
     groups: tuple = ()
 
 
@@ -245,29 +227,6 @@ def _counter_clauses(x, i, n, k, row, first_aux):
         clauses.append([-row[j], new[j]])
     clauses.append([-x, -row[k - 1]])
     return clauses, new
-
-
-def at_most_k(literals, k, first_aux):
-    """Sequential-counter (size-accumulator) encoding of sum(literals) <= k.
-
-    Returns (clauses, aux_vars).  Any assignment of the literals with at most
-    k true extends to a satisfying assignment of the clauses, and none with
-    more than k true does.  O(n*k) clauses and auxiliaries.
-    """
-
-    n = len(literals)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k >= n:
-        return [], []
-    if k == 0:
-        return [[-lit] for lit in literals], []
-    clauses, aux, row = [], [], None
-    for i, x in enumerate(literals):
-        extra, row = _counter_clauses(x, i, n, k, row, first_aux + len(aux))
-        clauses.extend(extra)
-        aux.extend(row)
-    return clauses, aux
 
 
 def tseitin_cnf(formula: BoolFormula, cnf: CNF = None) -> CNF:
@@ -358,12 +317,6 @@ def tseitin_cnf(formula: BoolFormula, cnf: CNF = None) -> CNF:
                 add([-g, -a, -c])
                 add([g, -a, c])
                 add([g, a, -c])
-            elif kind == IFF:
-                a, c = lit_of[args[0]], lit_of[args[1]]
-                add([g, a, c])
-                add([g, -a, -c])
-                add([-g, -a, c])
-                add([-g, a, -c])
             elif kind == ITE:
                 s, t, e = lit_of[args[0]], lit_of[args[1]], lit_of[args[2]]
                 add([-g, -s, t])

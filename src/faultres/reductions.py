@@ -103,11 +103,11 @@ def single_exit_map(unrolled: UnrolledCircuit, blacklist) -> dict:
         succs = circuit.successors.get(net, ())
         if net in sinks or not succs:
             continue
-        exits = {exit_of[s] for s in succs}
-        if len(exits) == 1:
-            exit_ = exits.pop()
-            if exit_ not in blacklist and exit_ in circuit.gate_map:
-                exit_of[net] = exit_
+        exit_ = exit_of[succs[0]]
+        if len(succs) > 1 and any(exit_of[s] != exit_ for s in succs):
+            continue
+        if exit_ not in blacklist and exit_ in circuit.gate_map:
+            exit_of[net] = exit_
     for r in circuit.register_names:
         exit_of[r] = r
     return exit_of
@@ -122,12 +122,18 @@ def aggressive_blacklist(exit_of: dict, blacklist, model) -> set:
     when {s, r} is a subset of T.  The exit is a logic gate, a fault
     location only under c and cr."""
 
+    _check_single_exit(model)
+    return {g for g, exit_ in exit_of.items() if g != exit_} - set(blacklist)
+
+
+def _check_single_exit(model) -> None:
+    """Raise NotApplicable unless ``aggressive_blacklist`` may run under
+    ``model``; ``plan_reductions`` checks it before building the exit map."""
     if not (FaultType.BITFLIP in model.fault_types
             or {FaultType.SET, FaultType.RESET} <= model.fault_types):
         raise NotApplicable("needs bf in T or {s,r} subset of T")
     if model.location not in ("c", "cr"):
         raise NotApplicable("needs location c or cr")
-    return {g for g, exit_ in exit_of.items() if g != exit_} - set(blacklist)
 
 
 def _last_cycles(depth: dict, names, k) -> dict:
@@ -212,6 +218,7 @@ def plan_reductions(unrolled: UnrolledCircuit, blacklist, model: FaultResistance
 
     if flags.single_exit:
         try:
+            _check_single_exit(plan.effective_model)
             exit_of = single_exit_map(unrolled, plan.effective_blacklist)
             extra = aggressive_blacklist(exit_of, plan.effective_blacklist,
                                          plan.effective_model)

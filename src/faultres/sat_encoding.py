@@ -28,7 +28,7 @@ and external solvers run the same encoder to the end.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .circuit_model import (
@@ -102,20 +102,22 @@ class Verdict:
 class Miter:
     """The fault-resistance formula of an instrumented circuit against its
     golden circuit, built one cycle at a time by ``build_fr_formula``: the
-    golden side's walk, the flag prefix and the disjuncts so far, and the
+    golden side's lowering, the flag prefix and the disjuncts so far, and the
     cardinality bounds of the cycles so far.  The golden and the
     instrumented circuit share the primary-input variables."""
 
     def __init__(self, golden: UnrolledCircuit, controlled: ControlledCircuit,
                  model: FaultResistanceModel):
-        if golden.k != controlled.k:
+        protected = controlled.unrolled
+        if golden.k != protected.k:
             raise ShapeMismatch("golden and controlled circuits have different cycle counts")
-        if set(golden.circuit.data_outputs) != set(controlled.data_outputs):
+        if set(golden.circuit.data_outputs) != set(protected.circuit.data_outputs):
             raise ShapeMismatch("golden and controlled circuits expose different outputs")
-        for name in controlled.inputs:
+        inputs = protected.circuit.inputs
+        for name in inputs:
             if name not in golden.circuit.inputs:
                 raise ShapeMismatch(f"golden circuit lacks input {name!r}")
-        if set(golden.circuit.inputs) != set(controlled.inputs):
+        if set(golden.circuit.inputs) != set(inputs):
             raise ShapeMismatch("golden and controlled circuits have different inputs")
         b = controlled.builder
         self.controlled, self.model = controlled, model
@@ -139,11 +141,10 @@ class Miter:
         self.d_names = {}
         self.cardinality = []
         if model.n_c < len(controls):
-            prefix = "d'" if "d" in controlled.inputs else "d"
+            prefix = "d'" if "d" in inputs else "d"
             self.d_names = {cycle: f"{prefix}@{cycle}" for cycle in controls}
             self.cardinality.append(CardinalityConstraint(
-                tuple(self.d_names.values()), model.n_c, label="nc",
-                groups=tuple(controls.values())))
+                tuple(self.d_names.values()), model.n_c, groups=tuple(controls.values())))
 
 
 def build_fr_formula(miter: Miter) -> BoolFormula:
@@ -158,24 +159,23 @@ def build_fr_formula(miter: Miter) -> BoolFormula:
     cycle the formula is not complete."""
 
     controlled = miter.controlled
-    b = controlled.builder
+    b, protected = controlled.builder, controlled.unrolled
     cycle = miter.cycles = miter.cycles + 1
     reference = next(miter.reference)
     miter.flag_prefix = flag_prefix = b.and_(miter.flag_prefix,
                                              b.not_(controlled.flag_taps[cycle]))
     disjuncts = [b.and_(b.xor(reference[o], controlled.taps[(cycle, o)]), flag_prefix)
-                 for o in controlled.data_outputs]
+                 for o in protected.circuit.data_outputs]
     miter.disjuncts += disjuncts
     miter.root = root = b.or_many(disjuncts, miter.root)
 
     controls = controlled.cycle_controls.get(cycle, [])
     if miter.model.n_e < len(controls):
-        miter.cardinality.append(CardinalityConstraint(
-            tuple(controls), miter.model.n_e, label=f"ne@{cycle}"))
+        miter.cardinality.append(CardinalityConstraint(tuple(controls), miter.model.n_e))
     if cycle in miter.d_names:
         b.var(miter.d_names[cycle], ROLE_AUX_D)
     return BoolFormula(builder=b, root=root, cardinality=list(miter.cardinality),
-                       disjuncts=tuple(miter.disjuncts), complete=cycle == controlled.k)
+                       disjuncts=tuple(miter.disjuncts), complete=cycle == protected.k)
 
 
 @dataclass
@@ -183,11 +183,10 @@ class EncodedProblem:
     """A fault-resistance problem and its CNF, which grows a cycle at a
     time: ``stages`` encodes the cycles not encoded yet."""
 
-    protected_unrolled: UnrolledCircuit
-    golden_unrolled: UnrolledCircuit  # protected_unrolled without a separate golden
+    golden_unrolled: UnrolledCircuit  # controlled.unrolled without a separate golden
     plan: ReductionPlan
     locations: set
-    controlled: ControlledCircuit
+    controlled: ControlledCircuit  # its unrolled circuit is the protected one
     cnf: CNF  # of the cycles encoded so far
     encode_time: float
     miter: Optional[Miter] = None  # None when nothing is instrumented
@@ -201,15 +200,18 @@ class EncodedProblem:
         the one stage is the whole formula, constant false over the input
         variables."""
 
-        k = self.controlled.k
+        controlled = self.controlled
+        k = controlled.unrolled.k
         while self.cycles < k:
             start = time.perf_counter()
             if self.miter is None:
-                b = self.controlled.builder
+                b = controlled.builder
+                controlled.input_vars.update(
+                    make_input_vars(b, controlled.unrolled.circuit, range(1, k + 1)))
                 tseitin_cnf(BoolFormula(b, b.false), self.cnf)
                 self.cycles = k
             else:
-                instrument(self.controlled)
+                instrument(controlled)
                 tseitin_cnf(build_fr_formula(self.miter), self.cnf)
                 self.cycles += 1
             self.encode_time += time.perf_counter() - start
@@ -239,18 +241,10 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
     model = plan.effective_model
     locations = (set() if plan.unobservable else
                  plan.prune(fault_locations(unrolled, plan.effective_blacklist, model.location)))
-    builder = FormulaBuilder()
-    miter = None
-    if locations or golden is not None:
-        controlled = controlled_circuit(unrolled, locations, model.types, builder)
-        miter = Miter(golden_unrolled, controlled, model)
-    else:
-        controlled = ControlledCircuit(
-            builder=builder, k=config.unroll_k, inputs=circuit.inputs,
-            data_outputs=circuit.data_outputs, types=model.types,
-            input_vars=make_input_vars(builder, circuit, config.unroll_k),
-            taps={}, flag_taps={}, control_map={}, cycle_controls={})
-    problem = EncodedProblem(unrolled, golden_unrolled, plan, locations, controlled,
+    controlled = controlled_circuit(unrolled, locations, model.types, FormulaBuilder())
+    miter = (Miter(golden_unrolled, controlled, model)
+             if locations or golden is not None else None)
+    problem = EncodedProblem(golden_unrolled, plan, locations, controlled,
                              CNF(num_vars=0, clauses=[], var_index={}, roles={}),
                              time.perf_counter() - start, miter)
     if not staged:
@@ -318,17 +312,16 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
     counterexample = None
     if result.status == "sat":
         if problem.cycles < config.unroll_k:
-            cnf = replace(cnf, clauses=[*cnf.clauses, [cnf.lits[problem.miter.root]]])
+            cnf.clauses.append([cnf.lits[problem.miter.root]])
         named = {name: result.model.get(idx, False) for name, idx in cnf.var_index.items()}
         vector = decode_fault_vector(named, problem.controlled)
         inputs = _decode_inputs(result.model, cnf, circuit, config.unroll_k)
         if golden is not None:
-            _check_golden_agrees(problem.golden_unrolled, problem.protected_unrolled,
-                                 inputs)
+            _check_golden_agrees(problem.golden_unrolled, problem.controlled.unrolled, inputs)
         if not len(vector):
             raise InternalEncodingError(
                 "satisfying assignment decodes to an empty fault vector")
-        replay = check_effectiveness(problem.protected_unrolled, vector, inputs)
+        replay = check_effectiveness(problem.controlled.unrolled, vector, inputs)
         if not replay.effective:
             raise InternalEncodingError(
                 f"replay of decoded counterexample is not effective: {vector!r} on {inputs}")

@@ -4,7 +4,20 @@ from faultres import build_and_validate, parse_config, parse_netlist, unroll
 from faultres.circuit_model import GateInstance
 from faultres.fault_encoder import controlled_circuit, golden_taps, instrument
 from faultres.fixtures import fixture_text
-from faultres.formula import AND, CONST, IFF, ITE, NOT, OR, VAR, XOR, FormulaBuilder
+from faultres.formula import (
+    AND,
+    CONST,
+    ITE,
+    NOT,
+    OR,
+    ROLE_INPUT,
+    VAR,
+    XOR,
+    BoolFormula,
+    CardinalityConstraint,
+    FormulaBuilder,
+    tseitin_cnf,
+)
 from faultres.sat_encoding import Miter, build_fr_formula
 
 # Golden truth table of the 4-bit S-box, input value 0..15 (a msb), output wxyz.
@@ -63,7 +76,6 @@ _NODE_OPS = {
     AND: lambda v: v[0] and v[1],
     OR: lambda v: v[0] or v[1],
     XOR: lambda v: v[0] != v[1],
-    IFF: lambda v: v[0] == v[1],
     ITE: lambda v: v[1] if v[0] else v[2],
 }
 
@@ -93,6 +105,18 @@ def formula_holds(formula, assignment):
         sum(1 for v in c.var_names if value(v)) <= c.bound
         and all(value(v) == any(map(value, g)) for v, g in zip(c.var_names, c.groups))
         for c in formula.cardinality)
+
+
+def counter_cnf(n, k):
+    """The clauses and auxiliary variables of the bound sum <= k over n
+    inputs numbered 1..n, lowered by ``tseitin_cnf`` as ``verify`` lowers
+    its n_e and n_c bounds: the auxiliaries are n+1 onward."""
+    fb = FormulaBuilder()
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    for name in names:
+        fb.var(name, ROLE_INPUT)
+    cnf = tseitin_cnf(BoolFormula(fb, fb.true, [CardinalityConstraint(names, k)]))
+    return cnf.clauses, list(range(n + 1, cnf.num_vars + 1))
 
 
 def selection_bits(types, fault):
@@ -131,7 +155,7 @@ def fr_formula(golden, controlled, model):
     cycle of ``controlled``, lowered whole, against the unrolled circuit
     ``golden``; the formula of the last cycle is complete."""
     miter = Miter(golden, controlled, model)
-    for _ in range(controlled.k):
+    for _ in range(controlled.unrolled.k):
         formula = build_fr_formula(miter)
     return formula
 
@@ -201,7 +225,7 @@ def instances(unrolled):
     """All gate instances, logic then registers, cycle-major."""
     out = []
     for cycle in range(1, unrolled.k + 1):
-        out += [GateInstance(cycle, g.name) for g in unrolled.circuit.gates]
+        out += [GateInstance(cycle, g) for g in unrolled.circuit.gate_map]
         out += [GateInstance(cycle, r) for r in unrolled.circuit.register_names]
     return out
 

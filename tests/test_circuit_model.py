@@ -32,11 +32,11 @@ SEQ_TEXT = ".inputs i\n.outputs g\n.reg r init=0\ngate g = xor(i, r)\nnext r = g
 
 def test_build_rect(rect_parity):
     c = rect_parity
-    assert len(c.gates) == 22
+    assert len(c.gate_map) == 22
     topo = list(c.topo_order)
     assert topo.index("s2") < topo.index("s4")
     assert topo.index("s2") < topo.index("s5")
-    assert set(topo) == {g.name for g in c.gates}
+    assert set(topo) == set(c.gate_map)
 
 
 def test_combinational_cycle():

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from conftest import (
     all_golden_taps,
     canonical_assignment,
@@ -20,6 +22,7 @@ from faultres.circuit_model import (
     unroll,
 )
 from faultres.fault_encoder import (
+    controlled_circuit,
     decode_fault_vector,
     decode_type,
     gadget,
@@ -33,6 +36,7 @@ from faultres.simulator import (
     FaultEvent,
     FaultType,
     FaultVector,
+    UnknownInstance,
     apply_fault_vector,
     run_trace,
 )
@@ -119,6 +123,16 @@ def test_instrument_rect_control_vars(rect_parity_unrolled):
     selections = [n for names in controlled.control_map.values() for n in names[1:]]
     assert len(selections) == 24
     assert controlled.control_map[GateInstance(1, "s3")] == ("c[s3@1]", "b1[s3@1]", "b2[s3@1]")
+
+
+def test_controlled_circuit_rejects_unknown_locations(rect_parity_unrolled):
+    # A location must be a gate or register of the circuit in a cycle 1..k;
+    # controlled_circuit checks every one before any cycle is lowered.
+    k = rect_parity_unrolled.k
+    for bad in (GateInstance(k + 1, "s3"), GateInstance(1, "nosuch")):
+        with pytest.raises(UnknownInstance, match=f"^no such instance {bad.label}$"):
+            controlled_circuit(rect_parity_unrolled, {GateInstance(1, "s1"), bad}, ALL,
+                               FormulaBuilder())
 
 
 def test_instrument_empty_locations_is_golden(rect_parity_unrolled):

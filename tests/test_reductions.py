@@ -15,6 +15,7 @@ from faultres.circuit_model import (
     unroll,
 )
 from faultres.netlist_io import ReductionFlags, VerificationConfig, parse_netlist
+from faultres import reductions
 from faultres.oracle import brute_force_verdict, random_netlist
 from faultres.reductions import (
     NotApplicable,
@@ -73,6 +74,21 @@ def test_single_successor_not_applicable(rect_parity_unrolled):
     # {s, r} together is enough even without bf
     extra = aggressive_blacklist(em, PARITY_CHECK, model(types=SR))
     assert "p1" in extra
+
+
+def test_single_exit_guard_runs_before_the_exit_map(rect_parity_unrolled, monkeypatch):
+    # A model that fails the guard (T = {s}, T = {r}, location r) is
+    # recorded as skipped without sweeping the circuit for exits.
+    def no_sweep(*args):
+        raise AssertionError("single_exit_map called for a model failing the guard")
+
+    monkeypatch.setattr(reductions, "single_exit_map", no_sweep)
+    types_reason = "needs bf in T or {s,r} subset of T"
+    for m, reason in ((model(types=S_ONLY), types_reason),
+                      (model(types=frozenset({FaultType.RESET})), types_reason),
+                      (model(types=BF, loc="r"), "needs location c or cr")):
+        plan = plan_reductions(rect_parity_unrolled, PARITY_CHECK, m, ReductionFlags())
+        assert SkippedReduction("single_exit", reason) in plan.skipped, m
 
 
 def test_single_exit_map_rect(rect_parity_unrolled):
@@ -195,7 +211,7 @@ def test_single_exit_map_linear_visits(rect_parity):
     circuit = dataclasses.replace(rect_parity, successors=counting)
     u = unroll(circuit, 1)
     single_exit_map(u, PARITY_CHECK)
-    v = len(circuit.gates) + len(circuit.registers)
+    v = len(circuit.gate_map) + len(circuit.registers)
     e = sum(len(s) for s in rect_parity.successors.values())
     assert counting.gets <= 2 * (v + e)
 

