@@ -12,8 +12,7 @@ it.  The inputs of the instance labelled l (``name@cycle``) are named
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 from .circuit_model import FaultType, GateKind, UnrolledCircuit
 from .formula import ROLE_CONTROL, ROLE_INPUT, ROLE_SELECTION, FormulaBuilder
@@ -88,8 +87,7 @@ class ControlledCircuit:
     flag_taps: dict        # cycle -> node (constant false when no flag)
     control_map: dict      # GateInstance -> (c, b1, b2) names, one per type; cycles lowered
     cycle_controls: dict   # cycle -> list of control var names, filled as lowered
-    gadgets: dict          # cycle -> net name -> (control node, selection nodes)
-    lowering: Iterator = field(repr=False, compare=False)  # the _lower generator instrument steps
+    env: dict              # net name -> node of the last cycle lowered
 
 
 def make_input_vars(builder: FormulaBuilder, circuit, cycles) -> dict:
@@ -106,7 +104,8 @@ def controlled_circuit(unrolled: UnrolledCircuit, locations, types: tuple,
     gadget over the fault types ``types``, a tuple in s, r, bf order such as
     ``FaultResistanceModel.types``, on ``builder``.  Raises UnknownInstance
     for a location the circuit does not have.  No cycle is lowered yet: each
-    ``instrument`` call lowers one more.  Each cycle with a location has its
+    ``instrument`` call lowers one more from the net map of the one before,
+    which ``env`` holds.  Each cycle with a location has its
     ``cycle_controls`` list from the start, empty until that cycle is
     lowered."""
 
@@ -122,14 +121,10 @@ def controlled_circuit(unrolled: UnrolledCircuit, locations, types: tuple,
         rank = {name: i for i, name in enumerate((*circuit.gate_map, *circuit.register_names))}
         located = {cycle: sorted(located[cycle], key=lambda i: rank[i.name])
                    for cycle in sorted(located)}
-    input_vars, gadgets = {}, {}
-    # The generator holds the maps it reads, never the ControlledCircuit, so
-    # the two make no reference cycle.
     return ControlledCircuit(
         builder=builder, unrolled=unrolled, types=types, located=located,
-        input_vars=input_vars, taps={}, flag_taps={}, control_map={},
-        cycle_controls={cycle: [] for cycle in located}, gadgets=gadgets,
-        lowering=_lower(builder, unrolled, input_vars, None, gadgets, types))
+        input_vars={}, taps={}, flag_taps={}, control_map={},
+        cycle_controls={cycle: [] for cycle in located}, env={})
 
 
 def instrument(controlled: ControlledCircuit) -> ControlledCircuit:
@@ -150,69 +145,66 @@ def instrument(controlled: ControlledCircuit) -> ControlledCircuit:
     for _, names in named:
         b.var(names[0], ROLE_CONTROL)
         controlled.cycle_controls[cycle].append(names[0])
-    nodes = controlled.gadgets[cycle] = {}
+    gadgets = {}
     for inst, names in named:
         controlled.control_map[inst] = names
-        nodes[inst.name] = (b.var(names[0], ROLE_CONTROL),
-                            [b.var(s, ROLE_SELECTION) for s in names[1:]])
-    env = next(controlled.lowering)
+        gadgets[inst.name] = (b.var(names[0], ROLE_CONTROL),
+                              [b.var(s, ROLE_SELECTION) for s in names[1:]])
+    env = controlled.env = _lower(b, controlled.unrolled, cycle, controlled.input_vars,
+                                  controlled.env, None, gadgets, controlled.types)
     for o in circuit.outputs:
         controlled.taps[(cycle, o)] = env[o]
     controlled.flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
     return controlled
 
 
-def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, input_vars: dict):
-    """Fault-free taps of the data outputs, built on ``b`` over the
-    primary-input variables ``input_vars``, one cycle at a time: yields each
-    cycle's map of data output name -> node, and lowers a cycle only when it
-    is asked for it, so ``input_vars`` need hold that cycle's variables only
-    by then.
+def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, cycle: int,
+                input_vars: dict, before: dict) -> dict:
+    """Fault-free lowering of cycle ``cycle``'s data cone on ``b``, over
+    the primary-input variables ``input_vars``; its registers read
+    ``before``, the map this returned for the cycle before.  Returns the
+    cone's map of net name -> node, every data output included.
 
-    Only each cycle's data cone is lowered, in the lowering order of
-    ``instrument``.  On the builder of an ``instrument`` pass over the same
-    circuit, a net no fault reaches lowers to its instrumented node, which
-    hash-consing returns without adding a node, so only the fault-reachable
-    nets a data output reads add nodes.  The taps are the nodes a full
-    lowering yields.  Their creation order, and with it the CNF numbering,
-    differs from a full lowering's only when a skipped cone (one only the
-    flag reads) equals a data cone in structure and comes first in
-    topological order."""
+    Only the data cone is lowered, in the lowering order of ``instrument``.
+    On the builder of an ``instrument`` pass over the same circuit, a net no
+    fault reaches lowers to its instrumented node, which hash-consing
+    returns without adding a node, so only the fault-reachable nets a data
+    output reads add nodes.  The taps are the nodes a full lowering makes.
+    Their creation order, and with it the CNF numbering, differs from a full
+    lowering's only when a skipped cone (one only the flag reads) equals a
+    data cone in structure and comes first in topological order."""
 
-    circuit = unrolled.circuit
-    for env in _lower(b, unrolled, input_vars, circuit.data_depth, {}, ()):
-        yield {o: env[o] for o in circuit.data_outputs}
+    return _lower(b, unrolled, cycle, input_vars, before, unrolled.circuit.data_depth, {}, ())
 
 
-def _lower(b, unrolled, input_vars, depth, gadgets, types):
-    """The one circuit-to-formula lowering, which fixes the node creation order
-    and with it the CNF numbering: cycle-major, registers in declaration
-    order, then gates in topological order.  Yields each cycle's net ->
-    node map, and reads a cycle's input variables and gadgets only
-    when it reaches that cycle.  A net in ``gadgets[cycle]`` lowers to its
-    gadget over ``types``.  With ``depth`` (a circuit's ``data_depth``) only
-    the data cone is lowered: in cycle c the nets with depth <= k - c, the
-    only ones that reach a data output within the k cycles."""
+def _lower(b, unrolled, cycle, input_vars, before, depth, gadgets, types):
+    """The one circuit-to-formula lowering of one cycle, which fixes the node
+    creation order and with it the CNF numbering: cycles in order, and in
+    each the registers in declaration order, then the gates in topological
+    order.  Returns the cycle's net -> node map.  A register reads its
+    next-state net in ``before``, the map of the cycle before, or its
+    initial bit in cycle 1.  A net in ``gadgets`` lowers to its gadget over
+    ``types``.  With ``depth`` (a circuit's ``data_depth``) only the data
+    cone is lowered: the nets with depth <= k - cycle, the only ones that
+    reach a data output within the k cycles."""
 
     circuit, k = unrolled.circuit, unrolled.k
-    gate_map, next_state, init = circuit.gate_map, circuit.next_state, circuit.init_bits
+    gate_map, next_state = circuit.gate_map, circuit.next_state
+    init = circuit.init_bits if cycle == 1 else None
     order = (*circuit.register_names, *circuit.topo_order)
-    env = {}
-    for cycle in range(1, k + 1):
-        before, env = env, {name: input_vars[(cycle, name)] for name in circuit.inputs}
-        here = gadgets.get(cycle, {})
-        nets = order if depth is None else [n for n in order if depth.get(n, k) <= k - cycle]
-        for name in nets:
-            g = gate_map.get(name)
-            if g is None:  # a register reads its next-state net of the cycle before
-                kind = GateKind.BUF
-                ins = (b.const(init[name]) if cycle == 1 else before[next_state[name]],)
-            else:
-                kind, ins = g.kind, tuple(env[op] for op in g.operands)
-            ctrl = here.get(name)
-            env[name] = _kind_node(b, kind, ins) if ctrl is None else gadget(
-                b, kind, types, ins, *ctrl)
-        yield env
+    nets = order if depth is None else [n for n in order if depth.get(n, k) <= k - cycle]
+    env = {name: input_vars[(cycle, name)] for name in circuit.inputs}
+    for name in nets:
+        g = gate_map.get(name)
+        if g is None:  # a register reads its next-state net of the cycle before
+            kind = GateKind.BUF
+            ins = (b.const(init[name]) if init is not None else before[next_state[name]],)
+        else:
+            kind, ins = g.kind, tuple(env[op] for op in g.operands)
+        ctrl = gadgets.get(name)
+        env[name] = _kind_node(b, kind, ins) if ctrl is None else gadget(
+            b, kind, types, ins, *ctrl)
+    return env
 
 
 def decode_fault_vector(assignment, controlled: ControlledCircuit) -> FaultVector:

@@ -102,9 +102,9 @@ class Verdict:
 class Miter:
     """The fault-resistance formula of an instrumented circuit against its
     golden circuit, built one cycle at a time by ``build_fr_formula``: the
-    golden side's lowering, the flag prefix and the disjuncts so far, and the
-    cardinality bounds of the cycles so far.  The golden and the
-    instrumented circuit share the primary-input variables."""
+    golden side's net map of the last cycle, the flag prefix and the
+    disjuncts so far, and the cardinality bounds of the cycles so far.  The
+    golden and the instrumented circuit share the primary-input variables."""
 
     def __init__(self, golden: UnrolledCircuit, controlled: ControlledCircuit,
                  model: FaultResistanceModel):
@@ -120,14 +120,14 @@ class Miter:
         if set(golden.circuit.inputs) != set(inputs):
             raise ShapeMismatch("golden and controlled circuits have different inputs")
         b = controlled.builder
-        self.controlled, self.model = controlled, model
+        self.golden, self.controlled, self.model = golden, controlled, model
         # Golden side, over the same input variables: the fault-free lowering
-        # of the data outputs' cones.  When the golden circuit is the
-        # protected one, every cone net no fault reaches is its instrumented
-        # node again, so only the fault-reachable ones add nodes; a separate
-        # golden circuit shares only the input variables and adds its whole
-        # cones.
-        self.reference = golden_taps(b, golden, controlled.input_vars)
+        # of the data outputs' cones, one cycle per ``golden_taps`` call.
+        # When the golden circuit is the protected one, every cone net no
+        # fault reaches is its instrumented node again, so only the
+        # fault-reachable ones add nodes; a separate golden circuit shares
+        # only the input variables and adds its whole cones.
+        self.golden_env = {}  # net name -> node of the last cycle built
         self.cycles = 0
         self.flag_prefix = b.true
         self.root = b.false  # the disjunction of the disjuncts so far
@@ -161,10 +161,11 @@ def build_fr_formula(miter: Miter) -> BoolFormula:
     controlled = miter.controlled
     b, protected = controlled.builder, controlled.unrolled
     cycle = miter.cycles = miter.cycles + 1
-    reference = next(miter.reference)
+    golden = miter.golden_env = golden_taps(b, miter.golden, cycle, controlled.input_vars,
+                                            miter.golden_env)
     miter.flag_prefix = flag_prefix = b.and_(miter.flag_prefix,
                                              b.not_(controlled.flag_taps[cycle]))
-    disjuncts = [b.and_(b.xor(reference[o], controlled.taps[(cycle, o)]), flag_prefix)
+    disjuncts = [b.and_(b.xor(golden[o], controlled.taps[(cycle, o)]), flag_prefix)
                  for o in protected.circuit.data_outputs]
     miter.disjuncts += disjuncts
     miter.root = root = b.or_many(disjuncts, miter.root)
@@ -183,7 +184,6 @@ class EncodedProblem:
     """A fault-resistance problem and its CNF, which grows a cycle at a
     time: ``stages`` encodes the cycles not encoded yet."""
 
-    golden_unrolled: UnrolledCircuit  # controlled.unrolled without a separate golden
     plan: ReductionPlan
     locations: set
     controlled: ControlledCircuit  # its unrolled circuit is the protected one
@@ -244,7 +244,7 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
     controlled = controlled_circuit(unrolled, locations, model.types, FormulaBuilder())
     miter = (Miter(golden_unrolled, controlled, model)
              if locations or golden is not None else None)
-    problem = EncodedProblem(golden_unrolled, plan, locations, controlled,
+    problem = EncodedProblem(plan, locations, controlled,
                              CNF(num_vars=0, clauses=[], var_index={}, roles={}),
                              time.perf_counter() - start, miter)
     if not staged:
@@ -317,7 +317,7 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
         vector = decode_fault_vector(named, problem.controlled)
         inputs = _decode_inputs(result.model, cnf, circuit, config.unroll_k)
         if golden is not None:
-            _check_golden_agrees(problem.golden_unrolled, problem.controlled.unrolled, inputs)
+            _check_golden_agrees(problem.miter.golden, problem.controlled.unrolled, inputs)
         if not len(vector):
             raise InternalEncodingError(
                 "satisfying assignment decodes to an empty fault vector")

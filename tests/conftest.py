@@ -161,10 +161,13 @@ def fr_formula(golden, controlled, model):
 
 
 def all_golden_taps(b, unrolled, input_vars):
-    """``golden_taps`` of every cycle, as (cycle, output name) -> node."""
-    return {(cycle, o): node
-            for cycle, taps in enumerate(golden_taps(b, unrolled, input_vars), start=1)
-            for o, node in taps.items()}
+    """The data output nodes of ``golden_taps`` called for every cycle in
+    turn, as (cycle, output name) -> node."""
+    taps, env = {}, {}
+    for cycle in range(1, unrolled.k + 1):
+        env = golden_taps(b, unrolled, cycle, input_vars, env)
+        taps.update({(cycle, o): env[o] for o in unrolled.circuit.data_outputs})
+    return taps
 
 
 def dup_and_compare(doc):

@@ -540,10 +540,13 @@ def test_report_labels_replay_as_fault_vectors(workdir, tmp_path):
     assert replayed == {"rect_parity.nl", "rect_revised.nl", "rand", "register"}
 
 
-def test_bench_shims_resolve(monkeypatch):
+def test_bench_shims_resolve(workdir, capsys, monkeypatch):
     # perfbench/spans.py times the layers by replacing these module
     # attributes; each must exist once the CLI is imported, or --trace 1
-    # breaks.
+    # breaks.  And each must still be called through its module: a call
+    # site that moved would leave its span, and the layer metric drawn from
+    # it, at zero.  A counterexample at k = 2 and an unobservable circuit
+    # between them reach every shim.
     import importlib.util
     from pathlib import Path
 
@@ -552,10 +555,24 @@ def test_bench_shims_resolve(monkeypatch):
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
     spec.loader.exec_module(spans)
-    import faultres.cli  # noqa: F401
+    import faultres.cli
 
     for module, attr in spans.SHIMMED:
         assert callable(getattr(sys.modules[module], attr, None)), (module, attr)
+
+    config = json.loads(fixture_text("zeta_1_1_all_c.json"))
+    config["k"] = 2
+    (workdir / "k2.json").write_text(json.dumps(config))
+    (workdir / "dup.nl").write_text(DUP_COMPARE)
+    (workdir / "dup.json").write_text(DUP_COMPARE_CONFIG)
+    tracer = spans.Tracer(sys.modules)
+    with tracer:
+        for netlist, cfg, code in (("rect_parity.nl", "k2.json", 1), ("dup.nl", "dup.json", 0)):
+            argv = ["verify", str(workdir / netlist), "--config", str(workdir / cfg)]
+            assert tracer.call(spans.ROOT, faultres.cli.main, argv) == code, netlist
+            tracer.end_instance()
+    capsys.readouterr()
+    assert {s.name for s in tracer.spans} == {spans.ROOT} | {a for _, a in spans.SHIMMED}
 
 
 @pytest.mark.parametrize("collecting", [True, False])

@@ -45,6 +45,7 @@ from faultres.netlist_io import (
     VerificationConfig,
     parse_config,
     parse_netlist,
+    write_netlist,
 )
 from faultres.oracle import enumerate_fault_vectors, random_netlist
 from faultres.sat_encoding import (
@@ -1134,6 +1135,51 @@ def test_cycle_loop_reads_every_cycle_of_a_resistant_datapath():
         assert verdict.status == "resistant"
         assert verdict.cnf == encode_problem(circuit, cfg).cnf
         assert {f"{name}@3" for name in circuit.inputs} <= set(verdict.cnf.var_index)
+
+
+def test_separate_golden_agrees_with_oracle():
+    # A separate golden circuit is lowered a cycle at a time beside the
+    # protected one, sharing only the input variables.  Built again from
+    # the netlist's own text, it computes the protected circuit's fault-free
+    # outputs, so the verdict is the oracle's: sequential random netlists
+    # with and without a flag, at k = 2 and 3, over sampled models.
+    from faultres.oracle import brute_force_verdict
+
+    rng = random.Random(27)
+    bf, srbf = frozenset({FaultType.BITFLIP}), frozenset(ALL)
+    combos = list(itertools.product((1, 2), (1, 2), ("c", "r", "cr"), (bf, srbf)))
+    seen = {"resistant": 0, "not_resistant": 0}
+    for seed in range(40):
+        doc = random_netlist(seed, max_gates=5, max_regs=2, num_inputs=2,
+                             with_flag=seed % 2 == 0).doc
+        if not doc.registers:
+            continue
+        circuit = build_and_validate(doc)
+        golden = build_and_validate(parse_netlist(write_netlist(doc)))
+        for k in (2, 3):
+            for ne, nc, loc, types in rng.sample(combos, 4):
+                model = FaultResistanceModel(ne, nc, types, loc)
+                cfg = VerificationConfig(k, model, frozenset(), ReductionFlags(), ("builtin",))
+                expected = brute_force_verdict(unroll(circuit, k), frozenset(), model).status
+                assert verify(circuit, cfg, golden=golden).status == expected, (seed, k, model)
+                seen[expected] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_encoded_problem_is_plain_data(rect_parity, zeta_1_1_all_c):
+    # A problem part-way through its stages holds only data, no suspended
+    # lowering: a deep copy encodes its remaining cycles to the same CNF.
+    import copy
+
+    cfg = dataclasses.replace(zeta_1_1_all_c, unroll_k=3)
+    problem = encode_problem(rect_parity, cfg, staged=True)
+    next(problem.stages())
+    twin = copy.deepcopy(problem)
+    for p in (problem, twin):
+        for _ in p.stages():
+            pass
+    assert twin.cycles == problem.cycles == 3
+    assert emit_dimacs(twin.cnf) == emit_dimacs(problem.cnf)
 
 
 def _capturing_solver(monkeypatch, extra=()):
