@@ -82,7 +82,6 @@ class ControlledCircuit:
     unrolled: UnrolledCircuit
     types: tuple
     located: dict          # cycle -> the cycle's fault locations, in control order
-    input_vars: dict       # (cycle, input name) -> node, cycles lowered so far
     taps: dict             # (cycle, output name) -> node
     flag_taps: dict        # cycle -> node (constant false when no flag)
     control_map: dict      # GateInstance -> (c, b1, b2) names, one per type; cycles lowered
@@ -91,9 +90,10 @@ class ControlledCircuit:
 
 
 def make_input_vars(builder: FormulaBuilder, circuit, cycles) -> dict:
-    """Primary-input variables of ``cycles``, cycle-major, shared between the
-    golden and the instrumented build so the miter ranges over one input
-    space."""
+    """Primary-input variables of ``cycles``, cycle-major, as (cycle, input
+    name) -> node.  The builder keeps them by name, so a name declared
+    already returns its node and adds none: the golden and the instrumented
+    build share them, and the miter ranges over one input space."""
     return {(cycle, name): builder.var(f"{name}@{cycle}", ROLE_INPUT)
             for cycle in cycles for name in circuit.inputs}
 
@@ -123,7 +123,7 @@ def controlled_circuit(unrolled: UnrolledCircuit, locations, types: tuple,
                    for cycle in sorted(located)}
     return ControlledCircuit(
         builder=builder, unrolled=unrolled, types=types, located=located,
-        input_vars={}, taps={}, flag_taps={}, control_map={},
+        taps={}, flag_taps={}, control_map={},
         cycle_controls={cycle: [] for cycle in located}, env={})
 
 
@@ -138,7 +138,7 @@ def instrument(controlled: ControlledCircuit) -> ControlledCircuit:
 
     b, circuit = controlled.builder, controlled.unrolled.circuit
     cycle = len(controlled.flag_taps) + 1  # flag_taps has one entry per cycle lowered
-    controlled.input_vars.update(make_input_vars(b, circuit, (cycle,)))
+    inputs = make_input_vars(b, circuit, (cycle,))
     kinds = ("c", "b1", "b2")[:len(controlled.types)]
     named = [(inst, tuple(f"{v}[{inst.label}]" for v in kinds))
              for inst in controlled.located.get(cycle, ())]
@@ -150,8 +150,8 @@ def instrument(controlled: ControlledCircuit) -> ControlledCircuit:
         controlled.control_map[inst] = names
         gadgets[inst.name] = (b.var(names[0], ROLE_CONTROL),
                               [b.var(s, ROLE_SELECTION) for s in names[1:]])
-    env = controlled.env = _lower(b, controlled.unrolled, cycle, controlled.input_vars,
-                                  controlled.env, None, gadgets, controlled.types)
+    env = controlled.env = _lower(b, controlled.unrolled, cycle, inputs, controlled.env,
+                                  None, gadgets, controlled.types)
     for o in circuit.outputs:
         controlled.taps[(cycle, o)] = env[o]
     controlled.flag_taps[cycle] = env[circuit.flag] if circuit.flag else b.false
@@ -159,11 +159,12 @@ def instrument(controlled: ControlledCircuit) -> ControlledCircuit:
 
 
 def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, cycle: int,
-                input_vars: dict, before: dict) -> dict:
+                before: dict) -> dict:
     """Fault-free lowering of cycle ``cycle``'s data cone on ``b``, over
-    the primary-input variables ``input_vars``; its registers read
-    ``before``, the map this returned for the cycle before.  Returns the
-    cone's map of net name -> node, every data output included.
+    the cycle's primary-input variables, found on ``b`` by name in the
+    order ``unrolled`` declares them; its registers read ``before``, the map
+    this returned for the cycle before.  Returns the cone's map of net name
+    -> node, every data output included.
 
     Only the data cone is lowered, in the lowering order of ``instrument``.
     On the builder of an ``instrument`` pass over the same circuit, a net no
@@ -174,10 +175,11 @@ def golden_taps(b: FormulaBuilder, unrolled: UnrolledCircuit, cycle: int,
     lowering's only when a skipped cone (one only the flag reads) equals a
     data cone in structure and comes first in topological order."""
 
-    return _lower(b, unrolled, cycle, input_vars, before, unrolled.circuit.data_depth, {}, ())
+    return _lower(b, unrolled, cycle, make_input_vars(b, unrolled.circuit, (cycle,)), before,
+                  unrolled.circuit.data_depth, {}, ())
 
 
-def _lower(b, unrolled, cycle, input_vars, before, depth, gadgets, types):
+def _lower(b, unrolled, cycle, inputs, before, depth, gadgets, types):
     """The one circuit-to-formula lowering of one cycle, which fixes the node
     creation order and with it the CNF numbering: cycles in order, and in
     each the registers in declaration order, then the gates in topological
@@ -193,7 +195,7 @@ def _lower(b, unrolled, cycle, input_vars, before, depth, gadgets, types):
     init = circuit.init_bits if cycle == 1 else None
     order = (*circuit.register_names, *circuit.topo_order)
     nets = order if depth is None else [n for n in order if depth.get(n, k) <= k - cycle]
-    env = {name: input_vars[(cycle, name)] for name in circuit.inputs}
+    env = {name: inputs[(cycle, name)] for name in circuit.inputs}
     for name in nets:
         g = gate_map.get(name)
         if g is None:  # a register reads its next-state net of the cycle before

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .circuit_model import (
-    FaultResistanceModel,
     SequentialCircuit,
     UnrolledCircuit,
     fault_locations,
@@ -99,28 +98,36 @@ class Verdict:
         return self.status == "resistant"
 
 
-class Miter:
-    """The fault-resistance formula of an instrumented circuit against its
-    golden circuit, built one cycle at a time by ``build_fr_formula``: the
-    golden side's net map of the last cycle, the flag prefix and the
-    disjuncts so far, and the cardinality bounds of the cycles so far.  The
-    golden and the instrumented circuit share the primary-input variables."""
+class EncodedProblem:
+    """A fault-resistance problem and its CNF, which grows a cycle at a
+    time: ``stages`` encodes the cycles not encoded yet.
 
-    def __init__(self, golden: UnrolledCircuit, controlled: ControlledCircuit,
-                 model: FaultResistanceModel):
+    The formula is the miter of the instrumented circuit ``controlled``,
+    whose unrolled circuit is the protected one, against the unrolled
+    circuit ``golden``, built one cycle at a time by ``build_fr_formula``:
+    the golden side's net map of the last cycle, the flag prefix and the
+    disjuncts so far, and the cardinality bounds of the cycles so far.  The
+    two circuits share the primary-input variables.  ``golden`` is None
+    when nothing is instrumented and there is no separate golden circuit:
+    the formula is then constant false over the input variables."""
+
+    def __init__(self, plan: ReductionPlan, locations: set, controlled: ControlledCircuit,
+                 golden: Optional[UnrolledCircuit]):
         protected = controlled.unrolled
-        if golden.k != protected.k:
-            raise ShapeMismatch("golden and controlled circuits have different cycle counts")
-        if set(golden.circuit.data_outputs) != set(protected.circuit.data_outputs):
-            raise ShapeMismatch("golden and controlled circuits expose different outputs")
         inputs = protected.circuit.inputs
-        for name in inputs:
-            if name not in golden.circuit.inputs:
-                raise ShapeMismatch(f"golden circuit lacks input {name!r}")
-        if set(golden.circuit.inputs) != set(inputs):
-            raise ShapeMismatch("golden and controlled circuits have different inputs")
+        if golden is not None:
+            if set(golden.circuit.data_outputs) != set(protected.circuit.data_outputs):
+                raise ShapeMismatch("golden and controlled circuits expose different outputs")
+            for name in inputs:
+                if name not in golden.circuit.inputs:
+                    raise ShapeMismatch(f"golden circuit lacks input {name!r}")
+            if set(golden.circuit.inputs) != set(inputs):
+                raise ShapeMismatch("golden and controlled circuits have different inputs")
         b = controlled.builder
-        self.golden, self.controlled, self.model = golden, controlled, model
+        self.plan, self.locations, self.controlled, self.golden = plan, locations, controlled, golden
+        self.cnf = CNF(num_vars=0, clauses=[], var_index={}, roles={})  # of the cycles so far
+        self.encode_time = 0.0
+        self.cycles = 0  # the cycles encoded so far
         # Golden side, over the same input variables: the fault-free lowering
         # of the data outputs' cones, one cycle per ``golden_taps`` call.
         # When the golden circuit is the protected one, every cone net no
@@ -128,7 +135,6 @@ class Miter:
         # fault-reachable ones add nodes; a separate golden circuit shares
         # only the input variables and adds its whole cones.
         self.golden_env = {}  # net name -> node of the last cycle built
-        self.cycles = 0
         self.flag_prefix = b.true
         self.root = b.false  # the disjunction of the disjuncts so far
         self.disjuncts = []
@@ -138,59 +144,14 @@ class Miter:
         # binds, i.e. fewer than the cycles that have controls.  With an
         # input named d they are d'@cycle, a name no identifier spells.
         controls = controlled.cycle_controls
+        n_c = plan.effective_model.n_c
         self.d_names = {}
         self.cardinality = []
-        if model.n_c < len(controls):
+        if n_c < len(controls):
             prefix = "d'" if "d" in inputs else "d"
             self.d_names = {cycle: f"{prefix}@{cycle}" for cycle in controls}
             self.cardinality.append(CardinalityConstraint(
-                tuple(self.d_names.values()), model.n_c, groups=tuple(controls.values())))
-
-
-def build_fr_formula(miter: Miter) -> BoolFormula:
-    """Extend ``miter`` by its next cycle, which its controlled circuit has
-    lowered already, and return the formula of the cycles so far: the
-    miter of the golden outputs against the instrumented ones over shared
-    primary inputs, with the flag-silence conjunct and cardinality bounds.
-    Bounds that cannot bind (n_c >= the cycles with controls, n_e >=
-    controls in a cycle) are left out entirely.  The root is the disjunction
-    of the disjuncts, one per cycle and data output in cycle-major order,
-    which are kept on the formula for the built-in solver.  Before the last
-    cycle the formula is not complete."""
-
-    controlled = miter.controlled
-    b, protected = controlled.builder, controlled.unrolled
-    cycle = miter.cycles = miter.cycles + 1
-    golden = miter.golden_env = golden_taps(b, miter.golden, cycle, controlled.input_vars,
-                                            miter.golden_env)
-    miter.flag_prefix = flag_prefix = b.and_(miter.flag_prefix,
-                                             b.not_(controlled.flag_taps[cycle]))
-    disjuncts = [b.and_(b.xor(golden[o], controlled.taps[(cycle, o)]), flag_prefix)
-                 for o in protected.circuit.data_outputs]
-    miter.disjuncts += disjuncts
-    miter.root = root = b.or_many(disjuncts, miter.root)
-
-    controls = controlled.cycle_controls.get(cycle, [])
-    if miter.model.n_e < len(controls):
-        miter.cardinality.append(CardinalityConstraint(tuple(controls), miter.model.n_e))
-    if cycle in miter.d_names:
-        b.var(miter.d_names[cycle], ROLE_AUX_D)
-    return BoolFormula(builder=b, root=root, cardinality=list(miter.cardinality),
-                       disjuncts=tuple(miter.disjuncts), complete=cycle == protected.k)
-
-
-@dataclass
-class EncodedProblem:
-    """A fault-resistance problem and its CNF, which grows a cycle at a
-    time: ``stages`` encodes the cycles not encoded yet."""
-
-    plan: ReductionPlan
-    locations: set
-    controlled: ControlledCircuit  # its unrolled circuit is the protected one
-    cnf: CNF  # of the cycles encoded so far
-    encode_time: float
-    miter: Optional[Miter] = None  # None when nothing is instrumented
-    cycles: int = 0  # the cycles encoded so far
+                tuple(self.d_names.values()), n_c, groups=tuple(controls.values())))
 
     def stages(self):
         """Encode the cycles not encoded yet, one at a time, and yield the
@@ -204,18 +165,49 @@ class EncodedProblem:
         k = controlled.unrolled.k
         while self.cycles < k:
             start = time.perf_counter()
-            if self.miter is None:
+            if self.golden is None:
                 b = controlled.builder
-                controlled.input_vars.update(
-                    make_input_vars(b, controlled.unrolled.circuit, range(1, k + 1)))
+                make_input_vars(b, controlled.unrolled.circuit, range(1, k + 1))
                 tseitin_cnf(BoolFormula(b, b.false), self.cnf)
                 self.cycles = k
             else:
                 instrument(controlled)
-                tseitin_cnf(build_fr_formula(self.miter), self.cnf)
-                self.cycles += 1
+                tseitin_cnf(build_fr_formula(self), self.cnf)
             self.encode_time += time.perf_counter() - start
             yield self.cnf
+
+
+def build_fr_formula(problem: EncodedProblem) -> BoolFormula:
+    """Extend ``problem``'s miter by its next cycle, which its controlled
+    circuit has lowered already, count the cycle in ``problem.cycles``, and
+    return the formula of the cycles so far: the miter of the golden
+    outputs against the instrumented ones over shared primary inputs, with
+    the flag-silence conjunct and cardinality bounds.  Bounds that cannot
+    bind (n_c >= the cycles with controls, n_e >= controls in a cycle) are
+    left out entirely.  The root is the disjunction of the disjuncts, one
+    per cycle and data output in cycle-major order, which are kept on the
+    formula for the built-in solver.  Before the last cycle the formula is
+    not complete."""
+
+    controlled = problem.controlled
+    b, protected = controlled.builder, controlled.unrolled
+    cycle = problem.cycles = problem.cycles + 1
+    golden = problem.golden_env = golden_taps(b, problem.golden, cycle, problem.golden_env)
+    problem.flag_prefix = flag_prefix = b.and_(problem.flag_prefix,
+                                               b.not_(controlled.flag_taps[cycle]))
+    disjuncts = [b.and_(b.xor(golden[o], controlled.taps[(cycle, o)]), flag_prefix)
+                 for o in protected.circuit.data_outputs]
+    problem.disjuncts += disjuncts
+    problem.root = root = b.or_many(disjuncts, problem.root)
+
+    controls = controlled.cycle_controls.get(cycle, [])
+    n_e = problem.plan.effective_model.n_e
+    if n_e < len(controls):
+        problem.cardinality.append(CardinalityConstraint(tuple(controls), n_e))
+    if cycle in problem.d_names:
+        b.var(problem.d_names[cycle], ROLE_AUX_D)
+    return BoolFormula(builder=b, root=root, cardinality=list(problem.cardinality),
+                       disjuncts=tuple(problem.disjuncts), complete=cycle == protected.k)
 
 
 def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
@@ -242,11 +234,9 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
     locations = (set() if plan.unobservable else
                  plan.prune(fault_locations(unrolled, plan.effective_blacklist, model.location)))
     controlled = controlled_circuit(unrolled, locations, model.types, FormulaBuilder())
-    miter = (Miter(golden_unrolled, controlled, model)
-             if locations or golden is not None else None)
     problem = EncodedProblem(plan, locations, controlled,
-                             CNF(num_vars=0, clauses=[], var_index={}, roles={}),
-                             time.perf_counter() - start, miter)
+                             golden_unrolled if locations or golden is not None else None)
+    problem.encode_time = time.perf_counter() - start
     if not staged:
         for _ in problem.stages():
             pass
@@ -312,12 +302,12 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
     counterexample = None
     if result.status == "sat":
         if problem.cycles < config.unroll_k:
-            cnf.clauses.append([cnf.lits[problem.miter.root]])
+            cnf.clauses.append([cnf.lits[problem.root]])
         named = {name: result.model.get(idx, False) for name, idx in cnf.var_index.items()}
         vector = decode_fault_vector(named, problem.controlled)
         inputs = _decode_inputs(result.model, cnf, circuit, config.unroll_k)
         if golden is not None:
-            _check_golden_agrees(problem.miter.golden, problem.controlled.unrolled, inputs)
+            _check_golden_agrees(problem.golden, problem.controlled.unrolled, inputs)
         if not len(vector):
             raise InternalEncodingError(
                 "satisfying assignment decodes to an empty fault vector")
@@ -334,5 +324,5 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
 
 __all__ = [
     "Counterexample", "EncodedProblem", "GoldenDisagrees", "InternalEncodingError",
-    "Miter", "Verdict", "build_fr_formula", "encode_problem", "verify",
+    "Verdict", "build_fr_formula", "encode_problem", "verify",
 ]

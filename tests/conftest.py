@@ -18,7 +18,8 @@ from faultres.formula import (
     FormulaBuilder,
     tseitin_cnf,
 )
-from faultres.sat_encoding import Miter, build_fr_formula
+from faultres.reductions import ReductionPlan
+from faultres.sat_encoding import EncodedProblem, build_fr_formula
 
 # Golden truth table of the 4-bit S-box, input value 0..15 (a msb), output wxyz.
 SBOX = [
@@ -154,18 +155,18 @@ def fr_formula(golden, controlled, model):
     """The whole fault-resistance formula: ``build_fr_formula`` once per
     cycle of ``controlled``, lowered whole, against the unrolled circuit
     ``golden``; the formula of the last cycle is complete."""
-    miter = Miter(golden, controlled, model)
+    problem = EncodedProblem(ReductionPlan(model, frozenset()), set(), controlled, golden)
     for _ in range(controlled.unrolled.k):
-        formula = build_fr_formula(miter)
+        formula = build_fr_formula(problem)
     return formula
 
 
-def all_golden_taps(b, unrolled, input_vars):
+def all_golden_taps(b, unrolled):
     """The data output nodes of ``golden_taps`` called for every cycle in
     turn, as (cycle, output name) -> node."""
     taps, env = {}, {}
     for cycle in range(1, unrolled.k + 1):
-        env = golden_taps(b, unrolled, cycle, input_vars, env)
+        env = golden_taps(b, unrolled, cycle, env)
         taps.update({(cycle, o): env[o] for o in unrolled.circuit.data_outputs})
     return taps
 

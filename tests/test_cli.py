@@ -2,7 +2,6 @@ import gc
 import itertools
 import json
 import re
-import shutil
 import sys
 
 import jsonschema
@@ -12,7 +11,7 @@ from conftest import DUP_COMPARE, DUP_COMPARE_CONFIG
 from faultres import __version__, build_and_validate, parse_netlist, unroll
 from faultres.circuit_model import GateInstance
 from faultres.cli import main
-from faultres.fixtures import fixture_path, fixture_text
+from faultres.fixtures import fixture_text
 from faultres.netlist_io import parse_config, write_netlist
 from faultres.oracle import random_netlist
 from faultres.sat_encoding import verify

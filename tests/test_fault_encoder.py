@@ -251,9 +251,9 @@ def _golden_and_full_taps(doc, u, locations, types=ALL):
     circuit built again from its ``doc``, and the taps of a full fault-free
     lowering made afterwards, all on the instrumented circuit's builder."""
     controlled = lowered(u, locations, types)
-    b, input_vars = controlled.builder, controlled.input_vars
+    b = controlled.builder
     separate = unroll(build_and_validate(doc), u.k)
-    golden = [all_golden_taps(b, u, input_vars), all_golden_taps(b, separate, input_vars)]
+    golden = [all_golden_taps(b, u), all_golden_taps(b, separate)]
     full = lowered(u, set(), types, b)
     data = [o for o in u.circuit.outputs if o != u.circuit.flag]
     for taps in golden:
@@ -307,6 +307,6 @@ def test_golden_taps_of_duplicate_and_compare_add_no_node():
         assert locations
         controlled = lowered(u, locations, ALL)
         before = len(controlled.builder.kinds)
-        reused = all_golden_taps(controlled.builder, u, controlled.input_vars)
+        reused = all_golden_taps(controlled.builder, u)
         assert len(controlled.builder.kinds) == before
         assert reused == {key: controlled.taps[key] for key in reused}

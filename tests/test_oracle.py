@@ -1,4 +1,3 @@
-import itertools
 import sys
 
 import pytest
@@ -8,7 +7,6 @@ from faultres.circuit_model import (
     FaultResistanceModel,
     GateInstance,
     build_and_validate,
-    fault_locations,
     unroll,
 )
 from faultres.netlist_io import parse_netlist, write_netlist

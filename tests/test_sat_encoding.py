@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import random
 import stat
 import sys
@@ -907,6 +906,21 @@ def test_verify_golden_reads_inputs_by_name():
         "the protected one")
 
 
+def test_encode_golden_finds_its_inputs_by_name():
+    # The golden side looks its input variables up by name, so a separate
+    # golden circuit that declares the inputs in another order encodes to
+    # the CNF, text and sidecar, of one in the protected circuit's order.
+    circuit = build_and_validate(parse_netlist(DUP_COMPARE))
+    cfg = VerificationConfig(3, FaultResistanceModel(1, 2, frozenset(ALL), "cr"),
+                             frozenset(), ReductionFlags(), ("builtin",))
+    body = ".outputs o\n.reg r init=0\ngate o = and(a, r)\ngate n = or(o, b)\nnext r = n\n"
+    problems = [encode_problem(circuit, cfg, build_and_validate(parse_netlist(
+        f".inputs {order}\n{body}"))) for order in ("a b", "b a")]
+    assert [p.golden.circuit.inputs for p in problems] == [("a", "b"), ("b", "a")]
+    assert problems[0].locations and problems[0].cnf.num_vars > 0
+    assert emit_dimacs(problems[0].cnf) == emit_dimacs(problems[1].cnf)
+
+
 def test_verify_golden_checked_when_replay_is_effective(monkeypatch):
     # The golden circuit computes o2 = not(a), so it disagrees on every
     # input.  The solver answers with a bit-flip on o1, which the replay
@@ -1171,15 +1185,17 @@ def test_encoded_problem_is_plain_data(rect_parity, zeta_1_1_all_c):
     # lowering: a deep copy encodes its remaining cycles to the same CNF.
     import copy
 
+    # With a separate golden circuit the copy holds its own golden side too.
     cfg = dataclasses.replace(zeta_1_1_all_c, unroll_k=3)
-    problem = encode_problem(rect_parity, cfg, staged=True)
-    next(problem.stages())
-    twin = copy.deepcopy(problem)
-    for p in (problem, twin):
-        for _ in p.stages():
-            pass
-    assert twin.cycles == problem.cycles == 3
-    assert emit_dimacs(twin.cnf) == emit_dimacs(problem.cnf)
+    for golden in (None, build_and_validate(parse_netlist(fixture_text("rect_parity.nl")))):
+        problem = encode_problem(rect_parity, cfg, golden, staged=True)
+        next(problem.stages())
+        twin = copy.deepcopy(problem)
+        for p in (problem, twin):
+            for _ in p.stages():
+                pass
+        assert twin.cycles == problem.cycles == 3
+        assert emit_dimacs(twin.cnf) == emit_dimacs(problem.cnf), golden
 
 
 def _capturing_solver(monkeypatch, extra=()):
