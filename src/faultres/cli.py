@@ -220,7 +220,8 @@ def cmd_encode(args):
         _write_dimacs(problem.cnf, args.dimacs)
     if args.dump_controls:
         controls = {inst.label: dict(zip(("c", "b1", "b2"), names))
-                    for inst, names in sorted(problem.controlled.control_map.items())}
+                    for inst, names in sorted(loc for locs in problem.controlled.located.values()
+                                              for loc in locs)}
         print(json.dumps(controls, indent=2))
     else:
         print(json.dumps({"vars": problem.cnf.num_vars,

@@ -75,17 +75,16 @@ def _kind_node(b: FormulaBuilder, kind: GateKind, ins):
 @dataclass
 class ControlledCircuit:
     """The instrumented unrolled circuit as a formula DAG, lowered one cycle
-    at a time by ``instrument``, plus the mapping between gate instances and
-    their control/selection variables."""
+    at a time by ``instrument``, plus its fault locations with their
+    control/selection variable names."""
 
     builder: FormulaBuilder
     unrolled: UnrolledCircuit
     types: tuple
-    located: dict          # cycle -> the cycle's fault locations, in control order
+    located: dict          # cycle -> [(GateInstance, its (c, b1, b2) names, one per type)],
+                           # in control order
     taps: dict             # (cycle, output name) -> node
     flag_taps: dict        # cycle -> node (constant false when no flag)
-    control_map: dict      # GateInstance -> (c, b1, b2) names, one per type; cycles lowered
-    cycle_controls: dict   # cycle -> list of control var names, filled as lowered
     env: dict              # net name -> node of the last cycle lowered
 
 
@@ -105,9 +104,8 @@ def controlled_circuit(unrolled: UnrolledCircuit, locations, types: tuple,
     ``FaultResistanceModel.types``, on ``builder``.  Raises UnknownInstance
     for a location the circuit does not have.  No cycle is lowered yet: each
     ``instrument`` call lowers one more from the net map of the one before,
-    which ``env`` holds.  Each cycle with a location has its
-    ``cycle_controls`` list from the start, empty until that cycle is
-    lowered."""
+    which ``env`` holds.  ``located`` names each location's variables from
+    the start, lowered or not."""
 
     circuit = unrolled.circuit
     located = {}
@@ -119,37 +117,30 @@ def controlled_circuit(unrolled: UnrolledCircuit, locations, types: tuple,
         # Controls are numbered cycle-major, then gates before registers,
         # each in declaration order; the selections follow in the same order.
         rank = {name: i for i, name in enumerate((*circuit.gate_map, *circuit.register_names))}
-        located = {cycle: sorted(located[cycle], key=lambda i: rank[i.name])
+        kinds = ("c", "b1", "b2")[:len(types)]
+        located = {cycle: [(inst, tuple(f"{v}[{inst.label}]" for v in kinds))
+                           for inst in sorted(located[cycle], key=lambda i: rank[i.name])]
                    for cycle in sorted(located)}
-    return ControlledCircuit(
-        builder=builder, unrolled=unrolled, types=types, located=located,
-        taps={}, flag_taps={}, control_map={},
-        cycle_controls={cycle: [] for cycle in located}, env={})
+    return ControlledCircuit(builder=builder, unrolled=unrolled, types=types,
+                             located=located, taps={}, flag_taps={}, env={})
 
 
 def instrument(controlled: ControlledCircuit) -> ControlledCircuit:
     """Lower the next cycle of ``controlled``: make its primary-input
-    variables, then its controls and their selections, then lower the
-    cycle's nets with a gadget at each of its fault locations.  With no
-    location in the cycle this is simply the circuit-to-formula lowering.
-    Every net no fault reaches gets its fault-free node, so ``golden_taps``
-    on the same builder finds those nodes again instead of making new
-    ones."""
+    variables, then the controls of the cycle's ``located`` entries, then
+    their selections, then lower the cycle's nets with a gadget at each
+    location.  With no location in the cycle this is simply the
+    circuit-to-formula lowering.  Every net no fault reaches gets its
+    fault-free node, so ``golden_taps`` on the same builder finds those
+    nodes again instead of making new ones."""
 
     b, circuit = controlled.builder, controlled.unrolled.circuit
     cycle = len(controlled.flag_taps) + 1  # flag_taps has one entry per cycle lowered
     inputs = make_input_vars(b, circuit, (cycle,))
-    kinds = ("c", "b1", "b2")[:len(controlled.types)]
-    named = [(inst, tuple(f"{v}[{inst.label}]" for v in kinds))
-             for inst in controlled.located.get(cycle, ())]
-    for _, names in named:
-        b.var(names[0], ROLE_CONTROL)
-        controlled.cycle_controls[cycle].append(names[0])
-    gadgets = {}
-    for inst, names in named:
-        controlled.control_map[inst] = names
-        gadgets[inst.name] = (b.var(names[0], ROLE_CONTROL),
-                              [b.var(s, ROLE_SELECTION) for s in names[1:]])
+    located = controlled.located.get(cycle, ())
+    controls = [b.var(names[0], ROLE_CONTROL) for _, names in located]
+    gadgets = {inst.name: (c, [b.var(s, ROLE_SELECTION) for s in names[1:]])
+               for c, (inst, names) in zip(controls, located)}
     env = controlled.env = _lower(b, controlled.unrolled, cycle, inputs, controlled.env,
                                   None, gadgets, controlled.types)
     for o in circuit.outputs:
@@ -210,8 +201,11 @@ def _lower(b, unrolled, cycle, inputs, before, depth, gadgets, types):
 
 
 def decode_fault_vector(assignment, controlled: ControlledCircuit) -> FaultVector:
-    """Unique fault vector compatible with a total control-input assignment."""
+    """Unique fault vector compatible with an assignment of the control
+    inputs.  A location whose control the assignment lacks, one of a cycle
+    never lowered, is fault-free."""
 
     return FaultVector(
         FaultEvent(inst, decode_type(controlled.types, [assignment[s] for s in names[1:]]))
-        for inst, names in controlled.control_map.items() if assignment[names[0]])
+        for locs in controlled.located.values() for inst, names in locs
+        if assignment.get(names[0]))

@@ -36,7 +36,6 @@ class FormulaBuilder:
         self.intern = {}
         self.var_names = []
         self.var_roles = {}
-        self._var_ids = {}
         self.false = self._new(CONST, (0,))
         self.true = self._new(CONST, (1,))
 
@@ -53,13 +52,12 @@ class FormulaBuilder:
     def var(self, name, role):
         if role not in ROLE_ORDER:
             raise EncodingError(f"variable {name!r} has unknown role {role!r}")
-        nid = self._var_ids.get(name)
+        nid = self.intern.get((VAR, (name,)))
         if nid is not None:
             if self.var_roles[name] != role:
                 raise EncodingError(f"variable {name!r} redeclared with a different role")
             return nid
         nid = self._new(VAR, (name,))
-        self._var_ids[name] = nid
         self.var_names.append(name)
         self.var_roles[name] = role
         return nid

@@ -106,10 +106,12 @@ class EncodedProblem:
     whose unrolled circuit is the protected one, against the unrolled
     circuit ``golden``, built one cycle at a time by ``build_fr_formula``:
     the golden side's net map of the last cycle, the flag prefix and the
-    disjuncts so far, and the cardinality bounds of the cycles so far.  The
-    two circuits share the primary-input variables.  ``golden`` is None
-    when nothing is instrumented and there is no separate golden circuit:
-    the formula is then constant false over the input variables."""
+    disjuncts so far, and the cardinality bounds of the cycles so far; the
+    n_c counter is whole from the start, its groups the control names of
+    each cycle in ``controlled.located``.  The two circuits share the
+    primary-input variables.  ``golden`` is None when nothing is
+    instrumented and there is no separate golden circuit: the formula is
+    then constant false over the input variables."""
 
     def __init__(self, plan: ReductionPlan, locations: set, controlled: ControlledCircuit,
                  golden: Optional[UnrolledCircuit]):
@@ -139,19 +141,19 @@ class EncodedProblem:
         self.root = b.false  # the disjunction of the disjuncts so far
         self.disjuncts = []
         # d@cycle says some fault is active in that cycle: the OR of the
-        # cycle's controls, whose list instrument fills when it lowers the
-        # cycle, before the d is counted.  Declared only when the n_c bound
-        # binds, i.e. fewer than the cycles that have controls.  With an
-        # input named d they are d'@cycle, a name no identifier spells.
-        controls = controlled.cycle_controls
+        # cycle's controls.  Declared only when the n_c bound binds, i.e.
+        # fewer than the cycles that have controls.  With an input named d
+        # they are d'@cycle, a name no identifier spells.
+        located = controlled.located
         n_c = plan.effective_model.n_c
         self.d_names = {}
         self.cardinality = []
-        if n_c < len(controls):
+        if n_c < len(located):
             prefix = "d'" if "d" in inputs else "d"
-            self.d_names = {cycle: f"{prefix}@{cycle}" for cycle in controls}
+            self.d_names = {cycle: f"{prefix}@{cycle}" for cycle in located}
             self.cardinality.append(CardinalityConstraint(
-                tuple(self.d_names.values()), n_c, groups=tuple(controls.values())))
+                tuple(self.d_names.values()), n_c,
+                groups=tuple(tuple(names[0] for _, names in locs) for locs in located.values())))
 
     def stages(self):
         """Encode the cycles not encoded yet, one at a time, and yield the
@@ -200,10 +202,10 @@ def build_fr_formula(problem: EncodedProblem) -> BoolFormula:
     problem.disjuncts += disjuncts
     problem.root = root = b.or_many(disjuncts, problem.root)
 
-    controls = controlled.cycle_controls.get(cycle, [])
+    controls = tuple(names[0] for _, names in controlled.located.get(cycle, ()))
     n_e = problem.plan.effective_model.n_e
     if n_e < len(controls):
-        problem.cardinality.append(CardinalityConstraint(tuple(controls), n_e))
+        problem.cardinality.append(CardinalityConstraint(controls, n_e))
     if cycle in problem.d_names:
         b.var(problem.d_names[cycle], ROLE_AUX_D)
     return BoolFormula(builder=b, root=root, cardinality=list(problem.cardinality),
@@ -241,19 +243,6 @@ def encode_problem(circuit: SequentialCircuit, config: VerificationConfig,
         for _ in problem.stages():
             pass
     return problem
-
-
-def _decode_inputs(model_bits, cnf: CNF, circuit: SequentialCircuit, k: int):
-    """The input rows of a model, cycles 1..k; the inputs of a cycle the
-    CNF does not reach yet have no variable and read 0."""
-    rows = []
-    for cycle in range(1, k + 1):
-        row = []
-        for name in circuit.inputs:
-            idx = cnf.var_index.get(f"{name}@{cycle}")
-            row.append(1 if model_bits.get(idx, False) else 0)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def _check_golden_agrees(golden: UnrolledCircuit, protected: UnrolledCircuit, inputs):
@@ -305,7 +294,9 @@ def verify(circuit: SequentialCircuit, config: VerificationConfig,
             cnf.clauses.append([cnf.lits[problem.root]])
         named = {name: result.model.get(idx, False) for name, idx in cnf.var_index.items()}
         vector = decode_fault_vector(named, problem.controlled)
-        inputs = _decode_inputs(result.model, cnf, circuit, config.unroll_k)
+        # An input of a cycle the CNF does not reach yet has no variable: 0.
+        inputs = tuple(tuple(1 if named.get(f"{name}@{cycle}") else 0 for name in circuit.inputs)
+                       for cycle in range(1, config.unroll_k + 1))
         if golden is not None:
             _check_golden_agrees(problem.golden, problem.controlled.unrolled, inputs)
         if not len(vector):

@@ -127,13 +127,24 @@ def selection_bits(types, fault):
     return (True,) * (len(types) - 1 - i) + ((False,) if i else ())
 
 
+def location_names(controlled):
+    """Each location of ``controlled`` -> its (c, b1, b2) names, one per
+    type, in control order."""
+    return {inst: names for locs in controlled.located.values() for inst, names in locs}
+
+
+def control_names(controlled, cycle):
+    """The control names of ``cycle``'s locations, in control order."""
+    return tuple(names[0] for _, names in controlled.located.get(cycle, ()))
+
+
 def canonical_assignment(controlled, vector):
     """The control-input assignment compatible with a fault vector: c = 1 at
     its instances with selection bits per type, everything else 0."""
-    assignment = {name: False for names in controlled.control_map.values()
-                  for name in names}
+    named = location_names(controlled)
+    assignment = {name: False for names in named.values() for name in names}
     for event in vector:
-        c, *selections = controlled.control_map[event.instance]
+        c, *selections = named[event.instance]
         assert event.fault_type in controlled.types, event
         assignment[c] = True
         assignment.update(zip(selections,

@@ -46,6 +46,15 @@ def test_combinational_cycle():
     assert set(exc.value.path) >= {"a", "b"}
 
 
+def test_combinational_cycle_past_a_finished_gate():
+    # The search from a finishes it; the search from b meets a finished and
+    # goes on to the cycle through b and c.
+    text = ".inputs i\n.outputs a\ngate a = buf(i)\ngate b = and(a, c)\ngate c = not(b)\n"
+    with pytest.raises(CombinationalCycle) as exc:
+        build_and_validate(parse_netlist(text))
+    assert str(exc.value) == "combinational cycle: b -> c -> b"
+
+
 def test_combinational_cycle_deep():
     # A 3000-gate loop g0 <- g1 <- ... <- g2999 <- g0; no recursion limit applies.
     n = 3000
@@ -82,8 +91,10 @@ def _doc(outputs=("g",), flag=None, registers=(), gates=(("g", "buf", ("a",)),),
      NetlistSyntaxError, "f"),
     (_doc(outputs=()), NetlistSyntaxError, None),
     (_doc(flag="g"), NetlistSyntaxError, "g"),
+    (_doc(registers=[("r", 0)], next_state={"r": "ghost"}), UndefinedNet, "ghost"),
+    (_doc(flag="ghost"), UndefinedNet, "ghost"),
 ], ids=["kind", "arity", "duplicate", "undefined", "undriven", "no-next", "next-not-register",
-        "flag", "no-outputs", "flag-only"])
+        "flag", "no-outputs", "flag-only", "next-undefined-net", "flag-undefined"])
 def test_built_doc_checked_like_its_text(doc, error, name):
     # The same defect raises the same error whether the doc was built in code
     # or parsed from its text; only the parsed one knows source locations.
@@ -114,6 +125,12 @@ def test_built_model_checked_like_its_config(rect_parity_doc, config_fields, fie
         FaultResistanceModel(**{"n_e": 1, "n_c": 1, "fault_types": frozenset({FaultType.BITFLIP}),
                                 "location": "c", **fields})
     assert str(built.value) == str(parsed.value)
+
+
+def test_model_types_must_be_a_frozenset():
+    with pytest.raises(InvalidModel) as exc:
+        FaultResistanceModel(1, 1, {FaultType.BITFLIP}, "c")
+    assert str(exc.value) == "types must be a frozenset, got set"
 
 
 def test_unroll_rect(rect_parity):

@@ -226,6 +226,17 @@ def test_simulate_multi_cycle(tmp_path, capsys):
     assert out == ["cycle 1: in=1 out=0 flag=0", "cycle 2: in=0 out=1 flag=0"]
 
 
+@pytest.mark.parametrize("inputs, message", [
+    (",", "no input vectors given"),
+    ("0x", "input vector '0x' must be 2 bits of 0/1"),
+], ids=["none", "not-bits"])
+def test_simulate_rejects_bad_inputs(tmp_path, capsys, inputs, message):
+    nl = tmp_path / "and.nl"
+    nl.write_text(".inputs a b\n.outputs o\ngate o = and(a, b)\n")
+    assert run_cli("simulate", nl, "--inputs", inputs) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_reduce_json(workdir, capsys):
     code = run_cli("reduce", workdir / "rect_parity.nl",
                    "--config", workdir / "zeta_1_1_all_c.json")

@@ -6,9 +6,11 @@ import pytest
 from conftest import (
     all_golden_taps,
     canonical_assignment,
+    control_names,
     dup_and_compare,
     evaluate,
     instances,
+    location_names,
     lowered,
     selection_bits,
 )
@@ -116,13 +118,14 @@ def test_instrument_rect_control_vars(rect_parity_unrolled):
     blacklist = {"p1", "p2", "p3", "p4", "p5", "p6", "c1", "c2", "c3", "flag"}
     locations = fault_locations(rect_parity_unrolled, blacklist, "c")
     controlled = lowered(rect_parity_unrolled, locations, ALL)
-    assert len(controlled.control_map) == 12
-    controls = [c for cycle in sorted(controlled.cycle_controls)
-                for c in controlled.cycle_controls[cycle]]
+    named = location_names(controlled)
+    assert len(named) == 12
+    controls = [c for cycle in sorted(controlled.located)
+                for c in control_names(controlled, cycle)]
     assert len(controls) == 12
-    selections = [n for names in controlled.control_map.values() for n in names[1:]]
+    selections = [n for names in named.values() for n in names[1:]]
     assert len(selections) == 24
-    assert controlled.control_map[GateInstance(1, "s3")] == ("c[s3@1]", "b1[s3@1]", "b2[s3@1]")
+    assert named[GateInstance(1, "s3")] == ("c[s3@1]", "b1[s3@1]", "b2[s3@1]")
 
 
 def test_controlled_circuit_rejects_unknown_locations(rect_parity_unrolled):
@@ -141,7 +144,7 @@ def test_instrument_empty_locations_is_golden(rect_parity_unrolled):
     b = lowered(rect_parity_unrolled, set(), ALL, fb)
     # hash-consing makes the two lowerings literally the same nodes
     assert a.taps == b.taps
-    assert a.control_map == {}
+    assert a.located == {}
 
 
 def test_instrument_size_bound(rect_parity_unrolled):
@@ -158,10 +161,11 @@ def test_decode_examples(rect_parity_unrolled):
                                 {"p1", "p2", "p3", "p4", "p5", "p6",
                                  "c1", "c2", "c3", "flag"}, "c")
     controlled = lowered(rect_parity_unrolled, locations, ALL)
-    base = {name: False for names in controlled.control_map.values() for name in names}
+    named = location_names(controlled)
+    base = {name: False for names in named.values() for name in names}
 
     inst = GateInstance(1, "s3")
-    c, b1, b2 = controlled.control_map[inst]
+    c, b1, b2 = named[inst]
 
     a = dict(base, **{c: True, b1: False, b2: True})
     assert decode_fault_vector(a, controlled) == FaultVector(

@@ -121,6 +121,22 @@ def test_repeated_single_statements_rejected():
         assert str(exc.value) == f"6:1: duplicate {stmt.split()[0]} statement"
 
 
+@pytest.mark.parametrize("statements, at, message", [
+    (".name a b\n", 1, ".name takes one identifier"),
+    (".inputs\n", 1, ".inputs needs at least one net"),
+    (".flag a b\n", 1, ".flag takes one identifier"),
+    (".reg r\n", 1, ".reg wants `.reg <name> init=<0|1>`"),
+    (".reg r init=2\n", 1, "init must be 0 or 1"),
+    (".reg r init=0\nnext r\n", 2, "next wants `next <reg> = <net>`"),
+    (".reg r init=0\nnext r = a\nnext r = a\n", 3, "duplicate next for register 'r'"),
+], ids=["name-two", "inputs-bare", "flag-two", "reg-no-init", "reg-init-2", "next-bare",
+        "next-twice"])
+def test_parse_rejects_malformed_statement(statements, at, message):
+    with pytest.raises(NetlistSyntaxError) as exc:
+        parse_netlist(statements + ".inputs a\n.outputs g\ngate g = buf(a)\n")
+    assert str(exc.value) == f"{at}:1: {message}"
+
+
 def test_parse_is_deterministic(rect_parity_doc):
     from faultres.fixtures import fixture_text
 
@@ -401,6 +417,17 @@ def test_config_unknown_keys(rect_parity_doc, raw, message):
     with pytest.raises(SchemaError) as info:
         parse_config(json.dumps(raw), rect_parity_doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", "config must be a JSON object"),
+    ('{"k": 1, "model": []}', "model must be an object"),
+    ('{"k": 1, "model": {"ne": 1}}', "model missing key 'nc'"),
+], ids=["not-object", "model-not-object", "model-missing-key"])
+def test_config_shape_errors(rect_parity_doc, text, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_config(text, rect_parity_doc)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("config_fields,fields,error", [

@@ -12,6 +12,7 @@ from conftest import (
     DUP_COMPARE,
     DUP_COMPARE_CONFIG,
     canonical_assignment,
+    control_names,
     counter_cnf,
     dup_and_compare,
     evaluate,
@@ -690,6 +691,21 @@ def test_external_solver_wrong_model(tmp_path):
         solve_cnf(_cnf(2, [[1, 2], [-1]]), (sys.executable, str(script)))
 
 
+@pytest.mark.parametrize("output, message", [
+    ("s SATISFIABLE", "SAT answer without `v` model lines"),
+    ("v 1 x 0", "bad literal in model: invalid literal for int() with base 10: 'x'"),
+    ("v 5 0", "model literal 5 out of range"),
+], ids=["no-v-line", "bad-literal", "out-of-range"])
+def test_external_solver_malformed_model(tmp_path, output, message):
+    from faultres.solvers import ModelParseError
+
+    script = tmp_path / "bad.py"
+    script.write_text(f"import sys; print({output!r}); sys.exit(10)\n")
+    with pytest.raises(ModelParseError) as exc:
+        solve_cnf(_cnf(2, [[1, 2]]), (sys.executable, str(script)))
+    assert str(exc.value) == message
+
+
 def test_verify_undecided_solver(rect_parity, zeta_1_1_all_c, tmp_path):
     script = tmp_path / "giveup.py"
     script.write_text("import sys; print('out of memory', file=sys.stderr); sys.exit(1)\n")
@@ -727,7 +743,7 @@ def test_build_fr_formula_cardinality_shape(rect_parity):
     assert len(locations) == 12
     # k = 1: the cycle-count part never binds; the per-cycle part does (1 < 12)
     [ne] = formula.cardinality
-    assert ne.var_names == tuple(controlled.cycle_controls[1]) and not ne.groups
+    assert ne.var_names == control_names(controlled, 1) and not ne.groups
     assert len(ne.var_names) == 12
     # ne >= location count: both parts absent
     big = FaultResistanceModel(12, 1, frozenset(ALL), "c")
@@ -758,9 +774,23 @@ def test_build_fr_formula_nc_part_not_binding_declares_no_d():
     model = FaultResistanceModel(1, 1, frozenset(ALL), "c")
     formula = fr_formula(u, controlled, model)
     assert [(c.var_names, c.groups) for c in formula.cardinality] == [
-        (tuple(controlled.cycle_controls[2]), ())]
+        (control_names(controlled, 2), ())]
     cnf = tseitin_cnf(formula)
     assert not [name for name in cnf.var_index if name.startswith("d@")]
+
+
+def test_nc_groups_exist_before_any_cycle_is_lowered():
+    # The n_c counter is whole from the start: one group of control names
+    # per cycle with controls, before staged encoding lowers any cycle.
+    text = ".inputs i\n.outputs o\n.reg r init=0\ngate o = xor(i, r)\nnext r = o\n"
+    circuit = build_and_validate(parse_netlist(text))
+    cfg = VerificationConfig(3, FaultResistanceModel(1, 1, frozenset(ALL), "c"),
+                             frozenset(), ReductionFlags(), ("builtin",))
+    problem = encode_problem(circuit, cfg, staged=True)
+    assert problem.cycles == 0 and problem.controlled.flag_taps == {}
+    [nc] = problem.cardinality
+    assert nc.var_names == ("d@1", "d@2", "d@3")
+    assert nc.groups == (("c[o@1]",), ("c[o@2]",), ("c[o@3]",))
 
 
 def test_verify_unknown_location_class():
@@ -787,7 +817,7 @@ def test_formula_matches_effectiveness_semantics():
             assignment = canonical_assignment(controlled, vector)
             # each d variable is the OR of its cycle's controls; set them so
             for cycle in range(1, k + 1):
-                controls = controlled.cycle_controls.get(cycle, [])
+                controls = control_names(controlled, cycle)
                 assignment[f"d@{cycle}"] = any(assignment[c] for c in controls)
             for flat in itertools.product((0, 1), repeat=n_in * k):
                 rows = [flat[i * n_in:(i + 1) * n_in] for i in range(k)]
@@ -864,6 +894,18 @@ def test_verify_rejects_mismatched_golden(rect_parity):
 
     with pytest.raises(ShapeMismatch):
         verify(rect_parity, cfg, golden=other)
+
+
+def test_verify_rejects_golden_with_an_extra_input():
+    from faultres.simulator import ShapeMismatch
+
+    protected = build_and_validate(parse_netlist(".inputs a b\n.outputs o\ngate o = and(a, b)\n"))
+    golden = build_and_validate(parse_netlist(".inputs a b e\n.outputs o\ngate o = and(a, b)\n"))
+    cfg = VerificationConfig(1, FaultResistanceModel(1, 1, frozenset(ALL), "c"),
+                             frozenset(), ReductionFlags(), ("builtin",))
+    with pytest.raises(ShapeMismatch) as exc:
+        verify(protected, cfg, golden=golden)
+    assert str(exc.value) == "golden and controlled circuits have different inputs"
 
 
 def test_verify_with_separate_golden(rect_parity, rect_revised, zeta_1_1_all_c_parity):
@@ -977,7 +1019,7 @@ def test_unobservable_encodes_the_folded_miter_without_instrumenting(monkeypatch
     monkeypatch.setattr(faultres.sat_encoding, "build_fr_formula", fail)
     problem = encode_problem(circuit, cfg)
     assert problem.locations == set()
-    assert problem.controlled.control_map == {}
+    assert problem.controlled.located == {}
     assert problem.cnf.num_vars == 4 and problem.cnf.clauses == [[]]
     assert emit_dimacs(problem.cnf) == emit_dimacs(folded)
     verdict = verify(circuit, cfg)

@@ -158,6 +158,11 @@ def test_find_witness_s7_bitflip_none(rect_parity_unrolled):
         assert not res.effective
 
 
+def test_find_witness_empty_vector(rect_parity_unrolled):
+    with pytest.raises(EmptyVector, match="^witness search needs a non-empty fault vector$"):
+        find_witness(rect_parity_unrolled, FaultVector([]))
+
+
 def test_find_witness_too_large():
     names = [f"i{n}" for n in range(30)]
     text = (".inputs " + " ".join(names) + "\n.outputs g\n"
